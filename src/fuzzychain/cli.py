@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--granularity", choices=["per-label", "per-participant"],
                      help="frequency key for the fuzzy algorithm's metrics")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel repetition workers (default 1; output-identical)")
+                     help="accepted for compatibility and ignored: repetitions "
+                          "always run serially (must be at least 1)")
 
     rep = sub.add_parser("report", help="print a digest of a finished run directory")
     rep.add_argument("run_dir")
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if args.workers < 1:
             raise ConfigError(["--workers: must be at least 1"])
-        report = run_configured(cfg, workers=args.workers)
+        report = run_configured(cfg)
         out_dir = args.out or f"runs/{cfg.experiment}"
         paths = emit_outputs(report, out_dir)
         sys.stdout.write(f"wrote {len(paths)} files to {out_dir}\n")

@@ -9,7 +9,9 @@ one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,22 +55,27 @@ def sample_dist(spec: dict, n: int, rng) -> np.ndarray:
     raise ConfigError([f"distribution type {kind!r} not one of {sorted(DIST_PARAMS)}"])
 
 
+def _number(errors: list[str], name: str, value) -> bool:
+    """True if value is a finite real number; otherwise record why not."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return True
+    errors.append(f"{name}: expected a finite number, got {value!r}")
+    return False
+
+
 def _check_dist(name: str, spec, errors: list[str]) -> None:
     if not isinstance(spec, dict) or "type" not in spec:
         errors.append(f"{name}: expected an object with a 'type' key")
         return
     kind = spec["type"]
-    if kind not in DIST_PARAMS:
+    if not isinstance(kind, str) or kind not in DIST_PARAMS:
         errors.append(f"{name}.type: {kind!r} not one of {sorted(DIST_PARAMS)}")
         return
     for p in DIST_PARAMS[kind]:
         if p not in spec:
             errors.append(f"{name}.{p}: required for type {kind!r}")
             return
-        try:
-            float(spec[p])
-        except (TypeError, ValueError):
-            errors.append(f"{name}.{p}: expected a number, got {spec[p]!r}")
+        if not _number(errors, f"{name}.{p}", spec[p]):
             return
     if kind == "lognormal" and spec["sigma"] <= 0:
         errors.append(f"{name}.sigma: must be positive")
@@ -127,22 +134,35 @@ class ExperimentConfig:
             errors.append(f"experiment: {self.experiment!r} not one of {EXPERIMENTS}")
         if not isinstance(self.seed, int) or self.seed < 0:
             errors.append(f"seed: expected a non-negative integer, got {self.seed!r}")
-        if not self.universe_lo < self.universe_hi:
+        lo_ok = _number(errors, "universe_lo", self.universe_lo)
+        hi_ok = _number(errors, "universe_hi", self.universe_hi)
+        if lo_ok and hi_ok and not self.universe_lo < self.universe_hi:
             errors.append("universe_lo: must be strictly below universe_hi")
-        n = len(self.labels)
-        if n < 3 or n % 2 == 0:
-            errors.append(f"labels: odd count >= 3 required, got {n}")
-        if len(set(self.labels)) != n:
-            errors.append("labels: duplicates not allowed")
-        extra = set(self.population_per_label) - set(self.labels)
-        missing = set(self.labels) - set(self.population_per_label)
-        if extra:
-            errors.append(f"population_per_label: unknown labels {sorted(extra)}")
-        if missing:
-            errors.append(f"population_per_label: missing labels {sorted(missing)}")
-        for k, v in self.population_per_label.items():
-            if not isinstance(v, int) or v < 0:
-                errors.append(f"population_per_label.{k}: expected an integer >= 0, got {v!r}")
+        labels_ok = isinstance(self.labels, (list, tuple)) and all(
+            isinstance(lab, str) for lab in self.labels
+        )
+        if not labels_ok:
+            errors.append(f"labels: expected a list of names, got {self.labels!r}")
+        else:
+            n = len(self.labels)
+            if n < 3 or n % 2 == 0:
+                errors.append(f"labels: odd count >= 3 required, got {n}")
+            if len(set(self.labels)) != n:
+                errors.append("labels: duplicates not allowed")
+        pop = self.population_per_label
+        if not isinstance(pop, dict):
+            errors.append(f"population_per_label: expected a key-value object, got {pop!r}")
+        else:
+            if labels_ok:
+                extra = set(pop) - set(self.labels)
+                missing = set(self.labels) - set(pop)
+                if extra:
+                    errors.append(f"population_per_label: unknown labels {sorted(extra)}")
+                if missing:
+                    errors.append(f"population_per_label: missing labels {sorted(missing)}")
+            for k, v in pop.items():
+                if not isinstance(v, int) or v < 0:
+                    errors.append(f"population_per_label.{k}: expected an integer >= 0, got {v!r}")
         if not self.rounds:
             errors.append("rounds: at least one round count required")
         for r in self.rounds:
@@ -150,23 +170,23 @@ class ExperimentConfig:
                 errors.append(f"rounds: every entry must be an integer >= 1, got {r!r}")
         if not isinstance(self.repetitions, int) or self.repetitions < 1:
             errors.append(f"repetitions: expected an integer >= 1, got {self.repetitions!r}")
-        if not 0 < self.eta <= 1:
+        if _number(errors, "eta", self.eta) and not 0 < self.eta <= 1:
             errors.append(f"eta: must lie in (0, 1], got {self.eta}")
-        if self.l_divisor <= 0:
+        if _number(errors, "l_divisor", self.l_divisor) and self.l_divisor <= 0:
             errors.append(f"l_divisor: must be positive, got {self.l_divisor}")
-        if not 0 <= self.epsilon < 1:
+        if _number(errors, "epsilon", self.epsilon) and not 0 <= self.epsilon < 1:
             errors.append(f"epsilon: must lie in [0, 1), got {self.epsilon}")
-        if self.commission < 0:
+        if _number(errors, "commission", self.commission) and self.commission < 0:
             errors.append(f"commission: must be non-negative, got {self.commission}")
         for rate_name in ("byzantine_rate", "invalid_block_rate"):
             rate = getattr(self, rate_name)
-            if not 0 <= rate <= 1:
+            if _number(errors, rate_name, rate) and not 0 <= rate <= 1:
                 errors.append(f"{rate_name}: must lie in [0, 1], got {rate}")
         if not isinstance(self.fuzzychain_rounds, int) or self.fuzzychain_rounds < 1:
             errors.append(f"fuzzychain_rounds: expected an integer >= 1, got {self.fuzzychain_rounds!r}")
         if self.granularity not in GRANULARITIES:
             errors.append(f"granularity: {self.granularity!r} not one of {GRANULARITIES}")
-        if self.curve not in CURVES:
+        if not isinstance(self.curve, str) or self.curve not in CURVES:
             errors.append(f"curve: {self.curve!r} not one of {sorted(CURVES)}")
         b = self.baselines
         if not isinstance(b.participants, int) or b.participants < 1:
@@ -201,7 +221,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key not in known:
             continue
         if key == "labels":
-            kwargs[key] = tuple(value)
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
         elif key == "rounds":
             kwargs[key] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
         elif key == "baselines":
@@ -216,13 +236,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs[key] = BaselineConfig(**value)
         else:
             kwargs[key] = value
+    cfg = ExperimentConfig(**kwargs)
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        errors.extend(e.errors)
     if errors:
         raise ConfigError(errors)
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError([str(e)]) from None
-    return cfg.validate()
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -234,11 +255,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError([f"config file is not valid JSON: {e}"])
     return config_from_dict(data)
-
-
-def exp1_config(**overrides) -> ExperimentConfig:
-    return replace(ExperimentConfig(experiment="exp1"), **overrides).validate()
-
-
-def exp2_config(**overrides) -> ExperimentConfig:
-    return replace(ExperimentConfig(experiment="exp2"), **overrides).validate()

@@ -58,14 +58,19 @@ def _parity_repair(picks: list[list[Participant]], groups, rng) -> None:
             return
 
 
-def select_first_round(groups: list[list[Participant]], rng) -> list[Participant]:
-    """Round-1 panel: uniform draws only, since reputations are all equal."""
+def _assemble_panel(groups: list[list[Participant]], rng, draw) -> list[Participant]:
+    """draw(set, quota, rng) on every non-empty set, then parity repair."""
     if not any(groups):
         raise NoPanelError("every trusted set is empty")
     q = quotas(len(groups))
-    picks = [_draw(g, q[i], rng) for i, g in enumerate(groups)]
+    picks = [draw(g, q[i], rng) if g else [] for i, g in enumerate(groups)]
     _parity_repair(picks, groups, rng)
     return [m for p in picks for m in p]
+
+
+def select_first_round(groups: list[list[Participant]], rng) -> list[Participant]:
+    """Round-1 panel: uniform draws only, since reputations are all equal."""
+    return _assemble_panel(groups, rng, _draw)
 
 
 def build_subsets(group: list[Participant]):
@@ -101,15 +106,7 @@ def _select_from_group(group: list[Participant], quota: int, rng) -> list[Partic
 
 def select_round_j(groups: list[list[Participant]], rng) -> list[Participant]:
     """Panel for rounds >= 2: per-set reputation-aware pools, then parity repair."""
-    if not any(groups):
-        raise NoPanelError("every trusted set is empty")
-    q = quotas(len(groups))
-    picks = [
-        _select_from_group(g, q[i], rng) if g else []
-        for i, g in enumerate(groups)
-    ]
-    _parity_repair(picks, groups, rng)
-    return [m for p in picks for m in p]
+    return _assemble_panel(groups, rng, _select_from_group)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,12 @@ four-way fairness comparison against PoW/PoS/DPoS (exp2). `custom`
 reuses the exp1 driver with arbitrary config values.
 
 Every run is a pure function of the config: all randomness flows
-through named substreams of the config seed, and repetitions are
-independent jobs, so they can execute in parallel without changing a
-single output byte.
+through named substreams of the config seed, and repetitions run one
+after another in a single serial loop.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,17 +248,15 @@ class Exp1Report:
         return [row for run in self.runs for row in run.audit_rows]
 
 
-def run_experiment1(config: ExperimentConfig, workers: int = 1) -> Exp1Report:
+def run_experiment1(config: ExperimentConfig) -> Exp1Report:
     """Frequency experiment: the consensus loop per (round count, repetition)."""
-    jobs = [(rv, rep) for rv in config.rounds for rep in range(config.repetitions)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda j: run_fuzzychain_once(config, *j), jobs))
-    else:
-        runs = [run_fuzzychain_once(config, rv, rep) for rv, rep in jobs]
     return Exp1Report(
         config=config,
-        runs=runs,
+        runs=[
+            run_fuzzychain_once(config, rv, rep)
+            for rv in config.rounds
+            for rep in range(config.repetitions)
+        ],
         trusted_sets=trusted_sets_required(len(config.labels)),
     )
 
@@ -350,52 +346,39 @@ class Exp2Report:
 
     def frequency_rows(self) -> list[dict]:
         rows = []
-        key_col = "key"
         for run in self.fuzzy_runs:
             table = run.table(self.config.granularity)
             for cat, count in table.as_dict().items():
                 rows.append({"algorithm": "fuzzychain", "repetition": run.repetition,
-                             key_col: str(cat), "count": count})
+                             "key": str(cat), "count": count})
         for algo in BASELINE_ALGOS:
             for rep, table in enumerate(self.baseline_tables[algo]):
                 for cat, count in table.as_dict().items():
                     rows.append({"algorithm": algo, "repetition": rep,
-                                 key_col: str(cat), "count": count})
+                                 "key": str(cat), "count": count})
         return rows
 
     def audit_rows(self) -> list[dict]:
         return [row for run in self.fuzzy_runs for row in run.audit_rows]
 
 
-def run_experiment2(config: ExperimentConfig, workers: int = 1) -> Exp2Report:
+def run_experiment2(config: ExperimentConfig) -> Exp2Report:
     """Fairness comparison: fuzzy consensus vs the three baselines.
 
     Baseline populations are drawn once per experiment; each repetition
     replays the winner races with its own substreams.
     """
     miners, validators, delegates = _baseline_populations(config)
-    reps = config.repetitions
     b_rounds = config.baselines.rounds
-
-    def one_rep(rep: int):
-        fz = run_fuzzychain_once(config, config.fuzzychain_rounds, rep)
-        tables = {
-            "pow": run_pow(miners, b_rounds, substream(config.seed, "exp2", rep, "pow")),
-            "pos": run_pos(validators, b_rounds, substream(config.seed, "exp2", rep, "pos")),
-            "dpos": run_dpos(delegates, b_rounds, substream(config.seed, "exp2", rep, "dpos")),
-        }
-        return fz, tables
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-    else:
-        results = [one_rep(rep) for rep in range(reps)]
-
-    fuzzy_runs = [fz for fz, _ in results]
-    baseline_tables = {
-        algo: [tables[algo] for _, tables in results] for algo in BASELINE_ALGOS
-    }
+    races = (("pow", run_pow, miners), ("pos", run_pos, validators),
+             ("dpos", run_dpos, delegates))
+    fuzzy_runs = []
+    baseline_tables = {algo: [] for algo in BASELINE_ALGOS}
+    for rep in range(config.repetitions):
+        fuzzy_runs.append(run_fuzzychain_once(config, config.fuzzychain_rounds, rep))
+        for algo, race, population in races:
+            baseline_tables[algo].append(
+                race(population, b_rounds, substream(config.seed, "exp2", rep, algo)))
     return Exp2Report(
         config=config,
         fuzzy_runs=fuzzy_runs,
@@ -405,7 +388,11 @@ def run_experiment2(config: ExperimentConfig, workers: int = 1) -> Exp2Report:
 
 
 def run_configured(config: ExperimentConfig, workers: int = 1):
-    """Dispatch on config.experiment ('custom' runs the frequency driver)."""
+    """Dispatch on config.experiment ('custom' runs the frequency driver).
+
+    workers is accepted for existing callers and ignored: repetitions
+    always run serially, and the output does not depend on it.
+    """
     if config.experiment == "exp2":
-        return run_experiment2(config, workers=workers)
-    return run_experiment1(config, workers=workers)
+        return run_experiment2(config)
+    return run_experiment1(config)

@@ -147,25 +147,6 @@ def make_uniform_partition(name: str, labels, lo: float, hi: float) -> Linguisti
     return LinguisticVariable(name, labels, float(lo), float(hi), tuple(mfs))
 
 
-def make_partition_from_triples(name: str, labels, lo: float, hi: float, triples) -> LinguisticVariable:
-    """Partition from explicit (a, b, c) triples, for unbalanced label layouts.
-
-    The first and last triples become shouldered sets; the family must
-    still satisfy the Ruspini sum-to-one property.
-    """
-    labels = tuple(labels)
-    mfs = []
-    for i, (a, b, c) in enumerate(triples):
-        if i == 0:
-            shape = SHOULDER_LEFT
-        elif i == len(labels) - 1:
-            shape = SHOULDER_RIGHT
-        else:
-            shape = INTERIOR
-        mfs.append(MembershipFunction(float(a), float(b), float(c), shape))
-    return LinguisticVariable(name, labels, float(lo), float(hi), tuple(mfs))
-
-
 def hmdf(var: LinguisticVariable, x: float) -> LabelAssignment:
     """Highest membership degree function: the label where x belongs most.
 
@@ -217,26 +198,3 @@ def hmdf_win_intervals(var: LinguisticVariable) -> list[tuple[float, float]]:
         edges.append((left + right) / 2.0)
     edges.append(var.universe_hi)
     return list(zip(edges, edges[1:]))
-
-
-def partition_to_config(var: LinguisticVariable) -> dict:
-    """Serializable description; round-trips through partition_from_config."""
-    return {
-        "name": var.name,
-        "labels": list(var.labels),
-        "lo": var.universe_lo,
-        "hi": var.universe_hi,
-        "triples": [[mf.a, mf.b, mf.c] for mf in var.mfs],
-    }
-
-
-def partition_from_config(cfg: dict) -> LinguisticVariable:
-    """Build a partition from config: uniform {labels, lo, hi} by default,
-    or explicit per-label triples when a "triples" list is present."""
-    name = cfg.get("name", "stake")
-    labels = cfg["labels"]
-    lo, hi = float(cfg["lo"]), float(cfg["hi"])
-    triples = cfg.get("triples")
-    if triples is None:
-        return make_uniform_partition(name, labels, lo, hi)
-    return make_partition_from_triples(name, labels, lo, hi, triples)

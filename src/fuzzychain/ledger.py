@@ -11,6 +11,7 @@ with six decimal places. Timestamps are simulation-clock integers
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -69,6 +70,8 @@ def new_keypair(rng, curve: str = DEFAULT_CURVE):
 
 
 def _amount_units(amount: float) -> int:
+    if not math.isfinite(amount):
+        raise LedgerError(f"amount must be finite, got {amount}")
     if amount < 0:
         raise LedgerError(f"amount must be non-negative, got {amount}")
     units = round(amount * _AMOUNT_SCALE)
@@ -237,42 +240,12 @@ class Chain:
         self.blocks.append(block)
 
     def validate_all(self) -> bool:
-        """Re-check linkage and hashes over the whole chain."""
-        g = self.blocks[0]
-        if g.index != 0 or g.prev_hash != GENESIS_PREV_HASH:
+        """Replay the whole chain from genesis through block_rejection_reason."""
+        if self.blocks[0] != genesis_block():
             return False
-        if block_hash(g.index, g.timestamp, g.prev_hash, g.transactions) != g.hash:
-            return False
-        for parent, child in zip(self.blocks, self.blocks[1:]):
-            if child.index != parent.index + 1 or child.prev_hash != parent.hash:
+        replay = Chain(self.curve)
+        for block in self.blocks[1:]:
+            if block_rejection_reason(replay, block, self.curve) is not None:
                 return False
-            if block_hash(child.index, child.timestamp, child.prev_hash, child.transactions) != child.hash:
-                return False
-            if not all(verify_transaction(tx, self.curve) for tx in child.transactions):
-                return False
+            replay.blocks.append(block)
         return True
-
-    def to_json(self) -> dict:
-        """Chain export with hex digests (diagnostic form, not canonical)."""
-        return {
-            "curve": self.curve,
-            "blocks": [
-                {
-                    "index": b.index,
-                    "timestamp": b.timestamp,
-                    "prev_hash": b.prev_hash.hex(),
-                    "hash": b.hash.hex(),
-                    "transactions": [
-                        {
-                            "sender": tx.sender.hex(),
-                            "recipient": tx.recipient.hex(),
-                            "amount": tx.amount,
-                            "nonce": tx.nonce,
-                            "signature": tx.signature.hex(),
-                        }
-                        for tx in b.transactions
-                    ],
-                }
-                for b in self.blocks
-            ],
-        }

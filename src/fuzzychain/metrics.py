@@ -51,13 +51,16 @@ def gini(values) -> float:
     return float(np.dot(coef, srt) / (n * total))
 
 
-def _central_moments(arr: np.ndarray):
-    mean = arr.mean()
-    dev = arr - mean
+def _central_moments(values, statistic: str):
+    """(m2, m3, m4) of the values; raises where statistic is undefined."""
+    arr = _as_array(values)
+    if arr.size == 0:
+        raise DegenerateDistributionError(f"{statistic} of empty sequence")
+    dev = arr - arr.mean()
     m2 = np.mean(dev**2)
-    m3 = np.mean(dev**3)
-    m4 = np.mean(dev**4)
-    return m2, m3, m4
+    if m2 == 0:
+        raise DegenerateDistributionError(f"{statistic} undefined for zero variance")
+    return m2, np.mean(dev**3), np.mean(dev**4)
 
 
 def skewness(values) -> float:
@@ -66,12 +69,7 @@ def skewness(values) -> float:
     :raises DegenerateDistributionError: when variance is zero (fewer
         than two distinct values), where skewness is undefined.
     """
-    arr = _as_array(values)
-    if arr.size == 0:
-        raise DegenerateDistributionError("skewness of empty sequence")
-    m2, m3, _ = _central_moments(arr)
-    if m2 == 0:
-        raise DegenerateDistributionError("skewness undefined for zero variance")
+    m2, m3, _ = _central_moments(values, "skewness")
     return float(m3 / m2**1.5)
 
 
@@ -80,12 +78,7 @@ def kurtosis(values) -> float:
 
     :raises DegenerateDistributionError: when variance is zero.
     """
-    arr = _as_array(values)
-    if arr.size == 0:
-        raise DegenerateDistributionError("kurtosis of empty sequence")
-    m2, _, m4 = _central_moments(arr)
-    if m2 == 0:
-        raise DegenerateDistributionError("kurtosis undefined for zero variance")
+    m2, _, m4 = _central_moments(values, "kurtosis")
     return float(m4 / m2**2 - 3.0)
 
 
@@ -142,16 +135,9 @@ def summarize_counts(counts) -> dict:
         "mean": float(arr.mean()) if arr.size else None,
         "std": float(arr.std()) if arr.size else None,
     }
-    try:
-        out["gini"] = gini(arr)
-    except DegenerateDistributionError:
-        out["gini"] = None
-    try:
-        out["skewness"] = skewness(arr)
-    except DegenerateDistributionError:
-        out["skewness"] = None
-    try:
-        out["kurtosis"] = kurtosis(arr)
-    except DegenerateDistributionError:
-        out["kurtosis"] = None
+    for name, statistic in (("gini", gini), ("skewness", skewness), ("kurtosis", kurtosis)):
+        try:
+            out[name] = statistic(arr)
+        except DegenerateDistributionError:
+            out[name] = None
     return out

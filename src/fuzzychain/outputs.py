@@ -13,7 +13,7 @@ import io
 import json
 from pathlib import Path
 
-from .experiments import Exp1Report, Exp2Report
+from .experiments import Exp2Report
 from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
@@ -93,17 +93,13 @@ def tables_from_rows(rows: list[dict]) -> dict:
     return tables
 
 
-def load_summary(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def format_report(run_dir) -> str:
     """Human-readable digest of a run directory for the report command."""
     run = Path(run_dir)
     summary_path = run / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"no summary.json under {run}")
-    summary = load_summary(summary_path)
+    summary = json.loads(summary_path.read_text())
     lines = [f"experiment: {summary['experiment']}  (seed {summary['config']['seed']})",
              f"trusted sets required: {summary['trusted_sets_required']}"]
 

@@ -9,7 +9,7 @@ equals 1" is a membership test for the preferred selection pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fuzzy import LinguisticVariable, classify_stake
 
@@ -21,7 +21,7 @@ class Participant:
     """One registered validator.
 
     reputation starts at 1.0 and never leaves [0, 1]. label_index is
-    1-based (set on enrollment; refreshed by rescale()).
+    1-based (set on enrollment; refreshed by set_stake()).
     """
 
     id: str
@@ -90,25 +90,26 @@ class Registry:
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
         self.variable = variable
         self.params = params or ReputationParams()
+        # nothing is ever removed, so insertion order is enrollment order
         self._participants: dict[str, Participant] = {}
-        self._order: list[str] = []
 
-    def enroll(self, pid: str, stake: float) -> Participant:
-        if pid in self._participants:
-            raise ValueError(f"participant {pid!r} already enrolled")
+    def _place(self, p: Participant, stake: float) -> Participant:
+        """Give p this stake and the label the stake classifies into."""
         if stake < self.variable.universe_lo:
             raise ValueError(
                 f"stake {stake} below universe floor {self.variable.universe_lo}"
             )
+        p.stake = float(stake)
         assignment = classify_stake(self.variable, stake)
-        p = Participant(
-            id=pid,
-            stake=float(stake),
-            label_index=assignment.label_index,
-            degree=assignment.degree,
-        )
+        p.label_index = assignment.label_index
+        p.degree = assignment.degree
+        return p
+
+    def enroll(self, pid: str, stake: float) -> Participant:
+        if pid in self._participants:
+            raise ValueError(f"participant {pid!r} already enrolled")
+        p = self._place(Participant(id=pid, stake=0.0), stake)
         self._participants[pid] = p
-        self._order.append(pid)
         return p
 
     def enroll_many(self, stakes, prefix: str = "v") -> list[Participant]:
@@ -118,7 +119,7 @@ class Registry:
         ]
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._participants)
 
     def __contains__(self, pid: str) -> bool:
         return pid in self._participants
@@ -128,7 +129,7 @@ class Registry:
 
     def participants(self) -> list[Participant]:
         """Every enrolled participant, excluded ones included, in enrollment order."""
-        return [self._participants[pid] for pid in self._order]
+        return list(self._participants.values())
 
     def active(self) -> list[Participant]:
         return [p for p in self.participants() if not p.excluded]
@@ -159,23 +160,7 @@ class Registry:
 
     def set_stake(self, pid: str, stake: float) -> Participant:
         """Change a stake (e.g. after a commission payout) and reclassify."""
-        p = self._participants[pid]
-        if stake < self.variable.universe_lo:
-            raise ValueError(
-                f"stake {stake} below universe floor {self.variable.universe_lo}"
-            )
-        p.stake = float(stake)
-        assignment = classify_stake(self.variable, stake)
-        p.label_index = assignment.label_index
-        p.degree = assignment.degree
-        return p
-
-    def rescale(self) -> None:
-        """Reclassify every participant; call after bulk stake edits."""
-        for p in self.participants():
-            assignment = classify_stake(self.variable, p.stake)
-            p.label_index = assignment.label_index
-            p.degree = assignment.degree
+        return self._place(self._participants[pid], stake)
 
 
 def trusted_sets_required(n_labels: int) -> int:

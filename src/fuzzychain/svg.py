@@ -34,8 +34,15 @@ def _nice_max(value: float) -> float:
     return float(10 ** (exp + 1))
 
 
-def _axis(x0, y0, w, h, ymax, title):
-    """Frame, title, y gridlines with tick labels."""
+def _panel(y_offset, peak, title):
+    """Geometry, y scale and axis (frame, title, y gridlines with tick
+    labels) of one stacked panel whose largest value is peak.
+
+    Returns (x0, y0, w, h, ymax, parts).
+    """
+    x0, y0 = MARGIN_L, y_offset + MARGIN_TOP
+    w, h = PANEL_W - MARGIN_L - MARGIN_R, PANEL_H - MARGIN_TOP - MARGIN_BOT
+    ymax = _nice_max(peak)
     parts = [
         f'<text x="{x0}" y="{y0 - 18}" font-size="14" font-weight="bold" '
         f'fill="#333">{escape(title)}</text>',
@@ -55,14 +62,11 @@ def _axis(x0, y0, w, h, ymax, title):
             f'<text x="{x0 - 6}" y="{y + 4:.1f}" font-size="10" fill="#555" '
             f'text-anchor="end">{label}</text>'
         )
-    return parts
+    return x0, y0, w, h, ymax, parts
 
 
 def bar_panel(labels, values, title, y_offset=0, color=PALETTE[0]):
-    x0, y0 = MARGIN_L, y_offset + MARGIN_TOP
-    w, h = PANEL_W - MARGIN_L - MARGIN_R, PANEL_H - MARGIN_TOP - MARGIN_BOT
-    ymax = _nice_max(max(values) if len(values) else 1.0)
-    parts = _axis(x0, y0, w, h, ymax, title)
+    x0, y0, w, h, ymax, parts = _panel(y_offset, max(values) if len(values) else 1.0, title)
     n = max(len(labels), 1)
     slot = w / n
     bw = slot * 0.6
@@ -86,11 +90,8 @@ def bar_panel(labels, values, title, y_offset=0, color=PALETTE[0]):
 
 def overlay_panel(xs, series: dict, title, y_offset=0, x_label=""):
     """One polyline per named series over shared x values."""
-    x0, y0 = MARGIN_L, y_offset + MARGIN_TOP
-    w, h = PANEL_W - MARGIN_L - MARGIN_R, PANEL_H - MARGIN_TOP - MARGIN_BOT
     flat = [v for vals in series.values() for v in vals]
-    ymax = _nice_max(max(flat) if flat else 1.0)
-    parts = _axis(x0, y0, w, h, ymax, title)
+    x0, y0, w, h, ymax, parts = _panel(y_offset, max(flat) if flat else 1.0, title)
     xs = list(xs)
     if len(xs) == 1:
         px = [x0 + w / 2]
@@ -134,11 +135,8 @@ def overlay_panel(xs, series: dict, title, y_offset=0, x_label=""):
 
 def box_panel(labels, samples, title, y_offset=0):
     """Min/Q1/median/Q3/max boxes, one per category."""
-    x0, y0 = MARGIN_L, y_offset + MARGIN_TOP
-    w, h = PANEL_W - MARGIN_L - MARGIN_R, PANEL_H - MARGIN_TOP - MARGIN_BOT
     flat = [v for s in samples for v in s]
-    ymax = _nice_max(max(flat) if flat else 1.0)
-    parts = _axis(x0, y0, w, h, ymax, title)
+    x0, y0, w, h, ymax, parts = _panel(y_offset, max(flat) if flat else 1.0, title)
     n = max(len(labels), 1)
     slot = w / n
     bw = slot * 0.4

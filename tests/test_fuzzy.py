@@ -9,17 +9,15 @@ from fuzzychain.fuzzy import (
     SHOULDER_LEFT,
     SHOULDER_RIGHT,
     LabelAssignment,
+    LinguisticVariable,
     MembershipFunction,
     OutOfUniverseError,
     classify_stake,
     hmdf,
     hmdf_win_intervals,
-    make_partition_from_triples,
     make_uniform_partition,
     membership,
     membership_array,
-    partition_from_config,
-    partition_to_config,
     scale_stakes,
 )
 
@@ -103,16 +101,18 @@ class TestUniformPartition:
     def test_non_ruspini_family_rejected(self):
         # gap between the sets: degrees sum to 0 in (4, 6)
         with pytest.raises(ValueError, match="Ruspini"):
-            make_partition_from_triples(
-                "bad", ["A", "B", "C"], 0, 10,
-                [(0, 0, 4), (0, 4, 4), (6, 10, 10)],
-            )
+            LinguisticVariable("bad", ("A", "B", "C"), 0.0, 10.0, (
+                MembershipFunction(0, 0, 4, SHOULDER_LEFT),
+                MembershipFunction(0, 4, 4, INTERIOR),
+                MembershipFunction(6, 10, 10, SHOULDER_RIGHT),
+            ))
 
     def test_unbalanced_triples_accepted(self):
-        var = make_partition_from_triples(
-            "skewed", ["A", "B", "C"], 0.0, 8.0,
-            [(0, 0, 2), (0, 2, 8), (2, 8, 8)],
-        )
+        var = LinguisticVariable("skewed", ("A", "B", "C"), 0.0, 8.0, (
+            MembershipFunction(0, 0, 2, SHOULDER_LEFT),
+            MembershipFunction(0, 2, 8, INTERIOR),
+            MembershipFunction(2, 8, 8, SHOULDER_RIGHT),
+        ))
         assert hmdf(var, 1.5).label_index == 2
         assert hmdf(var, 0.5).label_index == 1
 
@@ -164,12 +164,7 @@ class TestHmdf:
 
 
 class TestPartitionConfig:
-    def test_round_trip(self, var5):
-        cfg = partition_to_config(var5)
-        again = partition_from_config(cfg)
-        assert again == var5
-
     def test_uniform_from_minimal_config(self):
-        var = partition_from_config({"labels": ["LO", "MID", "HI"], "lo": 0, "hi": 6})
+        var = make_uniform_partition("stake", ["LO", "MID", "HI"], 0, 6)
         assert [mf.b for mf in var.mfs] == [0.0, 3.0, 6.0]
         assert var.name == "stake"

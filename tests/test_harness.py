@@ -19,7 +19,6 @@ from fuzzychain.experiments import (
     run_configured,
     run_experiment1,
     run_experiment2,
-    run_fuzzychain_once,
     sample_stakes_for_census,
     build_variable,
 )
@@ -45,6 +44,22 @@ def tiny(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base).validate()
+
+
+# one wrong-typed or non-finite value per document; each test adds a range error too
+WRONG_TYPED = [
+    ("eta", {"eta": "x"}),
+    ("universe_lo", {"universe_lo": "a"}),
+    ("labels", {"labels": 5}),
+    ("commission", {"commission": None}),
+    ("byzantine_rate", {"byzantine_rate": "0.1"}),
+    ("population_per_label", {"population_per_label": 3}),
+    ("baselines.pow_power_dist.sigma",
+     {"baselines": {"pow_power_dist": {"type": "lognormal", "mu": 0, "sigma": "2"}}}),
+    ("l_divisor", {"l_divisor": float("nan")}),
+    ("baselines.pos_stake_dist.sigma",
+     {"baselines": {"pos_stake_dist": {"type": "lognormal", "mu": 0, "sigma": float("inf")}}}),
+]
 
 
 class TestConfigValidation:
@@ -79,6 +94,13 @@ class TestConfigValidation:
     def test_bad_dist_rejected(self):
         with pytest.raises(ConfigError, match="pow_power_dist"):
             config_from_dict({"baselines": {"pow_power_dist": {"type": "zipf", "s": 2}}})
+
+    @pytest.mark.parametrize("field, doc", WRONG_TYPED, ids=[f for f, _ in WRONG_TYPED])
+    def test_wrong_typed_value_is_config_error(self, field, doc):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(dict(doc, epsilon=3))
+        assert any(e.startswith(field + ":") for e in exc.value.errors)
+        assert any(e.startswith("epsilon:") for e in exc.value.errors)
 
     def test_round_trip_through_dict(self):
         cfg = tiny(rounds=(25, 50), granularity="per-participant")
@@ -187,8 +209,8 @@ class TestExperiment1:
         assert isinstance(report, Exp1Report)
 
     def test_workers_do_not_change_results(self, tiny_config):
-        serial = run_experiment1(tiny_config, workers=1)
-        parallel = run_experiment1(tiny_config, workers=4)
+        serial = run_experiment1(tiny_config)
+        parallel = run_configured(tiny_config, workers=4)
         assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
             parallel.summary_dict(), sort_keys=True
         )
@@ -331,6 +353,14 @@ class TestCli:
         p.write_text(json.dumps({"experiment": "custom", "epsilon": 3}))
         assert main(["run", "custom", "--config", str(p)]) == 1
         assert "epsilon" in capsys.readouterr().err
+
+    def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "custom", "eta": "x", "commission": None}))
+        assert main(["run", "custom", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "eta" in err and "commission" in err
 
     def test_missing_run_dir_exits_two(self, capsys):
         assert main(["report", "/nonexistent/place"]) == 2

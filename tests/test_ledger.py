@@ -139,7 +139,8 @@ class TestSignatures:
 
     def test_unserializable_amount_fails_verification(self, wallet):
         _, pub = wallet
-        assert not verify_transaction(Transaction(pub, pub, -3.0, 0, b""))
+        for amount in (-3.0, float("nan"), float("inf")):
+            assert not verify_transaction(Transaction(pub, pub, amount, 0, b""))
 
 
 class TestBlocksAndChain:
@@ -189,6 +190,28 @@ class TestBlocksAndChain:
         reason = block_rejection_reason(chain, blk)
         assert "invalid tx" in reason
 
+    def test_non_finite_amount_block_is_unserializable(self, wallet):
+        _, pub = wallet
+        chain = Chain()
+        for amount in (float("nan"), float("inf")):
+            tx = Transaction(pub, pub, amount, 1, b"")
+            blk = Block(1, 1, chain.tip().hash, (tx,), bytes(32))
+            assert block_rejection_reason(chain, blk).startswith("unserializable block")
+
+    def test_validate_all_detects_tampered_history(self, wallet):
+        priv, pub = wallet
+        chain = Chain()
+        for r in (1, 2):
+            chain.append(build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r))
+        assert chain.validate_all()
+        first = chain.blocks[1]
+        forged = dataclasses.replace(first.transactions[0], amount=2.0)
+        chain.blocks[1] = make_block(first.index, first.timestamp, first.prev_hash, (forged,))
+        assert not chain.validate_all()  # bad signature, and block 2 no longer links
+        chain.blocks[1] = first
+        chain.blocks[0] = make_block(0, 5, GENESIS_PREV_HASH, ())
+        assert not chain.validate_all()  # foreign genesis
+
     def test_mutated_stored_hash_detected(self, wallet):
         priv, pub = wallet
         chain = Chain()
@@ -231,12 +254,3 @@ class TestBlocksAndChain:
                 assert mutated.hash not in seen.values()
                 seen[payload] = mutated.hash
 
-    def test_chain_export_uses_hex_digests(self, wallet):
-        priv, pub = wallet
-        chain = Chain()
-        chain.append(build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, 1)], clock=1))
-        doc = chain.to_json()
-        assert doc["curve"] == "secp256r1"
-        assert doc["blocks"][0]["prev_hash"] == "00" * 32
-        assert doc["blocks"][1]["hash"] == chain.tip().hash.hex()
-        assert doc["blocks"][1]["transactions"][0]["sender"] == pub.hex()
