@@ -210,11 +210,11 @@ class TestExperiment1:
 
     def test_workers_do_not_change_results(self, tiny_config):
         serial = run_experiment1(tiny_config)
-        parallel = run_configured(tiny_config, workers=4)
+        with_workers = run_configured(tiny_config, workers=4)
         assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
-            parallel.summary_dict(), sort_keys=True
+            with_workers.summary_dict(), sort_keys=True
         )
-        assert serial.frequency_rows() == parallel.frequency_rows()
+        assert serial.frequency_rows() == with_workers.frequency_rows()
 
 
 @pytest.fixture(scope="module")
