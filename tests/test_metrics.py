@@ -37,6 +37,11 @@ positive_vectors = st.lists(
     min_size=1, max_size=12,
 ).filter(lambda xs: sum(xs) > 0)
 
+normal_positive_vectors = st.lists(
+    st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_subnormal=False),
+    min_size=1, max_size=12,
+).filter(lambda xs: sum(xs) > 0)
+
 
 class TestGini:
     def test_total_equality(self):
@@ -74,7 +79,10 @@ class TestGini:
     def test_matches_double_sum_oracle(self, xs):
         assert gini(xs) == pytest.approx(gini_double_sum(xs), rel=1e-9, abs=1e-9)
 
-    @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3))
+    # Subnormal inputs are excluded: scaling one rounds away most of its few
+    # bits (c * 5e-324 is 0 for c <= 0.5), so the floats no longer hold the
+    # scaled distribution and the property is false for them.
+    @given(normal_positive_vectors, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, xs, c):
         assert gini([c * x for x in xs]) == pytest.approx(gini(xs), rel=1e-7, abs=1e-9)
 
