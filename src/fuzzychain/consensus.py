@@ -77,7 +77,7 @@ def build_subsets(group: list[Participant]):
     """Split a trusted set into (A, B): A holds the reputation-1 members,
     B is the whole set, so A is always a subset of B."""
     a = [m for m in group if m.reputation == 1.0]
-    return a, list(group)
+    return a, group
 
 
 def _select_from_group(group: list[Participant], quota: int, rng) -> list[Participant]:
@@ -201,8 +201,8 @@ class FuzzychainEngine:
 
         Labels are re-derived from current stakes on every stake change
         (see Registry.set_stake), which is equivalent to rescaling here
-        and much cheaper. The block joins the chain only when the vote
-        accepts it AND it independently validates.
+        and much cheaper. The block is checked once, with the chain's curve;
+        it joins the chain only when the vote accepts it AND the check passed.
         """
         j = self.rounds_completed + 1
         groups = self.registry.trusted_sets()
@@ -232,10 +232,10 @@ class FuzzychainEngine:
                 expulsions.append(member.id)
         self.registry.set_stake(winner.id, winner.stake + self.params.commission)
 
-        appended = False
-        if accepted and block_valid:
-            self.chain.append(block)
-            appended = True
+        appended = accepted and block_valid
+        if appended:
+            # unchecked append is safe: nothing moved the tip since the check, and Block is frozen
+            self.chain.blocks.append(block)
 
         self.rounds_completed += 1
         return RoundResult(

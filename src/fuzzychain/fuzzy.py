@@ -151,9 +151,9 @@ def hmdf(var: LinguisticVariable, x: float) -> LabelAssignment:
     """Highest membership degree function: the label where x belongs most.
 
     Ties at flank crossovers go to the lowest label index, so repeated
-    calls are deterministic. x must lie inside the universe.
+    calls are deterministic. x must lie inside the universe (NaN does not).
     """
-    if x < var.universe_lo or x > var.universe_hi:
+    if not var.universe_lo <= x <= var.universe_hi:
         raise OutOfUniverseError(
             f"{x} outside universe [{var.universe_lo}, {var.universe_hi}]"
         )
@@ -173,11 +173,16 @@ def classify_stake(var: LinguisticVariable, stake: float) -> LabelAssignment:
 def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
     """Classify a batch of stakes, preserving order.
 
-    Stakes above the universe top are clamped before classification.
+    Stakes above the universe top are clamped; NaN or below-floor ones raise.
     """
     xs = np.minimum(np.asarray(list(stakes), dtype=float), var.universe_hi)
     if xs.size == 0:
         return []
+    outside = xs[~(xs >= var.universe_lo)]
+    if outside.size:
+        raise OutOfUniverseError(
+            f"stake {outside[0]} is NaN or below universe floor {var.universe_lo}"
+        )
     degrees = np.stack([membership_array(mf, xs) for mf in var.mfs])
     best = np.argmax(degrees, axis=0)  # first max == lowest label index
     return [

@@ -189,11 +189,11 @@ def build_block(parent: Block, transactions, clock: int) -> Block:
     return make_block(parent.index + 1, int(clock), parent.hash, transactions)
 
 
-def block_rejection_reason(chain: "Chain", block: Block, curve: str = DEFAULT_CURVE):
+def block_rejection_reason(chain: "Chain", block: Block):
     """Why this block cannot extend the chain, or None if it can.
 
     Checks, in order: hash recomputation, index linkage, parent-hash
-    linkage, and every transaction signature.
+    linkage, and every transaction signature under the chain's curve.
     """
     try:
         recomputed = block_hash(block.index, block.timestamp, block.prev_hash, block.transactions)
@@ -207,17 +207,18 @@ def block_rejection_reason(chain: "Chain", block: Block, curve: str = DEFAULT_CU
     if block.prev_hash != tip.hash:
         return "linkage: prev_hash does not match the chain tip"
     for i, tx in enumerate(block.transactions):
-        if not verify_transaction(tx, curve):
+        if not verify_transaction(tx, chain.curve):
             return f"invalid tx at position {i}: signature does not verify"
     return None
 
 
-def validate_block(chain: "Chain", block: Block, curve: str = DEFAULT_CURVE) -> bool:
-    return block_rejection_reason(chain, block, curve) is None
+def validate_block(chain: "Chain", block: Block) -> bool:
+    return block_rejection_reason(chain, block) is None
 
 
 class Chain:
-    """Genesis-rooted block list; append is the only mutation."""
+    """Genesis-rooted block list, checked with its own curve. append is the
+    checked mutation; the round engine appends blocks it has just validated."""
 
     def __init__(self, curve: str = DEFAULT_CURVE):
         self.curve = curve
@@ -234,7 +235,7 @@ class Chain:
         return len(self.blocks)
 
     def append(self, block: Block) -> None:
-        reason = block_rejection_reason(self, block, self.curve)
+        reason = block_rejection_reason(self, block)
         if reason is not None:
             raise LedgerError(f"block rejected: {reason}")
         self.blocks.append(block)
@@ -245,7 +246,7 @@ class Chain:
             return False
         replay = Chain(self.curve)
         for block in self.blocks[1:]:
-            if block_rejection_reason(replay, block, self.curve) is not None:
+            if block_rejection_reason(replay, block) is not None:
                 return False
             replay.blocks.append(block)
         return True

@@ -83,8 +83,8 @@ class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
     Construction classifies every stake through the linguistic variable;
-    trusted_set(i) then returns the *active* (non-excluded) members of
-    T_i in enrollment order.
+    trusted_sets() then returns the *active* (non-excluded) members of
+    each T_i in enrollment order.
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
@@ -94,13 +94,13 @@ class Registry:
         self._participants: dict[str, Participant] = {}
 
     def _place(self, p: Participant, stake: float) -> Participant:
-        """Give p this stake and the label the stake classifies into."""
+        """Give p this stake and its label; a rejected stake leaves p unchanged."""
         if stake < self.variable.universe_lo:
             raise ValueError(
                 f"stake {stake} below universe floor {self.variable.universe_lo}"
             )
-        p.stake = float(stake)
         assignment = classify_stake(self.variable, stake)
+        p.stake = float(stake)
         p.label_index = assignment.label_index
         p.degree = assignment.degree
         return p
@@ -131,24 +131,13 @@ class Registry:
         """Every enrolled participant, excluded ones included, in enrollment order."""
         return list(self._participants.values())
 
-    def active(self) -> list[Participant]:
-        return [p for p in self.participants() if not p.excluded]
-
-    def trusted_set(self, label_index: int) -> list[Participant]:
-        """Active members of T_i (1-based label index), enrollment order."""
-        if not 1 <= label_index <= self.variable.n:
-            raise IndexError(f"label index {label_index} out of range 1..{self.variable.n}")
-        return [p for p in self.active() if p.label_index == label_index]
-
     def trusted_sets(self) -> list[list[Participant]]:
+        """Active members of T_1..T_n, each in enrollment order."""
         sets: list[list[Participant]] = [[] for _ in range(self.variable.n)]
-        for p in self.active():
-            sets[p.label_index - 1].append(p)
+        for p in self._participants.values():
+            if not p.excluded:
+                sets[p.label_index - 1].append(p)
         return sets
-
-    def census(self) -> list[int]:
-        """Active-member count per trusted set, T_1 first."""
-        return [len(s) for s in self.trusted_sets()]
 
     def apply_vote_outcome(self, pid: str, successful: bool) -> Participant:
         """Update one voter's reputation and re-check their expulsion status."""

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzychain import ledger
+from fuzzychain.config import ExperimentConfig
 from fuzzychain.consensus import (
     ByzantineModel,
     ConsensusParams,
@@ -18,8 +20,17 @@ from fuzzychain.consensus import (
     select_round_j,
     tally,
 )
+from fuzzychain.experiments import run_configured
 from fuzzychain.fuzzy import make_uniform_partition
-from fuzzychain.ledger import Chain, build_block, new_keypair, sign_transaction
+from fuzzychain.ledger import (
+    CURVES,
+    Chain,
+    Transaction,
+    build_block,
+    make_block,
+    new_keypair,
+    sign_transaction,
+)
 from fuzzychain.registry import Participant, Registry, ReputationParams
 from fuzzychain.rng import substream
 
@@ -351,3 +362,61 @@ class TestEngineRounds:
                 [engine.run_round(signed_block(chain, r), sel, vot) for r in range(1, 16)]
             )
         assert outcomes[0] == outcomes[1]
+
+
+class TestBlockValidation:
+    def test_each_block_is_verified_once(self, monkeypatch):
+        curves = []
+        verify = ledger.verify_transaction
+
+        def counting(tx, curve):
+            curves.append(curve)
+            return verify(tx, curve)
+
+        monkeypatch.setattr(ledger, "verify_transaction", counting)
+        reg = small_registry()
+        chain = Chain()
+        engine = FuzzychainEngine(reg, chain, ConsensusParams())
+        sel, vot = substream(4, "selection"), substream(4, "votes")
+        n = 12
+        for r in range(1, n + 1):
+            assert engine.run_round(signed_block(chain, r), sel, vot).appended
+        assert chain.height() == n
+        assert curves == [chain.curve] * n  # one signature per block, checked once
+
+    @pytest.mark.parametrize("curve", sorted(CURVES))
+    def test_honest_run_appends_every_block_on_every_curve(self, curve):
+        cfg = ExperimentConfig(rounds=(20,), repetitions=1, curve=curve).validate()
+        block = run_configured(cfg).summary_dict()["results"]["20"]
+        assert block["chain_heights"] == [20]
+        assert block["rejected_rounds"] == [0]
+
+    def test_long_adversarial_run_keeps_the_chain_valid(self):
+        reg = small_registry(census=(12, 9, 7, 5, 4), seed=8)
+        chain = Chain()
+        engine = FuzzychainEngine(
+            reg, chain, ConsensusParams(byzantine=ByzantineModel(0.2))
+        )
+        priv, pub = new_keypair(substream(8, "keys"))
+        sel, vot, blk = (substream(8, name) for name in ("selection", "votes", "blocks"))
+        appended = 0
+        outcomes = set()
+        for r in range(1, 301):
+            tx = sign_transaction(priv, pub, 1.0, r)
+            tip = chain.tip()
+            u_corrupt, u_mode = blk.random(2)
+            if u_corrupt < 0.3 and u_mode < 0.5:
+                tampered = Transaction(tx.sender, tx.recipient, 2.0, tx.nonce, tx.signature)
+                block = build_block(tip, [tampered], clock=r)
+            elif u_corrupt < 0.3:
+                block = make_block(tip.index + 1, r, bytes(32), (tx,))
+            else:
+                block = build_block(tip, [tx], clock=r)
+            result = engine.run_round(block, sel, vot)
+            assert result.appended == (result.accepted and result.block_valid)
+            appended += result.appended
+            outcomes.add((result.block_valid, result.accepted))
+        assert chain.validate_all()
+        assert chain.height() == appended
+        # both kinds of wrong vote happened: the chain still took only valid blocks
+        assert {(False, True), (True, False)} <= outcomes

@@ -133,10 +133,13 @@ class TestHmdf:
         assert hmdf(var5, 10.0) == LabelAssignment(5, 1.0)
 
     def test_outside_universe_rejected(self, var5):
-        with pytest.raises(OutOfUniverseError):
-            hmdf(var5, 10.5)
-        with pytest.raises(OutOfUniverseError):
-            hmdf(var5, -0.1)
+        for x in (10.5, -0.1, float("nan")):
+            with pytest.raises(OutOfUniverseError):
+                hmdf(var5, x)
+        # the batch classifier clamps stakes above the top, like classify_stake
+        for x in (-0.1, float("nan")):
+            with pytest.raises(OutOfUniverseError):
+                scale_stakes(var5, [5.0, x])
 
     def test_classify_clamps_grown_stakes(self, var5):
         assert classify_stake(var5, 13.7) == LabelAssignment(5, 1.0)

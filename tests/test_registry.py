@@ -109,11 +109,10 @@ class TestEnrollment:
         reg = make_registry()
         for pid, stake in [("a", 0.5), ("b", 1.0), ("c", 3.0), ("d", 9.9), ("e", 9.0)]:
             reg.enroll(pid, stake)
-        assert reg.census() == [2, 1, 0, 0, 2]
-        assert [p.id for p in reg.trusted_set(1)] == ["a", "b"]
-        assert [p.id for p in reg.trusted_set(5)] == ["d", "e"]
-        with pytest.raises(IndexError):
-            reg.trusted_set(6)
+        sets = reg.trusted_sets()
+        assert [len(s) for s in sets] == [2, 1, 0, 0, 2]
+        assert [p.id for p in sets[0]] == ["a", "b"]
+        assert [p.id for p in sets[4]] == ["d", "e"]
 
     def test_enroll_many_ids_are_stable(self):
         reg = make_registry()
@@ -126,8 +125,14 @@ class TestEnrollment:
         assert reg.get("a").label_index == 1
         reg.set_stake("a", 1.3)
         assert reg.get("a").label_index == 2
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                reg.set_stake("a", bad)
+            # a rejected stake leaves the participant as it was
+            assert (reg.get("a").stake, reg.get("a").label_index) == (1.3, 2)
         with pytest.raises(ValueError):
-            reg.set_stake("a", -0.5)
+            reg.enroll("x", float("nan"))
+        assert "x" not in reg
 
     def test_stake_above_universe_clamps_to_top_label(self):
         reg = make_registry()
@@ -166,7 +171,8 @@ class TestExpulsion:
         reg.enroll("a", 5.0)
         reg.enroll("b", 5.0)
         reg.apply_vote_outcome("a", False)
-        assert [p.id for p in reg.trusted_set(3)] == ["b"]
-        assert [p.id for p in reg.active()] == ["b"]
+        sets = reg.trusted_sets()
+        assert [p.id for p in sets[2]] == ["b"]
+        assert [p.id for s in sets for p in s] == ["b"]
         assert len(reg.participants()) == 2  # still enrolled, just inactive
-        assert reg.census() == [0, 0, 1, 0, 0]
+        assert [len(s) for s in sets] == [0, 0, 1, 0, 0]
