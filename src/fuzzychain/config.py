@@ -63,6 +63,11 @@ def _number(errors: list[str], name: str, value) -> bool:
     return False
 
 
+def _is_count(value, least: int) -> bool:
+    """True if value is an integer (not a bool) no smaller than least."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _check_dist(name: str, spec, errors: list[str]) -> None:
     if not isinstance(spec, dict) or "type" not in spec:
         errors.append(f"{name}: expected an object with a 'type' key")
@@ -81,8 +86,8 @@ def _check_dist(name: str, spec, errors: list[str]) -> None:
         errors.append(f"{name}.sigma: must be positive")
     if kind == "pareto" and (spec["shape"] <= 0 or spec["scale"] <= 0):
         errors.append(f"{name}: shape and scale must be positive")
-    if kind == "uniform" and not spec["lo"] < spec["hi"]:
-        errors.append(f"{name}: lo must be strictly below hi")
+    if kind == "uniform" and not 0 < spec["lo"] < spec["hi"]:
+        errors.append(f"{name}: lo must be positive and strictly below hi")
     if kind == "constant" and spec["value"] <= 0:
         errors.append(f"{name}.value: must be positive")
 
@@ -132,7 +137,7 @@ class ExperimentConfig:
         errors: list[str] = []
         if self.experiment not in EXPERIMENTS:
             errors.append(f"experiment: {self.experiment!r} not one of {EXPERIMENTS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_count(self.seed, 0):
             errors.append(f"seed: expected a non-negative integer, got {self.seed!r}")
         lo_ok = _number(errors, "universe_lo", self.universe_lo)
         hi_ok = _number(errors, "universe_hi", self.universe_hi)
@@ -161,14 +166,17 @@ class ExperimentConfig:
                 if missing:
                     errors.append(f"population_per_label: missing labels {sorted(missing)}")
             for k, v in pop.items():
-                if not isinstance(v, int) or v < 0:
+                if not _is_count(v, 0):
                     errors.append(f"population_per_label.{k}: expected an integer >= 0, got {v!r}")
         if not self.rounds:
             errors.append("rounds: at least one round count required")
-        for r in self.rounds:
-            if not isinstance(r, int) or r < 1:
-                errors.append(f"rounds: every entry must be an integer >= 1, got {r!r}")
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+        bad_rounds = [r for r in self.rounds if not _is_count(r, 1)]
+        for r in bad_rounds:
+            errors.append(f"rounds: every entry must be an integer >= 1, got {r!r}")
+        # each round count keys its own random streams, so a repeat would rerun a sweep
+        if not bad_rounds and len(set(self.rounds)) < len(self.rounds):
+            errors.append(f"rounds: duplicates not allowed, got {list(self.rounds)}")
+        if not _is_count(self.repetitions, 1):
             errors.append(f"repetitions: expected an integer >= 1, got {self.repetitions!r}")
         if _number(errors, "eta", self.eta) and not 0 < self.eta <= 1:
             errors.append(f"eta: must lie in (0, 1], got {self.eta}")
@@ -182,16 +190,16 @@ class ExperimentConfig:
             rate = getattr(self, rate_name)
             if _number(errors, rate_name, rate) and not 0 <= rate <= 1:
                 errors.append(f"{rate_name}: must lie in [0, 1], got {rate}")
-        if not isinstance(self.fuzzychain_rounds, int) or self.fuzzychain_rounds < 1:
+        if not _is_count(self.fuzzychain_rounds, 1):
             errors.append(f"fuzzychain_rounds: expected an integer >= 1, got {self.fuzzychain_rounds!r}")
         if self.granularity not in GRANULARITIES:
             errors.append(f"granularity: {self.granularity!r} not one of {GRANULARITIES}")
         if not isinstance(self.curve, str) or self.curve not in CURVES:
             errors.append(f"curve: {self.curve!r} not one of {sorted(CURVES)}")
         b = self.baselines
-        if not isinstance(b.participants, int) or b.participants < 1:
+        if not _is_count(b.participants, 1):
             errors.append(f"baselines.participants: expected an integer >= 1, got {b.participants!r}")
-        if not isinstance(b.rounds, int) or b.rounds < 1:
+        if not _is_count(b.rounds, 1):
             errors.append(f"baselines.rounds: expected an integer >= 1, got {b.rounds!r}")
         for dist_name in ("pow_power_dist", "pos_stake_dist", "dpos_stake_dist",
                           "dpos_reputation_dist"):

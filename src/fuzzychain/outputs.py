@@ -1,15 +1,13 @@
-"""Result emission and re-ingestion.
+"""Result emission and the run report.
 
 A run directory holds exactly four files — frequencies.csv,
 summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
-frequencies.csv re-ingests losslessly back into count tables.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -17,14 +15,6 @@ from .experiments import Exp2Report
 from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
-
-
-def _csv_text(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def emit_outputs(report, out_dir) -> dict:
@@ -37,60 +27,27 @@ def emit_outputs(report, out_dir) -> dict:
     if not rows:
         raise ValueError("nothing to emit: report contains no repetitions")
     out = Path(out_dir)
+    paths = {name: out / name for name in FILES}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
+        # opened as Path.write_text opens, so the bytes match a whole-string write
+        with open(paths["frequencies.csv"], "w") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
 
-        paths["frequencies.csv"] = out / "frequencies.csv"
-        paths["frequencies.csv"].write_text(_csv_text(rows))
-
-        paths["summary.json"] = out / "summary.json"
         paths["summary.json"].write_text(
             json.dumps(report.summary_dict(), indent=2, sort_keys=True) + "\n"
         )
 
-        paths["audit.jsonl"] = out / "audit.jsonl"
-        audit = report.audit_rows()
-        paths["audit.jsonl"].write_text(
-            "".join(json.dumps(row, sort_keys=True) + "\n" for row in audit)
-        )
+        with open(paths["audit.jsonl"], "w") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in report.audit_rows())
 
         render = render_exp2_plots if isinstance(report, Exp2Report) else render_exp1_plots
-        paths["plots.svg"] = out / "plots.svg"
         paths["plots.svg"].write_text(render(report))
     except OSError as e:
         raise OSError(f"failed writing results under {out}: {e}") from e
     return {name: str(p) for name, p in paths.items()}
-
-
-def load_frequencies(csv_path) -> list[dict]:
-    """Rows back out of frequencies.csv, counts as ints."""
-    with open(csv_path, newline="") as fh:
-        rows = []
-        for row in csv.DictReader(fh):
-            row["count"] = int(row["count"])
-            if "repetition" in row:
-                row["repetition"] = int(row["repetition"])
-            if "rounds" in row:
-                row["rounds"] = int(row["rounds"])
-            rows.append(row)
-        return rows
-
-
-def tables_from_rows(rows: list[dict]) -> dict:
-    """Rebuild {(series, rounds, repetition): {key: count}} from CSV rows.
-
-    Series is the algorithm column when present (comparison runs),
-    otherwise "fuzzychain"; rounds is None when the file has no sweep
-    column.
-    """
-    key_col = next(c for c in ("label", "participant", "key") if c in rows[0])
-    tables: dict = {}
-    for row in rows:
-        series = row.get("algorithm", "fuzzychain")
-        ident = (series, row.get("rounds"), row["repetition"])
-        tables.setdefault(ident, {})[row[key_col]] = row["count"]
-    return tables
 
 
 def format_report(run_dir) -> str:
@@ -137,7 +94,10 @@ def format_report(run_dir) -> str:
                 parts.append(f"{name}={v:.4f}" if v is not None else f"{name}=n/a")
             lines.append(f"  pooled ({block['metrics']['granularity']}): " + "  ".join(parts))
     if (run / "frequencies.csv").exists():
-        n = len(load_frequencies(run / "frequencies.csv"))
+        with open(run / "frequencies.csv", newline="") as fh:
+            records = csv.reader(fh)
+            next(records, None)  # header
+            n = sum(1 for row in records if row)
         lines.append("")
         lines.append(f"frequencies.csv: {n} rows")
     return "\n".join(lines) + "\n"

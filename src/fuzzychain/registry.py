@@ -28,7 +28,6 @@ class Participant:
     stake: float
     reputation: float = 1.0
     label_index: int = 0
-    degree: float = 0.0
     excluded: bool = False
 
     def expulsion_rate(self) -> float:
@@ -94,15 +93,14 @@ class Registry:
         self._participants: dict[str, Participant] = {}
 
     def _place(self, p: Participant, stake: float) -> Participant:
-        """Give p this stake and its label; a rejected stake leaves p unchanged."""
-        if stake < self.variable.universe_lo:
-            raise ValueError(
-                f"stake {stake} below universe floor {self.variable.universe_lo}"
-            )
-        assignment = classify_stake(self.variable, stake)
+        """Give p this stake and its label; a rejected stake leaves p unchanged.
+
+        classify_stake raises OutOfUniverseError (a ValueError) for NaN and
+        below-floor stakes before anything is written.
+        """
+        label_index = classify_stake(self.variable, stake).label_index
         p.stake = float(stake)
-        p.label_index = assignment.label_index
-        p.degree = assignment.degree
+        p.label_index = label_index
         return p
 
     def enroll(self, pid: str, stake: float) -> Participant:

@@ -1,5 +1,6 @@
 """Config validation, experiment drivers, output files, CLI surface."""
 
+import csv
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
@@ -22,13 +23,7 @@ from fuzzychain.experiments import (
     sample_stakes_for_census,
     build_variable,
 )
-from fuzzychain.outputs import (
-    FILES,
-    emit_outputs,
-    format_report,
-    load_frequencies,
-    tables_from_rows,
-)
+from fuzzychain.outputs import FILES, emit_outputs, format_report
 from fuzzychain.rng import substream
 
 TINY_POP = {"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4}
@@ -46,6 +41,11 @@ def tiny(**overrides):
     return ExperimentConfig(**base).validate()
 
 
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 # one wrong-typed or non-finite value per document; each test adds a range error too
 WRONG_TYPED = [
     ("eta", {"eta": "x"}),
@@ -54,6 +54,10 @@ WRONG_TYPED = [
     ("commission", {"commission": None}),
     ("byzantine_rate", {"byzantine_rate": "0.1"}),
     ("population_per_label", {"population_per_label": 3}),
+    # JSON true is an int to Python, but never a count
+    ("seed", {"seed": True}),
+    ("repetitions", {"repetitions": True}),
+    ("population_per_label.VL", {"population_per_label": dict(TINY_POP, VL=True)}),
     ("baselines.pow_power_dist.sigma",
      {"baselines": {"pow_power_dist": {"type": "lognormal", "mu": 0, "sigma": "2"}}}),
     ("l_divisor", {"l_divisor": float("nan")}),
@@ -91,9 +95,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"sead": 42})
 
-    def test_bad_dist_rejected(self):
-        with pytest.raises(ConfigError, match="pow_power_dist"):
-            config_from_dict({"baselines": {"pow_power_dist": {"type": "zipf", "s": 2}}})
+    @pytest.mark.parametrize("dist_name, spec", [
+        ("pow_power_dist", {"type": "zipf", "s": 2}),
+        # baseline draws are hash powers, stakes and reputations: all must be positive
+        ("pow_power_dist", {"type": "uniform", "lo": -1.0, "hi": 2.0}),
+        ("dpos_reputation_dist", {"type": "uniform", "lo": 0.0, "hi": 1.0}),
+    ], ids=["unknown-type", "uniform-negative-lo", "uniform-zero-lo"])
+    def test_bad_dist_rejected(self, dist_name, spec):
+        with pytest.raises(ConfigError, match=dist_name):
+            config_from_dict({"baselines": {dist_name: spec}})
 
     @pytest.mark.parametrize("field, doc", WRONG_TYPED, ids=[f for f, _ in WRONG_TYPED])
     def test_wrong_typed_value_is_config_error(self, field, doc):
@@ -264,7 +274,7 @@ class TestOutputs:
         report = run_experiment1(tiny_config)
         paths = emit_outputs(report, tmp_path / "out")
         assert sorted(paths) == sorted(FILES)
-        rows = load_frequencies(paths["frequencies.csv"])
+        rows = read_csv(paths["frequencies.csv"])
         assert len(rows) == tiny_config.repetitions * len(tiny_config.labels)
         ET.parse(paths["plots.svg"])  # well-formed XML
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -282,9 +292,13 @@ class TestOutputs:
     def test_csv_round_trips_to_tables(self, tiny_config, tmp_path):
         report = run_experiment1(tiny_config)
         paths = emit_outputs(report, tmp_path / "out")
-        tables = tables_from_rows(load_frequencies(paths["frequencies.csv"]))
+        rows = read_csv(paths["frequencies.csv"])
+        # no algorithm column (a fuzzychain-only run), no rounds column (a single sweep)
+        assert list(rows[0]) == ["repetition", "label", "count"]
         for run in report.runs:
-            assert tables[("fuzzychain", None, run.repetition)] == run.label_table.as_dict()
+            table = {r["label"]: int(r["count"]) for r in rows
+                     if int(r["repetition"]) == run.repetition}
+            assert table == run.label_table.as_dict()
 
     def test_exp2_outputs(self, tmp_path):
         cfg = ExperimentConfig(
@@ -301,8 +315,11 @@ class TestOutputs:
         paths = emit_outputs(report, tmp_path / "out2")
         assert sorted(paths) == sorted(FILES)
         ET.parse(paths["plots.svg"])
-        tables = tables_from_rows(load_frequencies(paths["frequencies.csv"]))
-        assert tables[("pow", None, 0)] == report.baseline_tables["pow"][0].as_dict()
+        rows = read_csv(paths["frequencies.csv"])
+        assert "rounds" not in rows[0]
+        pow0 = {r["key"]: int(r["count"]) for r in rows
+                if r["algorithm"] == "pow" and int(r["repetition"]) == 0}
+        assert pow0 == report.baseline_tables["pow"][0].as_dict()
         text = format_report(tmp_path / "out2")
         assert "mean gini" in text and "fuzzychain" in text
 
@@ -326,6 +343,32 @@ class TestCli:
         text = capsys.readouterr().out
         assert "trusted sets required: 2" in text
         assert "frequencies.csv: 10 rows" in text
+
+    def test_report_counts_csv_records_not_lines(self, tmp_path, capsys):
+        labels = ["low,est", "mid\ndle", "top"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "experiment": "custom",
+            "seed": 5,
+            "labels": labels,
+            "population_per_label": dict(zip(labels, (6, 4, 3))),
+            "rounds": [10],
+            "repetitions": 2,
+        }))
+        out = tmp_path / "q"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0
+        # the quoted "mid\ndle" field spans two lines in each repetition
+        assert len((out / "frequencies.csv").read_text().splitlines()) == 9
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "frequencies.csv: 6 rows" in capsys.readouterr().out
+
+    def test_duplicate_rounds_exit_one_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "dup"
+        assert main(["run", "exp1", "--seed", "3", "--rounds", "10,10", "--reps", "1",
+                     "--out", str(out)]) == 1
+        assert "rounds: duplicates not allowed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_requires_config(self, capsys):
         assert main(["run", "custom"]) == 1
@@ -370,5 +413,5 @@ class TestCli:
         out = tmp_path / "g"
         assert main(["run", "exp1", "--seed", "4", "--rounds", "10", "--reps", "1",
                      "--granularity", "per-participant", "--out", str(out)]) == 0
-        rows = load_frequencies(out / "frequencies.csv")
+        rows = read_csv(out / "frequencies.csv")
         assert len(rows) == 990  # one row per enrolled validator
