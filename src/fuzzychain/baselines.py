@@ -49,12 +49,8 @@ class Delegate:
 
 
 def _table_from_wins(ids, winners: np.ndarray) -> FrequencyTable:
-    table = FrequencyTable(ids)
-    counts = np.bincount(winners, minlength=len(ids))
-    for pid, c in zip(ids, counts):
-        if c:
-            table.record(pid, int(c))
-    return table
+    counts = np.bincount(winners, minlength=len(ids)).tolist()
+    return FrequencyTable(ids, {pid: c for pid, c in zip(ids, counts) if c})
 
 
 def run_pow(miners: list[Miner], rounds: int, rng) -> FrequencyTable:

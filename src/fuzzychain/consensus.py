@@ -9,12 +9,13 @@ starts equal); later rounds prefer full-reputation members.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ledger import Block, Chain, validate_block
-from .registry import Participant, Registry
+from .registry import Participant, Registry, TrustedSet
 
 
 class NoPanelError(RuntimeError):
@@ -28,7 +29,7 @@ def quotas(n_sets: int) -> list[int]:
     return [1] * (n_sets - 2) + [2, 2]
 
 
-def _draw(members: list[Participant], k: int, rng) -> list[Participant]:
+def _draw(members: Sequence, k: int, rng) -> list:
     # uniform without replacement, preserving rng-stream determinism
     if k >= len(members):
         return list(members)
@@ -58,7 +59,7 @@ def _parity_repair(picks: list[list[Participant]], groups, rng) -> None:
             return
 
 
-def _assemble_panel(groups: list[list[Participant]], rng, draw) -> list[Participant]:
+def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
     """draw(set, quota, rng) on every non-empty set, then parity repair."""
     if not any(groups):
         raise NoPanelError("every trusted set is empty")
@@ -68,19 +69,18 @@ def _assemble_panel(groups: list[list[Participant]], rng, draw) -> list[Particip
     return [m for p in picks for m in p]
 
 
-def select_first_round(groups: list[list[Participant]], rng) -> list[Participant]:
+def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
     """Round-1 panel: uniform draws only, since reputations are all equal."""
     return _assemble_panel(groups, rng, _draw)
 
 
-def build_subsets(group: list[Participant]):
-    """Split a trusted set into (A, B): A holds the reputation-1 members,
-    B is the whole set, so A is always a subset of B."""
-    a = [m for m in group if m.reputation == 1.0]
-    return a, group
+def build_subsets(group: TrustedSet) -> tuple[np.ndarray, TrustedSet]:
+    """Split a trusted set into (A, B): A holds the positions of the
+    reputation-1 members, B is the whole set, so A is always a subset of B."""
+    return np.flatnonzero(group.reputations == 1.0), group
 
 
-def _select_from_group(group: list[Participant], quota: int, rng) -> list[Participant]:
+def _select_from_group(group: TrustedSet, quota: int, rng) -> list[Participant]:
     """Reputation-aware draw for one trusted set (rounds after the first).
 
     Pool = up to 2 uniform picks from A (full reputation) plus 1
@@ -89,22 +89,23 @@ def _select_from_group(group: list[Participant], quota: int, rng) -> list[Partic
     therefore dominate the pool without ever monopolizing it.
     """
     a, b = build_subsets(group)
+    members = b.members
     pool: dict[str, Participant] = {}
-    for m in _draw(a, 2, rng):
+    for i in _draw(a, 2, rng):
+        m = members[i]
         pool[m.id] = m
-    weights = np.array([m.reputation for m in b], dtype=float)
+    weights = b.reputations
     wsum = weights.sum()
     if wsum > 0:
         p = weights / wsum
-        j = int(rng.choice(len(b), p=p))
+        j = int(rng.choice(len(members), p=p))
     else:
-        j = int(rng.choice(len(b)))
-    pool[b[j].id] = b[j]
-    members = list(pool.values())
-    return _draw(members, quota, rng)
+        j = int(rng.choice(len(members)))
+    pool[members[j].id] = members[j]
+    return _draw(list(pool.values()), quota, rng)
 
 
-def select_round_j(groups: list[list[Participant]], rng) -> list[Participant]:
+def select_round_j(groups: list[TrustedSet], rng) -> list[Participant]:
     """Panel for rounds >= 2: per-set reputation-aware pools, then parity repair."""
     return _assemble_panel(groups, rng, _select_from_group)
 

@@ -12,6 +12,7 @@ after another in a single serial loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,13 @@ import numpy as np
 from .baselines import Delegate, Miner, StakeValidator, run_dpos, run_pos, run_pow
 from .config import ExperimentConfig, sample_dist
 from .consensus import ByzantineModel, ConsensusParams, FuzzychainEngine
-from .fuzzy import LinguisticVariable, hmdf_win_intervals, make_uniform_partition, scale_stakes
+from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it under this name)
+    LinguisticVariable,
+    classify_batch,
+    hmdf_win_intervals,
+    make_uniform_partition,
+    scale_stakes,
+)
 from .ledger import Chain, Transaction, build_block, make_block, new_keypair, sign_transaction
 from .metrics import FrequencyTable, summarize_counts
 from .registry import Registry, ReputationParams, trusted_sets_required
@@ -49,9 +56,9 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
         lo, hi = intervals[i]
         vals = rng.uniform(lo, hi, size=int(k))
         while True:
-            got = [a.label_index for a in scale_stakes(var, vals)]
-            bad = [j for j, lab in enumerate(got) if lab != i + 1]
-            if not bad:
+            labels, _ = classify_batch(var, vals)
+            bad = np.flatnonzero(labels != i + 1)
+            if not bad.size:
                 break
             vals[bad] = rng.uniform(lo, hi, size=len(bad))
         chunks.append(vals)
@@ -109,7 +116,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         ConsensusParams(config.commission, ByzantineModel(config.byzantine_rate)),
     )
     label_table = FrequencyTable(config.labels)
-    participant_table = FrequencyTable([p.id for p in registry.participants()])
+    wins: Counter = Counter()
     audit_rows = []
     rejected = 0
 
@@ -138,7 +145,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         w = result.panel_ids.index(result.winner_id)
         winner_label = config.labels[result.panel_labels[w] - 1]
         label_table.record(winner_label)
-        participant_table.record(result.winner_id)
+        wins[result.winner_id] += 1
         if not result.appended:
             rejected += 1
         audit_rows.append({
@@ -164,7 +171,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         rounds=rounds_value,
         repetition=rep,
         label_table=label_table,
-        participant_table=participant_table,
+        participant_table=FrequencyTable([p.id for p in registry.participants()], wins),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,

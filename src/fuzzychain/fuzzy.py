@@ -170,14 +170,16 @@ def classify_stake(var: LinguisticVariable, stake: float) -> LabelAssignment:
     return hmdf(var, min(stake, var.universe_hi))
 
 
-def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
-    """Classify a batch of stakes, preserving order.
+def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndarray]:
+    """classify_stake over a batch in one vectorized pass.
 
-    Stakes above the universe top are clamped; NaN or below-floor ones raise.
+    Returns the 1-based label indices and their degrees, elementwise equal
+    to classify_stake: stakes above the universe top are clamped, ties go
+    to the lowest label, and a NaN or below-floor stake raises
+    OutOfUniverseError before anything is returned.
     """
-    xs = np.minimum(np.asarray(list(stakes), dtype=float), var.universe_hi)
-    if xs.size == 0:
-        return []
+    xs = np.asarray(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
+    xs = np.minimum(xs, var.universe_hi)
     outside = xs[~(xs >= var.universe_lo)]
     if outside.size:
         raise OutOfUniverseError(
@@ -185,9 +187,15 @@ def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
         )
     degrees = np.stack([membership_array(mf, xs) for mf in var.mfs])
     best = np.argmax(degrees, axis=0)  # first max == lowest label index
+    return best + 1, degrees[best, np.arange(xs.size)]
+
+
+def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
+    """Classify a batch of stakes, preserving order (see classify_batch)."""
+    labels, degrees = classify_batch(var, stakes)
     return [
-        LabelAssignment(int(b) + 1, float(degrees[b, j]))
-        for j, b in enumerate(best)
+        LabelAssignment(label, degree)
+        for label, degree in zip(labels.tolist(), degrees.tolist())
     ]
 
 

@@ -94,11 +94,18 @@ class FrequencyTable:
     categories: tuple
     _counts: Counter
 
-    def __init__(self, categories):
+    def __init__(self, categories, counts=None):
+        """counts, if given, maps categories to counts already tallied
+        (e.g. a Counter of winners); it is checked here against the
+        categories in one pass, which is cheaper than record() per win."""
         self.categories = tuple(categories)
-        if len(set(self.categories)) != len(self.categories):
+        known = set(self.categories)
+        if len(known) != len(self.categories):
             raise ValueError("duplicate categories")
-        self._counts = Counter()
+        self._counts = Counter(counts)
+        unknown = self._counts.keys() - known
+        if unknown:
+            raise KeyError(f"unknown category {min(unknown, key=repr)!r}")
 
     def record(self, category, weight: int = 1) -> None:
         if category not in self._counts and category not in self.categories:

@@ -31,7 +31,7 @@ from fuzzychain.ledger import (
     new_keypair,
     sign_transaction,
 )
-from fuzzychain.registry import Participant, Registry, ReputationParams
+from fuzzychain.registry import Participant, Registry, ReputationParams, TrustedSet
 from fuzzychain.rng import substream
 
 LABELS = ("VL", "L", "M", "H", "VH")
@@ -48,8 +48,12 @@ def make_groups(sizes, reps=None):
         for j in range(k):
             rep = 1.0 if reps is None else reps[i][j]
             group.append(member(f"g{i+1}m{j}", label=i + 1, rep=rep))
-        groups.append(group)
+        groups.append(TrustedSet(group))
     return groups
+
+
+def empty_groups(n=5):
+    return [TrustedSet() for _ in range(n)]
 
 
 def small_registry(census=(4, 3, 3, 2, 2), seed=5, **rep_params):
@@ -101,33 +105,34 @@ class TestFirstRoundSelection:
         assert len(panel) == 5
 
     def test_single_validator_total(self):
-        groups = [[], [], [member("only", 3)], [], []]
+        groups = empty_groups()
+        groups[2] = TrustedSet([member("only", 3)])
         panel = select_first_round(groups, substream(3, "selection"))
         assert [m.id for m in panel] == ["only"]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(NoPanelError):
-            select_first_round([[], [], [], [], []], substream(4, "selection"))
+            select_first_round(empty_groups(), substream(4, "selection"))
         with pytest.raises(NoPanelError):
-            select_round_j([[], [], [], [], []], substream(4, "selection"))
+            select_round_j(empty_groups(), substream(4, "selection"))
 
 
 class TestSubsets:
     def test_mixed_reputations(self):
         group = make_groups([3], reps=[[1.0, 1.0, 0.9]])[0]
         a, b = build_subsets(group)
-        assert [m.id for m in a] == ["g1m0", "g1m1"]
-        assert len(b) == 3
+        assert [b[i].id for i in a] == ["g1m0", "g1m1"]
+        assert b is group and len(b) == 3
 
     def test_all_below_one(self):
         group = make_groups([2], reps=[[0.8, 0.7]])[0]
         a, b = build_subsets(group)
-        assert a == [] and len(b) == 2
+        assert a.size == 0 and len(b) == 2
 
     def test_single_perfect_member(self):
         group = make_groups([1])[0]
         a, b = build_subsets(group)
-        assert a == b == group
+        assert a.tolist() == [0] and b is group
 
 
 class TestReputationBias:
@@ -309,7 +314,7 @@ class TestEngineRounds:
         # next round: the penalized member is out of its group's A subset
         group = reg.trusted_sets()[reg.get(pid).label_index - 1]
         a, b = build_subsets(group)
-        assert pid not in {m.id for m in a}
+        assert pid not in {b[i].id for i in a}
         assert pid in {m.id for m in b}
 
     def test_settlement_touches_only_the_panel(self):

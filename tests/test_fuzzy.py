@@ -12,6 +12,7 @@ from fuzzychain.fuzzy import (
     LinguisticVariable,
     MembershipFunction,
     OutOfUniverseError,
+    classify_batch,
     classify_stake,
     hmdf,
     hmdf_win_intervals,
@@ -157,6 +158,36 @@ class TestHmdf:
             expect = hmdf(var, x)
             assert got.label_index == expect.label_index
             assert got.degree == pytest.approx(expect.degree, abs=1e-12)
+
+    @given(st.data())
+    def test_batch_labels_equal_classify_stake(self, data):
+        n = data.draw(st.sampled_from([3, 5, 7]), label="labels")
+        lo = data.draw(st.floats(-1e3, 1e3), label="lo")
+        hi = lo + data.draw(st.floats(0.1, 1e3), label="width")
+        var = make_uniform_partition("stake", [f"L{i}" for i in range(n)], lo, hi)
+        edges = [x for interval in hmdf_win_intervals(var) for x in interval]
+        near_edges = [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)]
+        stake = st.one_of(
+            st.floats(lo, hi),
+            st.sampled_from(edges + [x for x in near_edges if x >= lo]),
+            st.floats(min_value=hi, allow_nan=False),  # above the top, +inf included
+        )
+        stakes = data.draw(st.lists(stake, max_size=40), label="stakes")
+        labels, degrees = classify_batch(var, stakes)
+        expect = [classify_stake(var, x) for x in stakes]
+        assert labels.tolist() == [e.label_index for e in expect]
+        assert degrees.tolist() == pytest.approx([e.degree for e in expect], abs=1e-12)
+
+    def test_batch_ties_at_interval_edges_go_to_the_lower_label(self, var5):
+        edges = [hi for _lo, hi in hmdf_win_intervals(var5)[:-1]]
+        assert edges == [1.25, 3.75, 6.25, 8.75]
+        assert classify_batch(var5, edges)[0].tolist() == [1, 2, 3, 4]
+        assert classify_batch(var5, [10.0, 10.5, np.inf])[0].tolist() == [5, 5, 5]
+
+    def test_batch_of_nothing(self, var5):
+        labels, degrees = classify_batch(var5, [])
+        assert labels.size == degrees.size == 0
+        assert scale_stakes(var5, []) == []
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     min_size=2, max_size=50))

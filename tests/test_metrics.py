@@ -175,6 +175,17 @@ class TestFrequencyTable:
         with pytest.raises(KeyError):
             t.record("zzz")
 
+    def test_counts_tallied_before_construction(self):
+        t = FrequencyTable(["b", "a", "c"], {"c": 1, "a": 3})
+        assert t.counts() == [0, 3, 1]
+        assert t.total() == 4
+        t.record("b")
+        assert t.as_dict() == {"b": 1, "a": 3, "c": 1}
+
+    def test_unknown_tallied_category_rejected(self):
+        with pytest.raises(KeyError, match="zzz"):
+            FrequencyTable(["a"], {"a": 1, "zzz": 2})
+
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             FrequencyTable(["a", "a"])

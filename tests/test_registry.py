@@ -1,15 +1,24 @@
 """Enrollment, reputation dynamics, expulsion, trusted-set grouping."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzychain.fuzzy import make_uniform_partition
+from fuzzychain.consensus import ByzantineModel, ConsensusParams, FuzzychainEngine, NoPanelError
+from fuzzychain.experiments import sample_stakes_for_census
+from fuzzychain.fuzzy import OutOfUniverseError, make_uniform_partition
+from fuzzychain.ledger import Chain, build_block, new_keypair, sign_transaction
 from fuzzychain.registry import (
+    Participant,
     Registry,
     ReputationParams,
     trusted_sets_required,
     update_reputation,
 )
+from fuzzychain.rng import substream
 
 LABELS = ("VL", "L", "M", "H", "VH")
 
@@ -17,6 +26,24 @@ LABELS = ("VL", "L", "M", "H", "VH")
 def make_registry(**params):
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
     return Registry(var, ReputationParams(**params))
+
+
+def regroup(reg):
+    """Oracle: per label, the active members' ids and reputations, rebuilt
+    from scratch out of participants() in enrollment order."""
+    sets = [([], []) for _ in range(reg.variable.n)]
+    for p in reg.participants():
+        if not p.excluded:
+            ids, reps = sets[p.label_index - 1]
+            ids.append(p.id)
+            reps.append(p.reputation)
+    return sets
+
+
+def assert_index_matches(reg):
+    sets = reg.trusted_sets()
+    assert all(s.reputations.dtype == np.float64 for s in sets)
+    assert [([m.id for m in s], s.reputations.tolist()) for s in sets] == regroup(reg)
 
 
 class TestReputationWalk:
@@ -118,6 +145,31 @@ class TestEnrollment:
         ps = reg.enroll_many([1.0, 2.0, 3.0])
         assert [p.id for p in ps] == ["v0000", "v0001", "v0002"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    def test_enroll_many_enrolls_nothing_on_a_bad_stake(self, bad):
+        reg = make_registry()
+        with pytest.raises(OutOfUniverseError):
+            reg.enroll_many([1.0, 2.0, bad, 3.0])
+        assert len(reg) == 0
+        assert [len(s) for s in reg.trusted_sets()] == [0, 0, 0, 0, 0]
+
+    def test_enroll_many_enrolls_nothing_on_a_taken_id(self):
+        reg = make_registry()
+        taken = reg.enroll("v0002", 5.0)
+        with pytest.raises(ValueError, match="already enrolled"):
+            reg.enroll_many([1.0, 2.0, 3.0])
+        assert reg.participants() == [taken]
+        assert_index_matches(reg)
+
+    def test_enroll_many_after_enroll_keeps_enrollment_order(self):
+        reg = make_registry()
+        reg.enroll("a", 1.0)
+        ps = reg.enroll_many([0.5, 9.0, 25.0], prefix="w")
+        assert [(p.id, p.stake, p.label_index) for p in ps] == [
+            ("w0000", 0.5, 1), ("w0001", 9.0, 5), ("w0002", 25.0, 5)]
+        assert [p.id for p in reg.trusted_sets()[0]] == ["a", "w0000"]
+        assert_index_matches(reg)
+
     def test_set_stake_reclassifies(self):
         reg = make_registry()
         reg.enroll("a", 1.2)
@@ -175,3 +227,93 @@ class TestExpulsion:
         assert [p.id for s in sets for p in s] == ["b"]
         assert len(reg.participants()) == 2  # still enrolled, just inactive
         assert [len(s) for s in sets] == [0, 0, 1, 0, 0]
+
+
+class TestTrustedSetIndex:
+    def test_direct_writes_reach_the_sets(self):
+        reg = make_registry()
+        a, b, c, d, e = reg.enroll_many([0.5, 1.0, 0.2, 6.0, 9.5])
+        assert [p.label_index for p in (a, b, c, d, e)] == [1, 1, 1, 3, 5]
+        b.reputation = 0.7
+        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7, 1.0]
+        b.excluded = True
+        assert [m.id for m in reg.trusted_sets()[0]] == [a.id, c.id]
+        c.label_index = 3
+        assert [m.id for m in reg.trusted_sets()[2]] == [c.id, d.id]
+        b.excluded = False  # back into its place, with the reputation it left with
+        assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id]
+        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7]
+        assert_index_matches(reg)
+        # writes to an excluded member show up when it comes back
+        e.excluded = True
+        e.reputation = 0.3
+        e.label_index = 1
+        assert len(reg.trusted_sets()[4]) == 0
+        e.excluded = False
+        assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id, e.id]
+        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7, 0.3]
+        assert_index_matches(reg)
+
+    def test_set_stake_leaves_a_same_label_member_in_place(self):
+        reg = make_registry()
+        ps = reg.enroll_many([0.2, 0.4, 0.6])
+        group = reg.trusted_sets()[0]
+        reps = group.reputations
+        reg.set_stake(ps[1].id, 0.45)
+        assert group.members == ps
+        assert group.reputations is reps  # not rebuilt by a remove and an insert
+        reg.set_stake(ps[1].id, 2.0)
+        assert group.members == [ps[0], ps[2]]
+        assert_index_matches(reg)
+
+    def test_unknown_label_is_refused_before_anything_moves(self):
+        reg = make_registry()
+        p = reg.enroll("a", 5.0)
+        for bad in (0, 6):
+            with pytest.raises(ValueError, match="label index"):
+                p.label_index = bad
+        assert p.label_index == 3
+        assert_index_matches(reg)
+
+    def test_hand_built_participant_needs_no_registry(self):
+        p = Participant(id="x", stake=1.0, label_index=2)
+        p.reputation = 0.5
+        p.excluded = True
+        p.label_index = 4
+        assert (p.reputation, p.excluded, p.label_index) == (0.5, True, 4)
+
+    def test_participants_do_not_keep_their_registry_alive(self):
+        gc.disable()  # freed by reference counting alone, so no cycle is involved
+        try:
+            reg = make_registry()
+            ps = reg.enroll_many([1.0, 6.0])
+            ref = weakref.ref(reg)
+            del reg
+            assert ref() is None
+        finally:
+            gc.enable()
+        ps[0].reputation = 0.5  # still writable once the registry is gone
+        assert ps[0].reputation == 0.5
+
+    def test_index_matches_a_regroup_after_every_round(self):
+        var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
+        reg = Registry(var, ReputationParams())
+        reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(8, "stakes")))
+        chain = Chain()
+        # a commission of 0.8 moves a winner across a label edge every few wins
+        engine = FuzzychainEngine(reg, chain, ConsensusParams(0.8, ByzantineModel(0.2)))
+        priv, pub = new_keypair(substream(8, "keys"))
+        sel, vot = substream(8, "selection"), substream(8, "votes")
+        moves = expulsions = rounds = 0
+        for r in range(1, 301):
+            labels = {p.id: p.label_index for p in reg.participants()}
+            block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
+            try:
+                result = engine.run_round(block, sel, vot)
+            except NoPanelError:
+                break
+            rounds += 1
+            moves += reg.get(result.winner_id).label_index != labels[result.winner_id]
+            expulsions += len(result.expulsions)
+            assert_index_matches(reg)
+        assert moves >= 20 and expulsions >= 20 and rounds >= 200
