@@ -30,28 +30,46 @@ def quotas(n_sets: int) -> list[int]:
 
 
 def _draw(members: Sequence, k: int, rng) -> list:
-    # uniform without replacement, preserving rng-stream determinism
-    if k >= len(members):
+    """k uniform picks without replacement (k <= 2), in their order in members.
+
+    Consumes rng exactly as sorted(rng.choice(len(members), k, replace=False))
+    does: numpy runs Floyd's algorithm for k this small, then shuffles
+    the picks, an order the sort discards but whose draw must still be made.
+    """
+    n = len(members)
+    if k >= n:
         return list(members)
-    idx = rng.choice(len(members), size=k, replace=False)
-    return [members[i] for i in sorted(int(i) for i in idx)]
+    if k > 2:
+        raise ValueError(f"stream-exact draw supports at most 2 picks, got {k}")
+    picks: list[int] = []
+    for j in range(n - k, n):
+        i = int(rng.integers(0, j + 1))
+        picks.append(j if i in picks else i)
+    if k == 2:
+        rng.integers(0, 2)  # numpy's shuffle of the two picks
+    return [members[i] for i in sorted(picks)]
 
 
-def _parity_repair(picks: list[list[Participant]], groups, rng) -> None:
-    """Force an odd panel in place.
+def _parity_repair(picks: list[list[int]], groups, rng) -> None:
+    """Force an odd panel in place; picks[i] holds positions in groups[i].
 
     Preferred fix: one extra draw from the highest-index set that still
     has unpicked members. If every active validator is already on the
     panel, drop the most recent pick of the lowest-index set instead.
+    The draw is an index into the set's unpicked members, in set order;
+    trusted sets are disjoint, so only picks[i] can sit in groups[i].
     """
     total = sum(len(p) for p in picks)
     if total % 2 == 1:
         return
-    picked_ids = {m.id for p in picks for m in p}
     for i in range(len(groups) - 1, -1, -1):
-        spare = [m for m in groups[i] if m.id not in picked_ids]
-        if spare:
-            picks[i].extend(_draw(spare, 1, rng))
+        n_spare = len(groups[i]) - len(picks[i])
+        if n_spare:
+            (pos,) = _draw(range(n_spare), 1, rng)
+            for picked in sorted(picks[i]):
+                if picked <= pos:
+                    pos += 1
+            picks[i].append(pos)
             return
     for i in range(len(groups)):
         if picks[i]:
@@ -60,18 +78,22 @@ def _parity_repair(picks: list[list[Participant]], groups, rng) -> None:
 
 
 def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
-    """draw(set, quota, rng) on every non-empty set, then parity repair."""
+    """draw(set, quota, rng) -> positions, on every non-empty set, then parity repair."""
     if not any(groups):
         raise NoPanelError("every trusted set is empty")
     q = quotas(len(groups))
     picks = [draw(g, q[i], rng) if g else [] for i, g in enumerate(groups)]
     _parity_repair(picks, groups, rng)
-    return [m for p in picks for m in p]
+    return [g.members[pos] for g, p in zip(groups, picks) for pos in p]
+
+
+def _draw_uniform(group: TrustedSet, quota: int, rng) -> list[int]:
+    return _draw(range(len(group)), quota, rng)
 
 
 def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
     """Round-1 panel: uniform draws only, since reputations are all equal."""
-    return _assemble_panel(groups, rng, _draw)
+    return _assemble_panel(groups, rng, _draw_uniform)
 
 
 def build_subsets(group: TrustedSet) -> tuple[np.ndarray, TrustedSet]:
@@ -80,8 +102,24 @@ def build_subsets(group: TrustedSet) -> tuple[np.ndarray, TrustedSet]:
     return np.flatnonzero(group.reputations == 1.0), group
 
 
-def _select_from_group(group: TrustedSet, quota: int, rng) -> list[Participant]:
-    """Reputation-aware draw for one trusted set (rounds after the first).
+def _weighted_pick(weights: np.ndarray, rng) -> int:
+    """Position drawn with probability proportional to weights, or
+    uniformly when they are all zero.
+
+    Consumes rng as rng.choice(len(weights), p=weights / wsum) does,
+    with the same floating-point steps, so the pick is the same too.
+    """
+    wsum = weights.sum()
+    if wsum > 0:
+        cdf = (weights / wsum).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(rng.integers(0, len(weights)))
+
+
+def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
+    """Reputation-aware draw for one trusted set (rounds after the first);
+    returns positions in the set.
 
     Pool = up to 2 uniform picks from A (full reputation) plus 1
     reputation-proportional pick from B, deduplicated; the final seats
@@ -89,20 +127,9 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[Participant]:
     therefore dominate the pool without ever monopolizing it.
     """
     a, b = build_subsets(group)
-    members = b.members
-    pool: dict[str, Participant] = {}
-    for i in _draw(a, 2, rng):
-        m = members[i]
-        pool[m.id] = m
-    weights = b.reputations
-    wsum = weights.sum()
-    if wsum > 0:
-        p = weights / wsum
-        j = int(rng.choice(len(members), p=p))
-    else:
-        j = int(rng.choice(len(members)))
-    pool[members[j].id] = members[j]
-    return _draw(list(pool.values()), quota, rng)
+    pool = dict.fromkeys(int(i) for i in _draw(a, 2, rng))
+    pool[_weighted_pick(b.reputations, rng)] = None
+    return _draw(list(pool), quota, rng)
 
 
 def select_round_j(groups: list[TrustedSet], rng) -> list[Participant]:
@@ -154,7 +181,7 @@ def pick_winner(successful: list[Participant], rng) -> Participant:
     whole commission."""
     if not successful:
         raise ValueError("no successful validators to reward")
-    return successful[int(rng.choice(len(successful)))]
+    return successful[int(rng.integers(0, len(successful)))]
 
 
 @dataclass

@@ -14,6 +14,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
@@ -132,6 +133,13 @@ def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -
     return Transaction(sender=sender, recipient=recipient, amount=amount, nonce=nonce, signature=sig)
 
 
+@lru_cache(maxsize=64)
+def _public_key(curve: str, sender: bytes) -> ec.EllipticCurvePublicKey:
+    """Parsed sender key. Only successful parses are cached; a malformed
+    sender raises on every call."""
+    return ec.EllipticCurvePublicKey.from_encoded_point(_curve(curve), sender)
+
+
 def verify_transaction(tx: Transaction, curve: str = DEFAULT_CURVE) -> bool:
     """True iff the signature verifies under the sender's key.
 
@@ -144,7 +152,7 @@ def verify_transaction(tx: Transaction, curve: str = DEFAULT_CURVE) -> bool:
         return False
     digest = hashlib.sha256(payload).digest()
     try:
-        pub = ec.EllipticCurvePublicKey.from_encoded_point(_curve(curve), tx.sender)
+        pub = _public_key(curve, tx.sender)
         pub.verify(tx.signature, digest, ec.ECDSA(Prehashed(hashes.SHA256())))
         return True
     except (InvalidSignature, ValueError, TypeError, UnsupportedAlgorithm):

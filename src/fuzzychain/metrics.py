@@ -51,8 +51,9 @@ def gini(values) -> float:
     return float(np.dot(coef, srt) / (n * total))
 
 
-def _central_moments(values, statistic: str):
-    """(m2, m3, m4) of the values; raises where statistic is undefined."""
+def _shape_statistics(values, statistic: str) -> tuple[float, float]:
+    """(skewness, kurtosis) from one pass over the central moments m2, m3
+    and m4; raises where statistic is undefined."""
     arr = _as_array(values)
     if arr.size == 0:
         raise DegenerateDistributionError(f"{statistic} of empty sequence")
@@ -60,7 +61,8 @@ def _central_moments(values, statistic: str):
     m2 = np.mean(dev**2)
     if m2 == 0:
         raise DegenerateDistributionError(f"{statistic} undefined for zero variance")
-    return m2, np.mean(dev**3), np.mean(dev**4)
+    m3, m4 = np.mean(dev**3), np.mean(dev**4)
+    return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
 
 def skewness(values) -> float:
@@ -69,8 +71,7 @@ def skewness(values) -> float:
     :raises DegenerateDistributionError: when variance is zero (fewer
         than two distinct values), where skewness is undefined.
     """
-    m2, m3, _ = _central_moments(values, "skewness")
-    return float(m3 / m2**1.5)
+    return _shape_statistics(values, "skewness")[0]
 
 
 def kurtosis(values) -> float:
@@ -78,8 +79,7 @@ def kurtosis(values) -> float:
 
     :raises DegenerateDistributionError: when variance is zero.
     """
-    m2, _, m4 = _central_moments(values, "kurtosis")
-    return float(m4 / m2**2 - 3.0)
+    return _shape_statistics(values, "kurtosis")[1]
 
 
 @dataclass
@@ -142,9 +142,12 @@ def summarize_counts(counts) -> dict:
         "mean": float(arr.mean()) if arr.size else None,
         "std": float(arr.std()) if arr.size else None,
     }
-    for name, statistic in (("gini", gini), ("skewness", skewness), ("kurtosis", kurtosis)):
-        try:
-            out[name] = statistic(arr)
-        except DegenerateDistributionError:
-            out[name] = None
+    try:
+        out["gini"] = gini(arr)
+    except DegenerateDistributionError:
+        out["gini"] = None
+    try:
+        out["skewness"], out["kurtosis"] = _shape_statistics(arr, "shape statistics")
+    except DegenerateDistributionError:
+        out["skewness"] = out["kurtosis"] = None
     return out

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzychain import ledger
 from fuzzychain.config import ExperimentConfig
@@ -11,7 +11,10 @@ from fuzzychain.consensus import (
     ConsensusParams,
     FuzzychainEngine,
     NoPanelError,
+    _draw,
+    _parity_repair,
     _select_from_group,
+    _weighted_pick,
     build_subsets,
     cast_votes,
     pick_winner,
@@ -148,8 +151,8 @@ class TestReputationBias:
         n = 60_000
         hits = 0
         for _ in range(n):
-            picked = _select_from_group(group, 1, rng)
-            hits += picked[0].reputation == 1.0
+            (pos,) = _select_from_group(group, 1, rng)
+            hits += group[pos].reputation == 1.0
         assert hits / n == pytest.approx(expect, abs=0.01)
         assert expect >= 2 / 3
 
@@ -160,7 +163,8 @@ class TestReputationBias:
         n = 60_000
         counts = {m.id: 0 for m in group}
         for _ in range(n):
-            counts[_select_from_group(group, 1, rng)[0].id] += 1
+            (pos,) = _select_from_group(group, 1, rng)
+            counts[group[pos].id] += 1
         total = sum(reps)
         for m, rep in zip(group, reps):
             assert counts[m.id] / n == pytest.approx(rep / total, abs=0.02)
@@ -198,6 +202,131 @@ class TestPanelParity:
         assert len({m.id for m in panel}) == len(panel)
         allowed = {m.id for g in groups for m in g}
         assert {m.id for m in panel} <= allowed
+
+
+def draw_with_choice(members, k, rng):
+    """_draw as written with Generator.choice: the reference whose results
+    and stream consumption its replacement must match."""
+    if k >= len(members):
+        return list(members)
+    idx = rng.choice(len(members), size=k, replace=False)
+    return [members[i] for i in sorted(int(i) for i in idx)]
+
+
+def weighted_pick_with_choice(weights, rng):
+    wsum = weights.sum()
+    if wsum > 0:
+        return int(rng.choice(len(weights), p=weights / wsum))
+    return int(rng.choice(len(weights)))
+
+
+def select_from_group_with_choice(group, quota, rng):
+    """_select_from_group as written with Generator.choice, pooled by id."""
+    members = group.members
+    pool = {}
+    for i in draw_with_choice(np.flatnonzero(group.reputations == 1.0), 2, rng):
+        pool[members[i].id] = int(i)
+    j = weighted_pick_with_choice(group.reputations, rng)
+    pool[members[j].id] = j
+    return draw_with_choice(list(pool.values()), quota, rng)
+
+
+def parity_repair_with_spare_list(picks, groups, rng):
+    """_parity_repair as written over member lists, building the spare list."""
+    if sum(len(p) for p in picks) % 2 == 1:
+        return
+    picked_ids = {m.id for p in picks for m in p}
+    for i in range(len(groups) - 1, -1, -1):
+        spare = [m for m in groups[i] if m.id not in picked_ids]
+        if spare:
+            picks[i].extend(draw_with_choice(spare, 1, rng))
+            return
+    for i in range(len(groups)):
+        if picks[i]:
+            picks[i].pop()
+            return
+
+
+def twin_streams(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+class TestStreamExactDraws:
+    """Each stand-in for Generator.choice returns what choice returned and
+    leaves the generator in the same state, so a numpy change to choice
+    fails here by name. Several draws share one pair of generators, so
+    both halves of PCG64's buffered 32-bit word are exercised."""
+
+    @given(st.lists(st.tuples(st.integers(1, 60_000), st.sampled_from([1, 2])),
+                    min_size=1, max_size=6), SEEDS)
+    @example([(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 1), (60_000, 2)], 0)
+    @settings(max_examples=200)
+    def test_draw_matches_choice(self, draws, seed):
+        ref, new = twin_streams(seed)
+        for n, k in draws:
+            assert _draw(range(n), k, new) == draw_with_choice(range(n), k, ref)
+            assert new.bit_generator.state == ref.bit_generator.state
+
+    def test_draw_refuses_more_than_two_picks(self):
+        rng = substream(0, "selection")
+        with pytest.raises(ValueError, match="at most 2"):
+            _draw(range(5), 3, rng)
+        assert _draw(range(3), 3, rng) == [0, 1, 2]  # k >= n takes everyone, no draw
+
+    @given(st.integers(1, 60_000), st.sampled_from(["grid", "ones", "single", "zeros"]), SEEDS)
+    @example(1, "single", 0)
+    @example(2, "zeros", 0)
+    @settings(max_examples=200)
+    def test_weighted_pick_matches_choice(self, n, kind, seed):
+        shape = np.random.default_rng(seed ^ 0x5EED)
+        if kind == "grid":  # reputation-like values with zeros and many ties
+            weights = shape.integers(0, 201, n) / 200
+        elif kind == "ones":
+            weights = np.ones(n)
+        else:
+            weights = np.zeros(n)
+            if kind == "single":
+                weights[shape.integers(0, n)] = shape.choice([0.05, 0.9, 1.0])
+        ref, new = twin_streams(seed)
+        for _ in range(3):
+            assert _weighted_pick(weights, new) == weighted_pick_with_choice(weights, ref)
+            assert new.bit_generator.state == ref.bit_generator.state
+
+    @given(st.lists(st.integers(1, 60_000), min_size=1, max_size=6), SEEDS)
+    def test_pick_winner_matches_choice(self, sizes, seed):
+        ref, new = twin_streams(seed)
+        for n in sizes:
+            assert pick_winner(range(n), new) == int(ref.choice(n))
+            assert new.bit_generator.state == ref.bit_generator.state
+
+    @given(st.lists(st.sampled_from([0.0, 0.3, 0.9, 0.95, 1.0]), min_size=1, max_size=12),
+           st.sampled_from([1, 2]), SEEDS)
+    def test_select_from_group_matches_choice(self, reps, quota, seed):
+        group = make_groups([len(reps)], reps=[reps])[0]
+        ref, new = twin_streams(seed)
+        for _ in range(3):
+            expect = select_from_group_with_choice(group, quota, ref)
+            assert _select_from_group(group, quota, new) == expect
+            assert new.bit_generator.state == ref.bit_generator.state
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_parity_repair_matches_the_spare_list(self, data):
+        sizes = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 40)),
+                                   min_size=3, max_size=7))
+        groups = make_groups(sizes)
+        picks = [data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=min(k, 2)))
+                 if k else [] for k in sizes]
+        ref, new = twin_streams(data.draw(SEEDS))
+        expect = [[groups[i][pos] for pos in p] for i, p in enumerate(picks)]
+        parity_repair_with_spare_list(expect, groups, ref)
+        _parity_repair(picks, groups, new)
+        got = [[groups[i][pos].id for pos in p] for i, p in enumerate(picks)]
+        assert got == [[m.id for m in p] for p in expect]
+        assert new.bit_generator.state == ref.bit_generator.state
 
 
 class TestVoting:

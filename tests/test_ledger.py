@@ -7,6 +7,7 @@ import pytest
 
 from fuzzychain.ledger import (
     GENESIS_PREV_HASH,
+    _public_key,
     Block,
     Chain,
     LedgerError,
@@ -141,6 +142,46 @@ class TestSignatures:
         _, pub = wallet
         for amount in (-3.0, float("nan"), float("inf")):
             assert not verify_transaction(Transaction(pub, pub, amount, 0, b""))
+
+
+class TestPublicKeyCache:
+    """verify_transaction caches parsed sender keys, never verdicts."""
+
+    def test_warm_cache_still_rejects_tampering(self, wallet):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 2.0, 5)
+        assert verify_transaction(tx)
+        assert _public_key.cache_info().currsize >= 1
+        assert not verify_transaction(dataclasses.replace(tx, amount=2.000001))
+        assert not verify_transaction(dataclasses.replace(tx, signature=tx.signature[:-4]))
+        assert verify_transaction(tx)
+
+    @pytest.mark.parametrize("order", [("secp256k1", "secp256r1"), ("secp256r1", "secp256k1")])
+    def test_curve_is_part_of_the_key(self, order):
+        priv, pub = new_keypair(substream(5, "keys"), curve="secp256k1")
+        tx = sign_transaction(priv, pub, 1.0, 0)
+        _public_key.cache_clear()
+        for _ in range(2):
+            verdicts = {curve: verify_transaction(tx, curve=curve) for curve in order}
+            assert verdicts == {"secp256k1": True, "secp256r1": False}
+
+    def test_junk_sender_fails_every_time_and_is_not_cached(self, wallet):
+        _, pub = wallet
+        _public_key.cache_clear()
+        junk = Transaction(b"junk", pub, 1.0, 0, b"\x30\x06")
+        for _ in range(3):
+            assert not verify_transaction(junk)
+        assert _public_key.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        bound = _public_key.cache_info().maxsize
+        assert bound is not None
+        rng = substream(6, "keys")
+        for nonce in range(bound + 5):
+            priv, pub = new_keypair(rng)
+            assert verify_transaction(sign_transaction(priv, pub, 1.0, nonce))
+            assert _public_key.cache_info().currsize <= bound
+        assert _public_key.cache_info().currsize == bound
 
 
 class TestBlocksAndChain:

@@ -212,6 +212,14 @@ class TestSummarize:
         assert out["kurtosis"] is None
         assert out["mean"] == 20.0
 
+    @given(st.lists(st.integers(0, 1000), min_size=2, max_size=50))
+    def test_shape_stats_equal_the_standalone_functions(self, counts):
+        out = summarize_counts(counts)
+        try:
+            assert (out["skewness"], out["kurtosis"]) == (skewness(counts), kurtosis(counts))
+        except DegenerateDistributionError:
+            assert out["skewness"] is None and out["kurtosis"] is None
+
     def test_regular_counts_report_everything(self):
         out = summarize_counts([46, 45, 35, 83, 91])
         assert out["gini"] == pytest.approx(gini_double_sum([46, 45, 35, 83, 91]))
