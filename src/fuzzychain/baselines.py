@@ -49,8 +49,7 @@ class Delegate:
 
 
 def _table_from_wins(ids, winners: np.ndarray) -> FrequencyTable:
-    counts = np.bincount(winners, minlength=len(ids)).tolist()
-    return FrequencyTable(ids, {pid: c for pid, c in zip(ids, counts) if c})
+    return FrequencyTable(ids, np.bincount(winners, minlength=len(ids)))
 
 
 def run_pow(miners: list[Miner], rounds: int, rng) -> FrequencyTable:

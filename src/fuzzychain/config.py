@@ -259,7 +259,9 @@ def load_config(path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError([f"config file not found: {p}"])
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError([f"config file is not valid JSON: {e}"])
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError([f"config file cannot be read: {p}: {e}"])
     return config_from_dict(data)

@@ -12,7 +12,6 @@ after another in a single serial loop.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +114,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         chain,
         ConsensusParams(config.commission, ByzantineModel(config.byzantine_rate)),
     )
-    label_table = FrequencyTable(config.labels)
-    wins: Counter = Counter()
+    winner_labels, winner_ids = [], []
     audit_rows = []
     rejected = 0
 
@@ -144,8 +142,8 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         result = engine.run_round(block, selection_rng, votes_rng)
         w = result.panel_ids.index(result.winner_id)
         winner_label = config.labels[result.panel_labels[w] - 1]
-        label_table.record(winner_label)
-        wins[result.winner_id] += 1
+        winner_labels.append(winner_label)
+        winner_ids.append(result.winner_id)
         if not result.appended:
             rejected += 1
         audit_rows.append({
@@ -170,8 +168,9 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     return SingleRun(
         rounds=rounds_value,
         repetition=rep,
-        label_table=label_table,
-        participant_table=FrequencyTable([p.id for p in registry.participants()], wins),
+        label_table=FrequencyTable.tally(config.labels, winner_labels),
+        participant_table=FrequencyTable.tally(
+            [p.id for p in registry.participants()], winner_ids),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,
@@ -195,14 +194,15 @@ def _aggregate_tables(tables: list[FrequencyTable]) -> dict:
 
 
 def _metrics_block(tables: list[FrequencyTable]) -> dict:
-    per_rep = [summarize_counts(t.counts()) for t in tables]
-    pooled = FrequencyTable(tables[0].categories)
-    for t in tables:
-        pooled.merge(t)
     return {
-        "per_repetition": per_rep,
-        "pooled": summarize_counts(pooled.counts()),
+        "per_repetition": [summarize_counts(t.counts()) for t in tables],
+        "pooled": summarize_counts(sum(t.counts() for t in tables)),
     }
+
+
+def _table_rows(lead: tuple, table: FrequencyTable):
+    """One CSV row per category: lead + (category, count)."""
+    return (lead + (str(cat), n) for cat, n in zip(table.categories, table.counts().tolist()))
 
 
 @dataclass
@@ -235,21 +235,16 @@ class Exp1Report:
             "results": results,
         }
 
-    def frequency_rows(self) -> list[dict]:
+    def frequency_rows(self) -> tuple[tuple, list[tuple]]:
+        """(header, rows) of frequencies.csv; a rounds column only for a sweep."""
         key_col = "label" if self.config.granularity == "per-label" else "participant"
         multi = len(self.config.rounds) > 1
         rows = []
         for run in self.runs:
-            table = run.table(self.config.granularity)
-            for cat, count in table.as_dict().items():
-                row = {}
-                if multi:
-                    row["rounds"] = run.rounds
-                row["repetition"] = run.repetition
-                row[key_col] = str(cat)
-                row["count"] = count
-                rows.append(row)
-        return rows
+            lead = (run.rounds, run.repetition) if multi else (run.repetition,)
+            rows.extend(_table_rows(lead, run.table(self.config.granularity)))
+        lead_cols = ("rounds", "repetition") if multi else ("repetition",)
+        return lead_cols + (key_col, "count"), rows
 
     def audit_rows(self) -> list[dict]:
         return [row for run in self.runs for row in run.audit_rows]
@@ -351,19 +346,16 @@ class Exp2Report:
             },
         }
 
-    def frequency_rows(self) -> list[dict]:
+    def frequency_rows(self) -> tuple[tuple, list[tuple]]:
+        """(header, rows) of frequencies.csv: the fuzzy runs, then each baseline."""
         rows = []
         for run in self.fuzzy_runs:
-            table = run.table(self.config.granularity)
-            for cat, count in table.as_dict().items():
-                rows.append({"algorithm": "fuzzychain", "repetition": run.repetition,
-                             "key": str(cat), "count": count})
+            rows.extend(_table_rows(("fuzzychain", run.repetition),
+                                    run.table(self.config.granularity)))
         for algo in BASELINE_ALGOS:
             for rep, table in enumerate(self.baseline_tables[algo]):
-                for cat, count in table.as_dict().items():
-                    rows.append({"algorithm": algo, "repetition": rep,
-                                 "key": str(cat), "count": count})
-        return rows
+                rows.extend(_table_rows((algo, rep), table))
+        return ("algorithm", "repetition", "key", "count"), rows
 
     def audit_rows(self) -> list[dict]:
         return [row for run in self.fuzzy_runs for row in run.audit_rows]

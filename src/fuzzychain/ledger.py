@@ -33,6 +33,10 @@ AMOUNT_DECIMALS = 6
 _AMOUNT_SCALE = 10**AMOUNT_DECIMALS
 _MAX_AMOUNT_UNITS = 2**64 - 1
 
+# ECDSA over a SHA-256 digest computed here; built once, since they hold no state
+_SIGN_ALGORITHM = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
+_VERIFY_ALGORITHM = ec.ECDSA(Prehashed(hashes.SHA256()))
+
 
 class LedgerError(ValueError):
     pass
@@ -127,9 +131,7 @@ def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -
     )
     payload = transaction_signing_bytes(sender, recipient, amount, nonce)
     digest = hashlib.sha256(payload).digest()
-    sig = private_key.sign(
-        digest, ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
-    )
+    sig = private_key.sign(digest, _SIGN_ALGORITHM)
     return Transaction(sender=sender, recipient=recipient, amount=amount, nonce=nonce, signature=sig)
 
 
@@ -153,7 +155,7 @@ def verify_transaction(tx: Transaction, curve: str = DEFAULT_CURVE) -> bool:
     digest = hashlib.sha256(payload).digest()
     try:
         pub = _public_key(curve, tx.sender)
-        pub.verify(tx.signature, digest, ec.ECDSA(Prehashed(hashes.SHA256())))
+        pub.verify(tx.signature, digest, _VERIFY_ALGORITHM)
         return True
     except (InvalidSignature, ValueError, TypeError, UnsupportedAlgorithm):
         return False

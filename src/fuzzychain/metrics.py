@@ -1,14 +1,13 @@
-"""Inequality and shape statistics over selection outcomes.
+"""Win-count tables and the inequality and shape statistics over them.
 
-All statistics are population statistics (no sample bias correction):
-they describe exactly the counts handed in, which for a simulation run
-are the whole population of interest.
+A FrequencyTable is one int64 count vector in category order, built by
+FrequencyTable.tally from a run's winners. All statistics are population
+statistics (no sample bias correction): they describe exactly the counts
+handed in, which for a simulation run are the whole population of
+interest.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,52 +81,49 @@ def kurtosis(values) -> float:
     return _shape_statistics(values, "kurtosis")[1]
 
 
-@dataclass
 class FrequencyTable:
-    """Win counts keyed by category (validator id, or linguistic label).
+    """Win counts over a fixed category order (validator ids, or linguistic labels).
 
-    Iteration order of counts/values follows the category order given at
-    construction, so metrics are reproducible independent of dict
-    insertion history.
+    Holds the categories and one read-only int64 count vector in that
+    order, so every read is reproducible whatever order the wins came
+    in. tally() is the one way to count winners; tables over the same
+    categories pool by summing their count vectors.
     """
 
-    categories: tuple
-    _counts: Counter
-
-    def __init__(self, categories, counts=None):
-        """counts, if given, maps categories to counts already tallied
-        (e.g. a Counter of winners); it is checked here against the
-        categories in one pass, which is cheaper than record() per win."""
+    def __init__(self, categories, counts):
+        """counts: integer vector of shape (len(categories),), in category order."""
         self.categories = tuple(categories)
-        known = set(self.categories)
-        if len(known) != len(self.categories):
+        counts = np.asarray(counts)
+        if counts.shape != (len(self.categories),):
+            raise ValueError(f"counts of shape {counts.shape} for {len(self.categories)} categories")
+        self._counts = counts.astype(np.int64, casting="safe")
+        self._counts.flags.writeable = False
+
+    @classmethod
+    def tally(cls, categories, winners) -> "FrequencyTable":
+        """Count each winner against its category.
+
+        :raises ValueError: on duplicate categories.
+        :raises KeyError: naming the first winner that is not a category.
+        """
+        categories = tuple(categories)
+        index = {c: i for i, c in enumerate(categories)}
+        if len(index) != len(categories):
             raise ValueError("duplicate categories")
-        self._counts = Counter(counts)
-        unknown = self._counts.keys() - known
-        if unknown:
-            raise KeyError(f"unknown category {min(unknown, key=repr)!r}")
+        try:
+            positions = np.fromiter((index[w] for w in winners), dtype=np.intp)
+        except KeyError as e:
+            raise KeyError(f"unknown category {e.args[0]!r}") from None
+        return cls(categories, np.bincount(positions, minlength=len(categories)))
 
-    def record(self, category, weight: int = 1) -> None:
-        if category not in self._counts and category not in self.categories:
-            raise KeyError(f"unknown category {category!r}")
-        self._counts[category] += weight
-
-    def count(self, category) -> int:
-        return self._counts.get(category, 0)
-
-    def counts(self) -> list[int]:
-        return [self._counts.get(c, 0) for c in self.categories]
+    def counts(self) -> np.ndarray:
+        return self._counts
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return int(self._counts.sum())
 
     def as_dict(self) -> dict:
-        return {c: self._counts.get(c, 0) for c in self.categories}
-
-    def merge(self, other: "FrequencyTable") -> None:
-        if other.categories != self.categories:
-            raise ValueError("cannot merge tables with different categories")
-        self._counts.update(other._counts)
+        return dict(zip(self.categories, self._counts.tolist()))
 
 
 def summarize_counts(counts) -> dict:

@@ -3,6 +3,9 @@
 A run directory holds exactly four files — frequencies.csv,
 summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
+frequencies.csv is the report's frequency_rows(): a header tuple and
+one tuple per (repetition, category) count, written by csv.writer
+straight from the count vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def emit_outputs(report, out_dir) -> dict:
     Raises on an empty report — silently writing headers with no rows
     has burned too many downstream joins to be worth allowing.
     """
-    rows = report.frequency_rows()
+    header, rows = report.frequency_rows()
     if not rows:
         raise ValueError("nothing to emit: report contains no repetitions")
     out = Path(out_dir)
@@ -32,8 +35,8 @@ def emit_outputs(report, out_dir) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         # opened as Path.write_text opens, so the bytes match a whole-string write
         with open(paths["frequencies.csv"], "w") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
             writer.writerows(rows)
 
         paths["summary.json"].write_text(

@@ -17,8 +17,8 @@ class TestPow:
         # race of exponentials: P(win) = p_i / sum(p)
         miners = [Miner("fast", 3.0), Miner("slow", 1.0)]
         t = run_pow(miners, 100_000, substream(1, "pow"))
-        assert t.count("fast") / t.total() == pytest.approx(0.75, abs=0.01)
-        assert t.count("slow") / t.total() == pytest.approx(0.25, abs=0.01)
+        assert t.as_dict()["fast"] / t.total() == pytest.approx(0.75, abs=0.01)
+        assert t.as_dict()["slow"] / t.total() == pytest.approx(0.25, abs=0.01)
 
     def test_counts_sum_to_rounds(self):
         t = run_pow([Miner(f"m{i}", float(i + 1)) for i in range(7)], 321,
@@ -57,7 +57,7 @@ class TestPos:
     def test_nine_to_one_stakes(self):
         vs = [StakeValidator("rich", 9.0), StakeValidator("poor", 1.0)]
         t = run_pos(vs, 10_000, substream(5, "pos"))
-        assert t.count("rich") / t.total() == pytest.approx(0.9, abs=0.02)
+        assert t.as_dict()["rich"] / t.total() == pytest.approx(0.9, abs=0.02)
 
     def test_counts_sum_to_rounds(self):
         vs = [StakeValidator(f"s{i}", float(i + 1)) for i in range(9)]
@@ -86,7 +86,7 @@ class TestDpos:
         # (10, 0.5) and (5, 1.0) have equal products, hence equal shares
         ds = [Delegate("big-lazy", 10.0, 0.5), Delegate("small-sharp", 5.0, 1.0)]
         t = run_dpos(ds, 10_000, substream(8, "dpos"))
-        assert t.count("big-lazy") / t.total() == pytest.approx(0.5, abs=0.02)
+        assert t.as_dict()["big-lazy"] / t.total() == pytest.approx(0.5, abs=0.02)
 
     def test_counts_sum_to_rounds(self):
         ds = [Delegate(f"d{i}", float(i + 1), 0.9) for i in range(6)]

@@ -181,22 +181,24 @@ class TestExperiment1:
         assert block["metrics"]["granularity"] == "per-label"
 
     def test_frequency_rows_single_sweep(self, tiny_config):
-        rows = run_experiment1(tiny_config).frequency_rows()
+        header, rows = run_experiment1(tiny_config).frequency_rows()
         assert len(rows) == 3 * 5  # repetitions x labels
-        assert set(rows[0]) == {"repetition", "label", "count"}
+        assert header == ("repetition", "label", "count")
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_frequency_rows_multi_sweep_gain_rounds_column(self):
         cfg = tiny(rounds=(10, 20), repetitions=2)
-        rows = run_experiment1(cfg).frequency_rows()
+        header, rows = run_experiment1(cfg).frequency_rows()
         assert len(rows) == 2 * 2 * 5
-        assert set(rows[0]) == {"rounds", "repetition", "label", "count"}
+        assert header == ("rounds", "repetition", "label", "count")
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_per_participant_granularity(self):
         cfg = tiny(granularity="per-participant", repetitions=1)
         report = run_experiment1(cfg)
-        rows = report.frequency_rows()
+        header, rows = report.frequency_rows()
         assert len(rows) == 37  # one per enrolled participant
-        assert set(rows[0]) == {"repetition", "participant", "count"}
+        assert header == ("repetition", "participant", "count")
         s = report.summary_dict()
         assert s["results"]["25"]["metrics"]["granularity"] == "per-participant"
 
@@ -257,10 +259,11 @@ class TestExperiment2:
                 assert t.total() == 50
 
     def test_frequency_rows_cover_all_algorithms(self, small_exp2):
-        rows = small_exp2.frequency_rows()
-        algos = {r["algorithm"] for r in rows}
+        header, rows = small_exp2.frequency_rows()
+        assert header == ("algorithm", "repetition", "key", "count")
+        algos = {r[0] for r in rows}
         assert algos == {"fuzzychain", "pow", "pos", "dpos"}
-        fz = [r for r in rows if r["algorithm"] == "fuzzychain"]
+        fz = [r for r in rows if r[0] == "fuzzychain"]
         assert len(fz) == 2 * 5
 
     def test_audit_covers_only_consensus_rounds(self, small_exp2):
@@ -396,6 +399,19 @@ class TestCli:
         p.write_text(json.dumps({"experiment": "custom", "epsilon": 3}))
         assert main(["run", "custom", "--config", str(p)]) == 1
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda p: p.mkdir(), id="directory"),
+        pytest.param(lambda p: p.write_bytes(b"\xff\xfe{}"), id="not-utf8"),
+    ])
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, make):
+        p = tmp_path / "cfg.json"
+        make(p)
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "cannot be read" in err
+        assert not out.exists()
 
     def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Inequality and moment statistics against independent brute-force oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -163,45 +164,62 @@ class TestShapeStatistics:
 
 class TestFrequencyTable:
     def test_counts_follow_category_order(self):
-        t = FrequencyTable(["b", "a", "c"])
-        t.record("c")
-        t.record("a", 3)
-        assert t.counts() == [0, 3, 1]
+        t = FrequencyTable.tally(["b", "a", "c"], ["c", "a", "a", "a"])
+        assert t.counts().tolist() == [0, 3, 1]
         assert t.as_dict() == {"b": 0, "a": 3, "c": 1}
         assert t.total() == 4
 
     def test_unknown_category_rejected(self):
-        t = FrequencyTable(["a"])
-        with pytest.raises(KeyError):
-            t.record("zzz")
+        with pytest.raises(KeyError, match="zzz"):
+            FrequencyTable.tally(["a"], ["a", "zzz"])
 
     def test_counts_tallied_before_construction(self):
-        t = FrequencyTable(["b", "a", "c"], {"c": 1, "a": 3})
-        assert t.counts() == [0, 3, 1]
+        counts = np.array([0, 3, 1])
+        t = FrequencyTable(["b", "a", "c"], counts)
+        assert t.counts().tolist() == [0, 3, 1]
+        assert t.counts().dtype == np.int64
         assert t.total() == 4
-        t.record("b")
-        assert t.as_dict() == {"b": 1, "a": 3, "c": 1}
+        # the table keeps its own read-only copy
+        counts[0] = 7
+        assert t.as_dict() == {"b": 0, "a": 3, "c": 1}
+        assert not t.counts().flags.writeable
+        with pytest.raises(TypeError):
+            FrequencyTable(["a"], [1.5])
 
     def test_unknown_tallied_category_rejected(self):
-        with pytest.raises(KeyError, match="zzz"):
-            FrequencyTable(["a"], {"a": 1, "zzz": 2})
+        # a count vector must hold exactly one count per category
+        for counts in ([1, 2], [], [[1]], 1):
+            with pytest.raises(ValueError, match="shape"):
+                FrequencyTable(["a"], counts)
 
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            FrequencyTable(["a", "a"])
+            FrequencyTable.tally(["a", "a"], [])
 
     def test_merge_requires_same_categories(self):
-        t1, t2 = FrequencyTable(["a", "b"]), FrequencyTable(["b", "a"])
-        with pytest.raises(ValueError, match="categories"):
-            t1.merge(t2)
+        # pooling sums vectors position by position, so it needs one category list
+        t1 = FrequencyTable.tally(["a", "b"], ["a"])
+        t2 = FrequencyTable.tally(["a", "b", "c"], ["c"])
+        with pytest.raises(ValueError, match="shape"):
+            FrequencyTable(t1.categories, t2.counts())
 
     def test_merge_adds_counts(self):
-        t1, t2 = FrequencyTable(["a", "b"]), FrequencyTable(["a", "b"])
-        t1.record("a")
-        t2.record("a")
-        t2.record("b", 5)
-        t1.merge(t2)
-        assert t1.counts() == [2, 5]
+        t1 = FrequencyTable.tally(["a", "b"], ["a"])
+        t2 = FrequencyTable.tally(["a", "b"], ["a", "b", "b", "b", "b", "b"])
+        pooled = FrequencyTable(t1.categories, t1.counts() + t2.counts())
+        assert pooled.counts().tolist() == [2, 5]
+        assert t1.counts().tolist() == [1, 0]
+
+    @given(st.lists(st.text(max_size=3), unique=True, min_size=1, max_size=8).flatmap(
+        lambda cats: st.tuples(st.just(cats), st.lists(st.sampled_from(cats), max_size=40))))
+    def test_tally_matches_counter_oracle(self, case):
+        categories, winners = case
+        t = FrequencyTable.tally(categories, winners)
+        oracle = Counter(winners)
+        assert t.as_dict() == {c: oracle[c] for c in categories}
+        assert list(t.as_dict()) == categories
+        assert t.counts().dtype == np.int64
+        assert t.total() == len(winners)
 
 
 class TestSummarize:
