@@ -13,6 +13,7 @@ after another in a single serial loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     )
     winner_labels, winner_ids = [], []
     audit_rows = []
-    rejected = 0
+    rejected = expelled = 0
 
     for r in range(1, rounds_value + 1):
         priv, _pub = wallets[(r - 1) % N_WALLETS]
@@ -146,6 +147,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         winner_ids.append(result.winner_id)
         if not result.appended:
             rejected += 1
+        expelled += len(result.expulsions)
         audit_rows.append({
             "rounds": rounds_value,
             "repetition": rep,
@@ -174,7 +176,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,
-        expelled=sum(1 for p in registry.participants() if p.excluded),
+        expelled=expelled,
     )
 
 
@@ -289,17 +291,27 @@ class Exp2Report:
     baseline_tables: dict  # algo -> list[FrequencyTable] per repetition
     trusted_sets: int
 
-    def gini_by_algo(self) -> dict:
-        """Per-repetition Gini per algorithm (fuzzy side at config granularity)."""
-        out = {"fuzzychain": [
-            summarize_counts(r.table(self.config.granularity).counts())["gini"]
-            for r in self.fuzzy_runs
-        ]}
+    @cached_property
+    def algorithm_metrics(self) -> dict:
+        """summary.json's per-algorithm blocks, in fuzzychain, pow, pos, dpos
+        order (the fuzzy side at config granularity), computed once."""
+        algos = {"fuzzychain": dict(
+            _metrics_block([r.table(self.config.granularity) for r in self.fuzzy_runs]),
+            granularity=self.config.granularity,
+            rounds=self.config.fuzzychain_rounds,
+        )}
         for algo in BASELINE_ALGOS:
-            out[algo] = [
-                summarize_counts(t.counts())["gini"] for t in self.baseline_tables[algo]
-            ]
-        return out
+            algos[algo] = dict(
+                _metrics_block(self.baseline_tables[algo]),
+                granularity="per-participant",
+                rounds=self.config.baselines.rounds,
+            )
+        return algos
+
+    def gini_by_algo(self) -> dict:
+        """Per-repetition Gini per algorithm, read from algorithm_metrics."""
+        return {name: [m["gini"] for m in block["per_repetition"]]
+                for name, block in self.algorithm_metrics.items()}
 
     def ordering_satisfied(self) -> list[bool]:
         """Per repetition: does fuzzychain < dpos < pos < pow hold on Gini?"""
@@ -311,23 +323,7 @@ class Exp2Report:
         return out
 
     def summary_dict(self) -> dict:
-        algos = {}
-        fz_tables = [r.table(self.config.granularity) for r in self.fuzzy_runs]
-        algos["fuzzychain"] = dict(
-            _metrics_block(fz_tables),
-            granularity=self.config.granularity,
-            rounds=self.config.fuzzychain_rounds,
-        )
-        for algo in BASELINE_ALGOS:
-            algos[algo] = dict(
-                _metrics_block(self.baseline_tables[algo]),
-                granularity="per-participant",
-                rounds=self.config.baselines.rounds,
-            )
-        mean_gini = {
-            name: float(np.mean([m["gini"] for m in block["per_repetition"]]))
-            for name, block in algos.items()
-        }
+        mean_gini = {name: float(np.mean(g)) for name, g in self.gini_by_algo().items()}
         satisfied = self.ordering_satisfied()
         return {
             "experiment": "exp2",
@@ -336,7 +332,7 @@ class Exp2Report:
             "fuzzychain_label_aggregates": _aggregate_tables(
                 [r.label_table for r in self.fuzzy_runs]
             ),
-            "algorithms": algos,
+            "algorithms": self.algorithm_metrics,
             "mean_gini": mean_gini,
             "ordering": {
                 "expected": list(EXPECTED_GINI_ORDER),

@@ -67,8 +67,9 @@ def membership(mf: MembershipFunction, x: float) -> float:
 def membership_array(mf: MembershipFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized membership; elementwise identical to membership()."""
     xs = np.asarray(xs, dtype=float)
-    rising = (xs - mf.a) / (mf.b - mf.a) if mf.b > mf.a else np.ones_like(xs)
-    falling = (mf.c - xs) / (mf.c - mf.b) if mf.c > mf.b else np.ones_like(xs)
+    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
+    rising = (xs - mf.a) / (mf.b - mf.a) if mf.b > mf.a else (xs >= mf.a).astype(float)
+    falling = (mf.c - xs) / (mf.c - mf.b) if mf.c > mf.b else (xs <= mf.c).astype(float)
     deg = np.clip(np.minimum(rising, falling), 0.0, 1.0)
     if mf.shape == SHOULDER_LEFT:
         deg = np.where(xs <= mf.b, 1.0, deg)
@@ -118,9 +119,6 @@ class LinguisticVariable:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def label_of(self, index: int) -> str:
-        return self.labels[index - 1]
 
 
 def make_uniform_partition(name: str, labels, lo: float, hi: float) -> LinguisticVariable:
@@ -183,7 +181,7 @@ def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndar
     outside = xs[~(xs >= var.universe_lo)]
     if outside.size:
         raise OutOfUniverseError(
-            f"stake {outside[0]} is NaN or below universe floor {var.universe_lo}"
+            f"stake {outside[0]} outside universe [{var.universe_lo}, {var.universe_hi}]"
         )
     degrees = np.stack([membership_array(mf, xs) for mf in var.mfs])
     best = np.argmax(degrees, axis=0)  # first max == lowest label index

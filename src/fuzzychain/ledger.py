@@ -241,9 +241,6 @@ class Chain:
         """Number of blocks after genesis."""
         return len(self.blocks) - 1
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def append(self, block: Block) -> None:
         reason = block_rejection_reason(self, block)
         if reason is not None:

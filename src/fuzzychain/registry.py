@@ -210,33 +210,14 @@ class Registry:
             raise ValueError(f"label index {label_index} outside 1..{len(self._sets)}")
         return self._sets[label_index - 1]
 
-    def _admit(self, participants: list[Participant]) -> None:
-        """Register new participants in order; the caller puts them into their sets."""
-        for seq, p in enumerate(participants, start=len(self._participants)):
-            p._seq = seq
-            p._registry = self._ref
-        self._participants.update((p.id, p) for p in participants)
-
-    def enroll(self, pid: str, stake: float) -> Participant:
-        if pid in self._participants:
-            raise ValueError(f"participant {pid!r} already enrolled")
-        # raises OutOfUniverseError (a ValueError) for NaN and below-floor stakes
-        label_index = classify_stake(self.variable, stake).label_index
-        p = Participant(pid, float(stake), label_index=label_index)
-        self._admit([p])
-        self._sets[label_index - 1]._extend([p])
-        return p
-
-    def enroll_many(self, stakes, prefix: str = "v") -> list[Participant]:
-        """Enroll stakes as prefix0000, prefix0001, ... in one pass.
+    def _enroll(self, ids: list[str], stakes) -> list[Participant]:
+        """Classify stakes in one batch and enroll them under ids, in order.
 
         All or nothing: a NaN or below-floor stake (OutOfUniverseError) or
         an id that is already enrolled (ValueError) enrolls none of them.
         """
         stakes = np.asarray(stakes, dtype=float)
         labels, _ = classify_batch(self.variable, stakes)
-        width = max(4, len(str(len(stakes))))
-        ids = [prefix + str(i).zfill(width) for i in range(len(stakes))]
         for pid in ids:
             if pid in self._participants:
                 raise ValueError(f"participant {pid!r} already enrolled")
@@ -244,10 +225,21 @@ class Registry:
             Participant(pid, stake, label_index=label)
             for pid, stake, label in zip(ids, stakes.tolist(), labels.tolist())
         ]
-        self._admit(new)
+        for seq, p in enumerate(new, start=len(self._participants)):
+            p._seq = seq
+            p._registry = self._ref
+        self._participants.update((p.id, p) for p in new)
         for label, group in enumerate(self._sets, start=1):
             group._extend([new[i] for i in np.flatnonzero(labels == label).tolist()])
         return new
+
+    def enroll(self, pid: str, stake: float) -> Participant:
+        return self._enroll([pid], [stake])[0]
+
+    def enroll_many(self, stakes, prefix: str = "v") -> list[Participant]:
+        """Enroll stakes as prefix0000, prefix0001, ... in one pass (see _enroll)."""
+        width = max(4, len(str(len(stakes))))
+        return self._enroll([prefix + str(i).zfill(width) for i in range(len(stakes))], stakes)
 
     def __len__(self) -> int:
         return len(self._participants)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzychain.fuzzy import (
     INTERIOR,
@@ -64,11 +64,16 @@ class TestMembershipFunction:
             MembershipFunction(0.0, 1.0, 2.0, shape="trapezoid")
 
     @given(st.floats(min_value=-5, max_value=15, allow_nan=False))
+    @example(0.0)
     def test_vectorized_matches_scalar(self, x):
         for mf in (
             MembershipFunction(2.5, 5.0, 7.5),
             MembershipFunction(0.0, 0.0, 2.5, SHOULDER_LEFT),
             MembershipFunction(7.5, 10.0, 10.0, SHOULDER_RIGHT),
+            # degenerate triangles: zero outside [a, c] like any other
+            MembershipFunction(2.0, 2.0, 5.0),
+            MembershipFunction(3.0, 3.0, 3.0),
+            MembershipFunction(10.0, 10.0, 10.0, SHOULDER_RIGHT),
         ):
             assert membership_array(mf, np.array([x]))[0] == pytest.approx(
                 membership(mf, x), abs=1e-12
@@ -122,7 +127,7 @@ class TestHmdf:
     def test_stake_six_is_mostly_high(self, var5):
         got = hmdf(var5, 6.0)
         assert got == LabelAssignment(label_index=3, degree=pytest.approx(0.6))
-        assert var5.label_of(got.label_index) == "M"
+        assert var5.labels[got.label_index - 1] == "M"
 
     def test_crossover_tie_goes_to_lower_label(self, var5):
         got = hmdf(var5, 3.75)

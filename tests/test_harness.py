@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from fuzzychain import experiments
 from fuzzychain.cli import main
 from fuzzychain.config import (
     ConfigError,
@@ -214,6 +215,13 @@ class TestExperiment1:
         assert 0 < run.rejected_rounds < 25
         assert run.chain_height == 25 - run.rejected_rounds
 
+    def test_expelled_counts_the_audited_expulsions(self):
+        cfg = tiny(byzantine_rate=0.3, invalid_block_rate=0.3, rounds=(60,), repetitions=2)
+        report = run_experiment1(cfg)
+        for run in report.runs:
+            assert run.expelled == sum(len(row["expulsions"]) for row in run.audit_rows)
+            assert run.expelled > 0
+
     def test_custom_experiment_uses_frequency_driver(self):
         cfg = tiny()
         cfg = dataclasses.replace(cfg, experiment="custom").validate()
@@ -229,20 +237,22 @@ class TestExperiment1:
         assert serial.frequency_rows() == with_workers.frequency_rows()
 
 
+def small_exp2_config(repetitions=2):
+    return ExperimentConfig(
+        experiment="exp2",
+        seed=13,
+        population_per_label=dict(TINY_POP),
+        repetitions=repetitions,
+        fuzzychain_rounds=40,
+        baselines=dataclasses.replace(
+            ExperimentConfig().baselines, participants=20, rounds=50
+        ),
+    ).validate()
+
+
 @pytest.fixture(scope="module")
 def small_exp2():
-    return run_experiment2(
-        ExperimentConfig(
-            experiment="exp2",
-            seed=13,
-            population_per_label=dict(TINY_POP),
-            repetitions=2,
-            fuzzychain_rounds=40,
-            baselines=dataclasses.replace(
-                ExperimentConfig().baselines, participants=20, rounds=50
-            ),
-        ).validate()
-    )
+    return run_experiment2(small_exp2_config())
 
 
 class TestExperiment2:
@@ -270,6 +280,18 @@ class TestExperiment2:
         rows = small_exp2.audit_rows()
         assert len(rows) == 2 * 40
         assert {r["repetition"] for r in rows} == {0, 1}
+
+    def test_statistics_computed_once_per_table(self, monkeypatch, tmp_path):
+        reps = 3
+        report = run_experiment2(small_exp2_config(repetitions=reps))
+        calls = []
+        original = experiments.summarize_counts
+        monkeypatch.setattr(experiments, "summarize_counts",
+                            lambda counts: calls.append(1) or original(counts))
+        emit_outputs(report, tmp_path / "out")
+        report.gini_by_algo(), report.ordering_satisfied()  # as the comparison script reads it
+        # per algorithm: one per repetition, one for the pooled counts
+        assert len(calls) == 4 * reps + 4
 
 
 class TestOutputs:
