@@ -37,6 +37,8 @@ def main() -> int:
     args = ap.parse_args()
 
     seeds = parse_seeds(args.seeds)
+    if not seeds:
+        ap.error(f"--seeds {args.seeds!r} names no seed")
     out_root = Path(args.out)
     algos = list(EXPECTED_GINI_ORDER)
 
@@ -51,7 +53,7 @@ def main() -> int:
                                repetitions=args.reps).validate()
         report = run_experiment2(cfg)
         emit_outputs(report, out_root / f"seed{seed:04d}")
-        gini = {a: sum(v) / len(v) for a, v in report.gini_by_algo().items()}
+        gini = report.mean_gini()
         ok = all(report.ordering_satisfied())
         ordered += ok
         rows.append({"seed": seed, "gini": gini, "ordering_held": ok})

@@ -48,10 +48,6 @@ class Delegate:
             raise ValueError(f"reputation must lie in (0, 1], got {self.reputation}")
 
 
-def _table_from_wins(ids, winners: np.ndarray) -> FrequencyTable:
-    return FrequencyTable(ids, np.bincount(winners, minlength=len(ids)))
-
-
 def run_pow(miners: list[Miner], rounds: int, rng) -> FrequencyTable:
     """Each round every miner draws an exponential solve time with rate
     proportional to hash power; the minimum solves first and wins."""
@@ -61,7 +57,7 @@ def run_pow(miners: list[Miner], rounds: int, rng) -> FrequencyTable:
     # scale = 1/rate; argmin along the miner axis picks each round's winner
     times = rng.exponential(1.0 / powers, size=(rounds, len(miners)))
     winners = np.argmin(times, axis=1)
-    return _table_from_wins([m.id for m in miners], winners)
+    return FrequencyTable.tally([m.id for m in miners], winners)
 
 
 def run_pos(validators: list[StakeValidator], rounds: int, rng) -> FrequencyTable:
@@ -70,7 +66,7 @@ def run_pos(validators: list[StakeValidator], rounds: int, rng) -> FrequencyTabl
         raise ValueError("need at least one validator and one round")
     stakes = np.array([v.stake for v in validators], dtype=float)
     winners = rng.choice(len(validators), size=rounds, p=stakes / stakes.sum())
-    return _table_from_wins([v.id for v in validators], winners)
+    return FrequencyTable.tally([v.id for v in validators], winners)
 
 
 def run_dpos(delegates: list[Delegate], rounds: int, rng) -> FrequencyTable:
@@ -79,4 +75,4 @@ def run_dpos(delegates: list[Delegate], rounds: int, rng) -> FrequencyTable:
         raise ValueError("need at least one delegate and one round")
     weights = np.array([d.stake * d.reputation for d in delegates], dtype=float)
     winners = rng.choice(len(delegates), size=rounds, p=weights / weights.sum())
-    return _table_from_wins([d.id for d in delegates], winners)
+    return FrequencyTable.tally([d.id for d in delegates], winners)

@@ -115,7 +115,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         chain,
         ConsensusParams(config.commission, ByzantineModel(config.byzantine_rate)),
     )
-    winner_labels, winner_ids = [], []
+    winner_labels, winner_seqs = [], []  # label and enrollment positions
     audit_rows = []
     rejected = expelled = 0
 
@@ -142,9 +142,8 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
 
         result = engine.run_round(block, selection_rng, votes_rng)
         w = result.panel_ids.index(result.winner_id)
-        winner_label = config.labels[result.panel_labels[w] - 1]
-        winner_labels.append(winner_label)
-        winner_ids.append(result.winner_id)
+        winner_labels.append(result.panel_labels[w] - 1)
+        winner_seqs.append(registry.get(result.winner_id).seq)
         if not result.appended:
             rejected += 1
         expelled += len(result.expulsions)
@@ -158,7 +157,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             "decision": "accepted" if result.accepted else "rejected",
             "block_valid": result.block_valid,
             "winner": result.winner_id,
-            "winner_label": winner_label,
+            "winner_label": config.labels[winner_labels[-1]],
             "reputation_deltas": {
                 pid: [round(b, 9), round(a, 9)]
                 for pid, (b, a) in result.reputation_deltas.items()
@@ -172,7 +171,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         repetition=rep,
         label_table=FrequencyTable.tally(config.labels, winner_labels),
         participant_table=FrequencyTable.tally(
-            [p.id for p in registry.participants()], winner_ids),
+            [p.id for p in registry.participants()], winner_seqs),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,
@@ -180,10 +179,9 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     )
 
 
-def _aggregate_tables(tables: list[FrequencyTable]) -> dict:
-    """Per-category mean/std/min/max across repetitions."""
-    cats = tables[0].categories
-    matrix = np.array([t.counts() for t in tables], dtype=float)
+def _aggregate_counts(categories, counts: np.ndarray) -> dict:
+    """Per-category mean/std/min/max of a repetitions × categories count matrix."""
+    matrix = counts.astype(float)
     return {
         str(cat): {
             "mean": float(matrix[:, i].mean()),
@@ -191,7 +189,7 @@ def _aggregate_tables(tables: list[FrequencyTable]) -> dict:
             "min": float(matrix[:, i].min()),
             "max": float(matrix[:, i].max()),
         }
-        for i, cat in enumerate(cats)
+        for i, cat in enumerate(categories)
     }
 
 
@@ -216,14 +214,17 @@ class Exp1Report:
     def runs_at(self, rounds_value: int) -> list:
         return [r for r in self.runs if r.rounds == rounds_value]
 
+    def label_counts(self, rounds_value: int) -> np.ndarray:
+        """Repetitions × labels win counts at one round count."""
+        return np.array([r.label_table.counts() for r in self.runs_at(rounds_value)])
+
     def summary_dict(self) -> dict:
         results = {}
         for rv in self.config.rounds:
             runs = self.runs_at(rv)
-            label_tables = [r.label_table for r in runs]
             metric_tables = [r.table(self.config.granularity) for r in runs]
             results[str(rv)] = {
-                "aggregates": _aggregate_tables(label_tables),
+                "aggregates": _aggregate_counts(self.config.labels, self.label_counts(rv)),
                 "metrics": dict(_metrics_block(metric_tables),
                                 granularity=self.config.granularity),
                 "chain_heights": [r.chain_height for r in runs],
@@ -322,18 +323,21 @@ class Exp2Report:
             out.append(all(x < y for x, y in zip(chain, chain[1:])))
         return out
 
+    def mean_gini(self) -> dict:
+        """Mean of the per-repetition Gini per algorithm."""
+        return {name: float(np.mean(g)) for name, g in self.gini_by_algo().items()}
+
     def summary_dict(self) -> dict:
-        mean_gini = {name: float(np.mean(g)) for name, g in self.gini_by_algo().items()}
         satisfied = self.ordering_satisfied()
         return {
             "experiment": "exp2",
             "config": self.config.to_dict(),
             "trusted_sets_required": self.trusted_sets,
-            "fuzzychain_label_aggregates": _aggregate_tables(
-                [r.label_table for r in self.fuzzy_runs]
+            "fuzzychain_label_aggregates": _aggregate_counts(
+                self.config.labels, np.array([r.label_table.counts() for r in self.fuzzy_runs])
             ),
             "algorithms": self.algorithm_metrics,
-            "mean_gini": mean_gini,
+            "mean_gini": self.mean_gini(),
             "ordering": {
                 "expected": list(EXPECTED_GINI_ORDER),
                 "satisfied_per_repetition": satisfied,

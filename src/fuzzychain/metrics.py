@@ -1,10 +1,10 @@
 """Win-count tables and the inequality and shape statistics over them.
 
 A FrequencyTable is one int64 count vector in category order, built by
-FrequencyTable.tally from a run's winners. All statistics are population
-statistics (no sample bias correction): they describe exactly the counts
-handed in, which for a simulation run are the whole population of
-interest.
+FrequencyTable.tally from the category positions of a run's winners.
+All statistics are population statistics (no sample bias correction):
+they describe exactly the counts handed in, which for a simulation run
+are the whole population of interest.
 """
 
 from __future__ import annotations
@@ -84,15 +84,21 @@ def kurtosis(values) -> float:
 class FrequencyTable:
     """Win counts over a fixed category order (validator ids, or linguistic labels).
 
-    Holds the categories and one read-only int64 count vector in that
-    order, so every read is reproducible whatever order the wins came
-    in. tally() is the one way to count winners; tables over the same
+    Holds the categories, which must be distinct, and one read-only int64
+    count vector in that order, so every read is reproducible whatever
+    order the wins came in. tally() is the one way wins become counts:
+    each win is given as its category's position. Tables over the same
     categories pool by summing their count vectors.
     """
 
     def __init__(self, categories, counts):
-        """counts: integer vector of shape (len(categories),), in category order."""
+        """counts: integer vector of shape (len(categories),), in category order.
+
+        :raises ValueError: on duplicate categories or a count vector of the wrong shape.
+        """
         self.categories = tuple(categories)
+        if len(set(self.categories)) != len(self.categories):
+            raise ValueError("duplicate categories")
         counts = np.asarray(counts)
         if counts.shape != (len(self.categories),):
             raise ValueError(f"counts of shape {counts.shape} for {len(self.categories)} categories")
@@ -100,20 +106,12 @@ class FrequencyTable:
         self._counts.flags.writeable = False
 
     @classmethod
-    def tally(cls, categories, winners) -> "FrequencyTable":
-        """Count each winner against its category.
+    def tally(cls, categories, positions) -> "FrequencyTable":
+        """Count wins given as positions in categories, one per win.
 
-        :raises ValueError: on duplicate categories.
-        :raises KeyError: naming the first winner that is not a category.
+        :raises ValueError: on a negative position, or (naming the count
+            vector's shape) a position past the last category.
         """
-        categories = tuple(categories)
-        index = {c: i for i, c in enumerate(categories)}
-        if len(index) != len(categories):
-            raise ValueError("duplicate categories")
-        try:
-            positions = np.fromiter((index[w] for w in winners), dtype=np.intp)
-        except KeyError as e:
-            raise KeyError(f"unknown category {e.args[0]!r}") from None
         return cls(categories, np.bincount(positions, minlength=len(categories)))
 
     def counts(self) -> np.ndarray:

@@ -28,11 +28,12 @@ class Participant:
     1-based (set on enrollment; refreshed by set_stake()). Writes to
     reputation, label_index and excluded reach the trusted sets of the
     registry that enrolled the participant, whoever makes them; a
-    participant built by hand belongs to no registry.
+    participant built by hand belongs to no registry. seq is the
+    enrollment position, which that registry sets.
     """
 
     __slots__ = ("id", "stake", "_reputation", "_label_index", "_excluded",
-                 "_seq", "_registry")
+                 "seq", "_registry")
 
     def __init__(self, id: str, stake: float, reputation: float = 1.0,
                  label_index: int = 0, excluded: bool = False):
@@ -41,7 +42,7 @@ class Participant:
         self._reputation = reputation
         self._label_index = label_index
         self._excluded = excluded
-        self._seq = 0  # enrollment position in the registry
+        self.seq = 0
         self._registry = None  # weak reference, so a registry is never part of a cycle
 
     def __repr__(self) -> str:
@@ -98,7 +99,7 @@ class Participant:
         return 0.0 if self._reputation == 1.0 else 1.0 - self._reputation
 
 
-_ENROLLMENT_ORDER = attrgetter("_seq")
+_ENROLLMENT_ORDER = attrgetter("seq")
 
 
 class TrustedSet:
@@ -133,7 +134,7 @@ class TrustedSet:
         )
 
     def _position(self, p: Participant) -> int:
-        return bisect_left(self.members, p._seq, key=_ENROLLMENT_ORDER)
+        return bisect_left(self.members, p.seq, key=_ENROLLMENT_ORDER)
 
     def _insert(self, p: Participant) -> None:
         i = self._position(p)
@@ -226,7 +227,7 @@ class Registry:
             for pid, stake, label in zip(ids, stakes.tolist(), labels.tolist())
         ]
         for seq, p in enumerate(new, start=len(self._participants)):
-            p._seq = seq
+            p.seq = seq
             p._registry = self._ref
         self._participants.update((p.id, p) for p in new)
         for label, group in enumerate(self._sets, start=1):
@@ -236,10 +237,13 @@ class Registry:
     def enroll(self, pid: str, stake: float) -> Participant:
         return self._enroll([pid], [stake])[0]
 
-    def enroll_many(self, stakes, prefix: str = "v") -> list[Participant]:
-        """Enroll stakes as prefix0000, prefix0001, ... in one pass (see _enroll)."""
-        width = max(4, len(str(len(stakes))))
-        return self._enroll([prefix + str(i).zfill(width) for i in range(len(stakes))], stakes)
+    def enroll_many(self, stakes) -> list[Participant]:
+        """Enroll stakes in one pass (see _enroll), each as "v" and its
+        zero-padded enrollment position: v0000, v0001, ... in a first batch."""
+        first = len(self._participants)
+        end = first + len(stakes)
+        width = max(4, len(str(end)))
+        return self._enroll(["v" + str(i).zfill(width) for i in range(first, end)], stakes)
 
     def __len__(self) -> int:
         return len(self._participants)

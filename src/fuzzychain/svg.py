@@ -186,25 +186,16 @@ def render_exp1_plots(report) -> str:
     cfg = report.config
     labels = list(cfg.labels)
     first_rv, last_rv = cfg.rounds[0], cfg.rounds[-1]
+    counts = {rv: report.label_counts(rv) for rv in cfg.rounds}
+    means = {rv: c.mean(axis=0) for rv, c in counts.items()}
 
-    first_tables = [r.label_table for r in report.runs_at(first_rv)]
-    mean_counts = np.array([t.counts() for t in first_tables], dtype=float).mean(axis=0)
-    panel1 = bar_panel(labels, [round(float(v), 2) for v in mean_counts],
+    panel1 = bar_panel(labels, [round(float(v), 2) for v in means[first_rv]],
                        f"Mean winner count per label ({first_rv} rounds)")
-
-    series = {}
-    for lab_i, lab in enumerate(labels):
-        series[lab] = [
-            float(np.mean([t.label_table.counts()[lab_i] for t in report.runs_at(rv)]))
-            for rv in cfg.rounds
-        ]
+    series = {lab: [float(means[rv][i]) for rv in cfg.rounds] for i, lab in enumerate(labels)}
     panel2 = overlay_panel(list(cfg.rounds), series,
                            "Mean winner count per label across round sweeps",
                            y_offset=PANEL_H, x_label="rounds")
-
-    last_tables = [r.label_table for r in report.runs_at(last_rv)]
-    samples = [[t.counts()[i] for t in last_tables] for i in range(len(labels))]
-    panel3 = box_panel(labels, samples,
+    panel3 = box_panel(labels, counts[last_rv].T,
                        f"Winner counts per label over repetitions ({last_rv} rounds)",
                        y_offset=2 * PANEL_H)
     return svg_document([panel1, panel2, panel3])
@@ -212,10 +203,10 @@ def render_exp1_plots(report) -> str:
 
 def render_exp2_plots(report) -> str:
     g = report.gini_by_algo()
+    mean_gini = report.mean_gini()
     algos = list(g.keys())
-    means = [round(float(np.mean(g[a])), 4) for a in algos]
-    panel1 = bar_panel(algos, means, "Mean Gini of winner frequencies by algorithm",
-                       color=PALETTE[1])
+    panel1 = bar_panel(algos, [round(mean_gini[a], 4) for a in algos],
+                       "Mean Gini of winner frequencies by algorithm", color=PALETTE[1])
     reps = list(range(len(next(iter(g.values())))))
     panel2 = overlay_panel(reps, {a: g[a] for a in algos},
                            "Per-repetition Gini by algorithm",

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -221,6 +222,17 @@ class TestExperiment1:
         for run in report.runs:
             assert run.expelled == sum(len(row["expulsions"]) for row in run.audit_rows)
             assert run.expelled > 0
+
+    def test_tables_count_the_audited_winners(self):
+        cfg = tiny(granularity="per-participant", byzantine_rate=0.3,
+                   invalid_block_rate=0.3, rounds=(60,), repetitions=2)
+        for run in run_experiment1(cfg).runs:
+            assert run.participant_table.as_dict() == {
+                pid: Counter(row["winner"] for row in run.audit_rows)[pid]
+                for pid in run.participant_table.categories}
+            assert run.label_table.as_dict() == {
+                lab: Counter(row["winner_label"] for row in run.audit_rows)[lab]
+                for lab in cfg.labels}
 
     def test_custom_experiment_uses_frequency_driver(self):
         cfg = tiny()

@@ -164,10 +164,19 @@ class TestEnrollment:
     def test_enroll_many_after_enroll_keeps_enrollment_order(self):
         reg = make_registry()
         reg.enroll("a", 1.0)
-        ps = reg.enroll_many([0.5, 9.0, 25.0], prefix="w")
+        ps = reg.enroll_many([0.5, 9.0, 25.0])
         assert [(p.id, p.stake, p.label_index) for p in ps] == [
-            ("w0000", 0.5, 1), ("w0001", 9.0, 5), ("w0002", 25.0, 5)]
-        assert [p.id for p in reg.trusted_sets()[0]] == ["a", "w0000"]
+            ("v0001", 0.5, 1), ("v0002", 9.0, 5), ("v0003", 25.0, 5)]
+        assert [p.id for p in reg.trusted_sets()[0]] == ["a", "v0001"]
+        assert_index_matches(reg)
+
+    def test_enroll_many_twice_numbers_ids_by_enrollment_position(self):
+        reg = make_registry()
+        first = reg.enroll_many([1.0, 2.0])
+        second = reg.enroll_many([3.0, 9.0, 0.5])
+        assert [p.id for p in first + second] == ["v0000", "v0001", "v0002", "v0003", "v0004"]
+        assert [p.seq for p in reg.participants()] == [0, 1, 2, 3, 4]
+        assert [p.id for p in reg.trusted_sets()[0]] == ["v0000", "v0004"]
         assert_index_matches(reg)
 
     def test_set_stake_reclassifies(self):
