@@ -22,6 +22,7 @@ from fuzzychain.outputs import emit_outputs
 
 
 def parse_seeds(text: str):
+    """Seeds from "lo:hi" (inclusive) or "a,b,c"; ValueError if malformed."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -36,7 +37,10 @@ def main() -> int:
     ap.add_argument("--out", default="runs/exp2_scan")
     args = ap.parse_args()
 
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        ap.error(f"--seeds {args.seeds!r}: expected lo:hi or a comma-separated list of integers")
     if not seeds:
         ap.error(f"--seeds {args.seeds!r} names no seed")
     out_root = Path(args.out)

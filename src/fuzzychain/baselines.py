@@ -1,78 +1,62 @@
 """Winner-selection baselines: PoW, PoS, DPoS.
 
-Each simulator maps (participants, rounds, rng) to a FrequencyTable of
-win counts. PoW is modeled as a race of exponentials — the winner
-distribution is exactly proportional to hash power, identical to
-actually hashing, at desk-scale cost.
+Each race maps (ids, weight vectors, rounds, rng) to a FrequencyTable of
+win counts over ids. The weights are float vectors aligned with ids, and
+every weight must be finite and above 0. PoW is modeled as a race of
+exponentials — the winner distribution is exactly proportional to hash
+power, identical to actually hashing, at desk-scale cost. PoS draws each
+round's winner categorically with probability stake/total; DPoS is the
+same draw on stake x reputation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import FrequencyTable
 
 
-@dataclass(frozen=True)
-class Miner:
-    id: str
-    hash_power: float
+def _weights(name: str, ids, weights, rounds: int) -> np.ndarray:
+    """weights as a float vector, checked against ids and rounds.
 
-    def __post_init__(self):
-        if self.hash_power <= 0:
-            raise ValueError(f"hash_power must be positive, got {self.hash_power}")
-
-
-@dataclass(frozen=True)
-class StakeValidator:
-    id: str
-    stake: float
-
-    def __post_init__(self):
-        if self.stake <= 0:
-            raise ValueError(f"stake must be positive, got {self.stake}")
-
-
-@dataclass(frozen=True)
-class Delegate:
-    id: str
-    stake: float
-    reputation: float
-
-    def __post_init__(self):
-        if self.stake <= 0:
-            raise ValueError(f"stake must be positive, got {self.stake}")
-        if not 0 < self.reputation <= 1:
-            raise ValueError(f"reputation must lie in (0, 1], got {self.reputation}")
+    :raises ValueError: without a participant or a round, on a shape other
+        than (len(ids),), or (naming the weight) on a weight that is not
+        finite and above 0.
+    """
+    if not len(ids) or rounds < 1:
+        raise ValueError("need at least one participant and one round")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(ids),):
+        raise ValueError(f"{name}: expected shape ({len(ids)},) to match the ids, got {w.shape}")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} must be finite and positive, got {w[i]} for {ids[i]}")
+    return w
 
 
-def run_pow(miners: list[Miner], rounds: int, rng) -> FrequencyTable:
+def run_pow(ids, powers, rounds: int, rng) -> FrequencyTable:
     """Each round every miner draws an exponential solve time with rate
     proportional to hash power; the minimum solves first and wins."""
-    if not miners or rounds < 1:
-        raise ValueError("need at least one miner and one round")
-    powers = np.array([m.hash_power for m in miners], dtype=float)
+    powers = _weights("hash_power", ids, powers, rounds)
     # scale = 1/rate; argmin along the miner axis picks each round's winner
-    times = rng.exponential(1.0 / powers, size=(rounds, len(miners)))
-    winners = np.argmin(times, axis=1)
-    return FrequencyTable.tally([m.id for m in miners], winners)
+    times = rng.exponential(1.0 / powers, size=(rounds, len(ids)))
+    return FrequencyTable.tally(ids, np.argmin(times, axis=1))
 
 
-def run_pos(validators: list[StakeValidator], rounds: int, rng) -> FrequencyTable:
+def run_pos(ids, stakes, rounds: int, rng) -> FrequencyTable:
     """Winner each round drawn categorically with probability stake/total."""
-    if not validators or rounds < 1:
-        raise ValueError("need at least one validator and one round")
-    stakes = np.array([v.stake for v in validators], dtype=float)
-    winners = rng.choice(len(validators), size=rounds, p=stakes / stakes.sum())
-    return FrequencyTable.tally([v.id for v in validators], winners)
+    stakes = _weights("stake", ids, stakes, rounds)
+    winners = rng.choice(len(ids), size=rounds, p=stakes / stakes.sum())
+    return FrequencyTable.tally(ids, winners)
 
 
-def run_dpos(delegates: list[Delegate], rounds: int, rng) -> FrequencyTable:
-    """Winner weight is stake x reputation; reputations stay fixed within a run."""
-    if not delegates or rounds < 1:
-        raise ValueError("need at least one delegate and one round")
-    weights = np.array([d.stake * d.reputation for d in delegates], dtype=float)
-    winners = rng.choice(len(delegates), size=rounds, p=weights / weights.sum())
-    return FrequencyTable.tally([d.id for d in delegates], winners)
+def run_dpos(ids, stakes, reputations, rounds: int, rng) -> FrequencyTable:
+    """PoS on stake x reputation, with each reputation in (0, 1] and fixed
+    within a run."""
+    stakes = _weights("stake", ids, stakes, rounds)
+    reputations = _weights("reputation", ids, reputations, rounds)
+    i = int(np.argmax(reputations))
+    if reputations[i] > 1:
+        raise ValueError(f"reputation must be at most 1, got {reputations[i]} for {ids[i]}")
+    return run_pos(ids, stakes * reputations, rounds, rng)

@@ -168,6 +168,8 @@ class ExperimentConfig:
             for k, v in pop.items():
                 if not _is_count(v, 0):
                     errors.append(f"population_per_label.{k}: expected an integer >= 0, got {v!r}")
+            if all(_is_count(v, 0) for v in pop.values()) and not sum(pop.values()):
+                errors.append("population_per_label: at least one validator required")
         if not self.rounds:
             errors.append("rounds: at least one round count required")
         bad_rounds = [r for r in self.rounds if not _is_count(r, 1)]

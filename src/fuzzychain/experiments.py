@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import Delegate, Miner, StakeValidator, run_dpos, run_pos, run_pow
+from .baselines import run_dpos, run_pos, run_pow
 from .config import ExperimentConfig, sample_dist
 from .consensus import ByzantineModel, ConsensusParams, FuzzychainEngine
 from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it under this name)
@@ -267,6 +267,8 @@ def run_experiment1(config: ExperimentConfig) -> Exp1Report:
 
 
 def _baseline_populations(config: ExperimentConfig):
+    """(algo, race, ids and weight vectors) per baseline, in BASELINE_ALGOS
+    order, drawn once per experiment."""
     b = config.baselines
     n = b.participants
     powers = sample_dist(b.pow_power_dist,
@@ -275,14 +277,11 @@ def _baseline_populations(config: ExperimentConfig):
                          n, substream(config.seed, "exp2", "participants", "pos"))
     drng = substream(config.seed, "exp2", "participants", "dpos")
     dstakes = sample_dist(b.dpos_stake_dist, n, drng)
-    dreps = sample_dist(b.dpos_reputation_dist, n, drng)
-    miners = [Miner(f"m{i:04d}", float(p)) for i, p in enumerate(powers)]
-    validators = [StakeValidator(f"s{i:04d}", float(s)) for i, s in enumerate(stakes)]
-    delegates = [
-        Delegate(f"d{i:04d}", float(s), float(min(r, 1.0)))
-        for i, (s, r) in enumerate(zip(dstakes, dreps))
-    ]
-    return miners, validators, delegates
+    dreps = np.minimum(sample_dist(b.dpos_reputation_dist, n, drng), 1.0)
+    m, s, d = ([f"{prefix}{i:04d}" for i in range(n)] for prefix in "msd")
+    return (("pow", run_pow, (m, powers)),
+            ("pos", run_pos, (s, stakes)),
+            ("dpos", run_dpos, (d, dstakes, dreps)))
 
 
 @dataclass
@@ -367,17 +366,15 @@ def run_experiment2(config: ExperimentConfig) -> Exp2Report:
     Baseline populations are drawn once per experiment; each repetition
     replays the winner races with its own substreams.
     """
-    miners, validators, delegates = _baseline_populations(config)
+    races = _baseline_populations(config)
     b_rounds = config.baselines.rounds
-    races = (("pow", run_pow, miners), ("pos", run_pos, validators),
-             ("dpos", run_dpos, delegates))
     fuzzy_runs = []
     baseline_tables = {algo: [] for algo in BASELINE_ALGOS}
     for rep in range(config.repetitions):
         fuzzy_runs.append(run_fuzzychain_once(config, config.fuzzychain_rounds, rep))
         for algo, race, population in races:
             baseline_tables[algo].append(
-                race(population, b_rounds, substream(config.seed, "exp2", rep, algo)))
+                race(*population, b_rounds, substream(config.seed, "exp2", rep, algo)))
     return Exp2Report(
         config=config,
         fuzzy_runs=fuzzy_runs,

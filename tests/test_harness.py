@@ -93,6 +93,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="population_per_label"):
             ExperimentConfig(population_per_label={"VL": 1, "NOPE": 2}).validate()
 
+    def test_population_needs_a_validator(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"population_per_label": dict.fromkeys(TINY_POP, 0)})
+        assert exc.value.errors == ["population_per_label: at least one validator required"]
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"sead": 42})
@@ -454,6 +459,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "eta" in err and "commission" in err
+
+    def test_overflowing_hash_powers_exit_two(self, tmp_path, capsys):
+        # a pareto with a tiny shape overflows every hash power to inf
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "experiment": "exp2",
+            "fuzzychain_rounds": 20,
+            "repetitions": 1,
+            "baselines": {"pow_power_dist": {"type": "pareto", "shape": 0.001, "scale": 1.0}},
+        }))
+        out = tmp_path / "never"
+        assert main(["run", "exp2", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "hash_power must be finite and positive, got inf for m0000" in err
+        assert not out.exists()
 
     def test_missing_run_dir_exits_two(self, capsys):
         assert main(["report", "/nonexistent/place"]) == 2

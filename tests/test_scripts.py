@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fuzzychain.config import ExperimentConfig
 from fuzzychain.experiments import run_experiment2
 from fuzzychain.outputs import FILES
@@ -47,8 +49,14 @@ def test_exp2_comparison_scan_reports_the_summary_mean_gini(tmp_path):
     assert row["gini"] == summary["mean_gini"]
 
 
-def test_exp2_comparison_rejects_an_empty_seed_range(tmp_path):
-    proc = run_scan(tmp_path, "--seeds", "5:1")
+@pytest.mark.parametrize("seeds, message", [
+    ("5:1", "names no seed"),
+    ("1,,2", "expected lo:hi or a comma-separated list of integers"),
+    ("a:3", "expected lo:hi or a comma-separated list of integers"),
+], ids=["empty-range", "empty-item", "non-integer"])
+def test_exp2_comparison_rejects_an_empty_seed_range(tmp_path, seeds, message):
+    proc = run_scan(tmp_path, "--seeds", seeds)
     assert proc.returncode == 2
-    assert "names no seed" in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "scan").exists()
