@@ -18,7 +18,7 @@ from .fuzzy import (
 )
 from .metrics import FrequencyTable, gini, kurtosis, skewness
 from .registry import Participant, Registry
-from .consensus import ConsensusParams, FuzzychainEngine, RoundResult
+from .consensus import FuzzychainEngine, RoundResult
 
 __all__ = [
     "LinguisticVariable",
@@ -34,7 +34,6 @@ __all__ = [
     "skewness",
     "Participant",
     "Registry",
-    "ConsensusParams",
     "FuzzychainEngine",
     "RoundResult",
 ]

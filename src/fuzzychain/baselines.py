@@ -15,6 +15,8 @@ import numpy as np
 
 from .metrics import FrequencyTable
 
+POW_BLOCK_DRAWS = 1 << 16  # solve times held at once by run_pow (512 KiB)
+
 
 def _weights(name: str, ids, weights, rounds: int) -> np.ndarray:
     """weights as a float vector, checked against ids and rounds.
@@ -39,9 +41,14 @@ def run_pow(ids, powers, rounds: int, rng) -> FrequencyTable:
     """Each round every miner draws an exponential solve time with rate
     proportional to hash power; the minimum solves first and wins."""
     powers = _weights("hash_power", ids, powers, rounds)
-    # scale = 1/rate; argmin along the miner axis picks each round's winner
-    times = rng.exponential(1.0 / powers, size=(rounds, len(ids)))
-    return FrequencyTable.tally(ids, np.argmin(times, axis=1))
+    # scale = 1/rate, times the largest power so that subnormal powers cannot
+    # overflow; argmin along the miner axis picks each round's winner. Blocks
+    # of rounds draw the same stream as one draw, in bounded memory.
+    scale = powers.max() / powers
+    step = max(1, POW_BLOCK_DRAWS // len(ids))
+    winners = [np.argmin(rng.exponential(scale, size=(min(step, rounds - r), len(ids))), axis=1)
+               for r in range(0, rounds, step)]
+    return FrequencyTable.tally(ids, np.concatenate(winners))
 
 
 def run_pos(ids, stakes, rounds: int, rng) -> FrequencyTable:

@@ -9,8 +9,9 @@ starts equal); later rounds prefer full-reputation members.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,26 +138,16 @@ def select_round_j(groups: list[TrustedSet], rng) -> list[Participant]:
     return _assemble_panel(groups, rng, _select_from_group)
 
 
-@dataclass(frozen=True)
-class ByzantineModel:
-    """Vote corruption: each panelist independently inverts their honest
-    vote with probability rate."""
-
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("byzantine rate must lie in [0, 1]")
-
-
-def cast_votes(panel, block_is_valid: bool, model: ByzantineModel, rng) -> list[bool]:
+def cast_votes(panel, block_is_valid: bool, byzantine_rate: float, rng) -> list[bool]:
     """One accept/reject vote per panelist (True = accept).
 
-    Honest members vote the block's true validity; byzantine flips are
-    drawn for every member regardless of rate so the vote stream's
-    shape never depends on the configured rate.
+    Each panelist independently inverts their honest vote (the block's
+    true validity) with probability byzantine_rate, which lies in
+    [0, 1]; FuzzychainEngine checks that range. Flips are drawn for
+    every member regardless of rate so the vote stream's shape never
+    depends on the configured rate.
     """
-    flips = rng.random(len(panel)) < model.rate
+    flips = rng.random(len(panel)) < byzantine_rate
     return [bool(block_is_valid) ^ bool(f) for f in flips]
 
 
@@ -185,16 +176,6 @@ def pick_winner(successful: list[Participant], rng) -> Participant:
 
 
 @dataclass
-class ConsensusParams:
-    commission: float = 0.05
-    byzantine: ByzantineModel = field(default_factory=ByzantineModel)
-
-    def __post_init__(self):
-        if self.commission < 0:
-            raise ValueError("commission must be non-negative")
-
-
-@dataclass
 class RoundResult:
     """Everything the audit log wants to know about one round."""
 
@@ -213,15 +194,24 @@ class RoundResult:
 class FuzzychainEngine:
     """Sequential round loop over one registry and one chain.
 
+    Each round's winner gains commission (finite, >= 0) in stake, and
+    each panelist inverts their vote with probability byzantine_rate
+    (in [0, 1]); the constructor raises ValueError outside those ranges.
     The engine owns no randomness: callers hand in the selection and
     vote streams, which keeps independently seeded consumers from
     perturbing each other.
     """
 
-    def __init__(self, registry: Registry, chain: Chain, params: ConsensusParams | None = None):
+    def __init__(self, registry: Registry, chain: Chain, *,
+                 commission: float = 0.05, byzantine_rate: float = 0.0):
+        if not (math.isfinite(commission) and commission >= 0):
+            raise ValueError(f"commission must be finite and non-negative, got {commission}")
+        if not 0.0 <= byzantine_rate <= 1.0:
+            raise ValueError(f"byzantine rate must lie in [0, 1], got {byzantine_rate}")
         self.registry = registry
         self.chain = chain
-        self.params = params or ConsensusParams()
+        self.commission = commission
+        self.byzantine_rate = byzantine_rate
         self.rounds_completed = 0
 
     def run_round(self, block: Block, selection_rng, vote_rng) -> RoundResult:
@@ -241,8 +231,8 @@ class FuzzychainEngine:
         labels = [m.label_index for m in panel]
 
         block_valid = validate_block(self.chain, block)
-        votes = cast_votes(panel, block_valid, self.params.byzantine, vote_rng)
-        accepted, succ_idx, unsucc_idx = tally(votes)
+        votes = cast_votes(panel, block_valid, self.byzantine_rate, vote_rng)
+        accepted, succ_idx, _ = tally(votes)
 
         winner = pick_winner([panel[i] for i in succ_idx], selection_rng)
 
@@ -251,14 +241,14 @@ class FuzzychainEngine:
         expulsions: list[str] = []
         for i, member in enumerate(panel):
             before = member.reputation
-            was_excluded = member.excluded
             self.registry.apply_vote_outcome(member.id, i in succ)
             after = member.reputation
             if after != before:
                 deltas[member.id] = (before, after)
-            if member.excluded and not was_excluded:
+            # panels come from the active trusted sets, so an excluded panelist was just expelled
+            if member.excluded:
                 expulsions.append(member.id)
-        self.registry.set_stake(winner.id, winner.stake + self.params.commission)
+        self.registry.set_stake(winner.id, winner.stake + self.commission)
 
         appended = accepted and block_valid
         if appended:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import run_dpos, run_pos, run_pow
 from .config import ExperimentConfig, sample_dist
-from .consensus import ByzantineModel, ConsensusParams, FuzzychainEngine
+from .consensus import FuzzychainEngine
 from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it under this name)
     LinguisticVariable,
     classify_batch,
@@ -111,9 +111,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
 
     chain = Chain(config.curve)
     engine = FuzzychainEngine(
-        registry,
-        chain,
-        ConsensusParams(config.commission, ByzantineModel(config.byzantine_rate)),
+        registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
     winner_labels, winner_seqs = [], []  # label and enrollment positions
     audit_rows = []

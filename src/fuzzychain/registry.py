@@ -95,8 +95,8 @@ class Participant:
         self._excluded = value
 
     def expulsion_rate(self) -> float:
-        """E = 1 - reputation, except a perfect record has no expulsion risk."""
-        return 0.0 if self._reputation == 1.0 else 1.0 - self._reputation
+        """E = 1 - reputation, so a perfect record has no expulsion risk."""
+        return 1.0 - self._reputation
 
 
 _ENROLLMENT_ORDER = attrgetter("seq")

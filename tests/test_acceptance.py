@@ -17,8 +17,6 @@ import pytest
 from fuzzychain.cli import main
 from fuzzychain.config import ExperimentConfig
 from fuzzychain.consensus import (
-    ByzantineModel,
-    ConsensusParams,
     FuzzychainEngine,
     NoPanelError,
     select_first_round,
@@ -269,8 +267,7 @@ def test_c09_ledger_integrity():
     registry.enroll_many(sample_stakes_for_census(var, [4, 3, 3, 2, 2],
                                                   substream(97, "stakes")))
     engine_chain = Chain()
-    engine = FuzzychainEngine(registry, engine_chain,
-                              ConsensusParams(0.05, ByzantineModel(0.0)))
+    engine = FuzzychainEngine(registry, engine_chain, commission=0.05, byzantine_rate=0.0)
     selection_rng = substream(97, "selection")
     votes_rng = substream(97, "votes")
     for r in range(1, 41):

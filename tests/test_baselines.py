@@ -1,9 +1,11 @@
 """PoW/PoS/DPoS winner races against analytic weight oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fuzzychain.baselines import run_dpos, run_pos, run_pow
+from fuzzychain.baselines import POW_BLOCK_DRAWS, run_dpos, run_pos, run_pow
 from fuzzychain.config import sample_dist
 from fuzzychain.metrics import gini
 from fuzzychain.rng import substream
@@ -25,6 +27,21 @@ class TestPow:
         t = run_pow(["fast", "slow"], [3.0, 1.0], 100_000, substream(1, "pow"))
         assert t.as_dict()["fast"] / t.total() == pytest.approx(0.75, abs=0.01)
         assert t.as_dict()["slow"] / t.total() == pytest.approx(0.25, abs=0.01)
+
+    def test_subnormal_powers_keep_their_ratio(self):
+        # 1 / 1e-310 overflows to inf; the race must still follow the ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = run_pow(["a", "b", "c"], [1e-310, 2e-310, 3e-310], 6000, substream(4, "pow"))
+        shares = [t.as_dict()[m] / t.total() for m in "abc"]
+        assert shares == pytest.approx([1 / 6, 2 / 6, 3 / 6], abs=0.02)
+
+    def test_blocks_of_rounds_draw_the_same_stream_as_one_draw(self):
+        n = POW_BLOCK_DRAWS // 20 + 1  # 19 rounds per block, so 50 rounds take 3 blocks
+        powers = np.arange(1.0, n + 1.0)
+        t = run_pow(ids("m", n), powers, 50, substream(5, "pow"))
+        times = substream(5, "pow").exponential(powers.max() / powers, size=(50, n))
+        assert t.counts().tolist() == np.bincount(times.argmin(axis=1), minlength=n).tolist()
 
     def test_counts_sum_to_rounds(self):
         t = run_pow(ids("m", 7), np.arange(1.0, 8.0), 321, substream(2, "pow"))

@@ -7,8 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from fuzzychain import ledger
 from fuzzychain.config import ExperimentConfig
 from fuzzychain.consensus import (
-    ByzantineModel,
-    ConsensusParams,
     FuzzychainEngine,
     NoPanelError,
     _draw,
@@ -332,22 +330,31 @@ class TestStreamExactDraws:
 class TestVoting:
     def test_honest_unanimity_on_valid_block(self):
         panel = make_groups([7])[0]
-        votes = cast_votes(panel, True, ByzantineModel(0.0), substream(0, "votes"))
+        votes = cast_votes(panel, True, 0.0, substream(0, "votes"))
         assert votes == [True] * 7
 
     def test_honest_unanimity_on_invalid_block(self):
         panel = make_groups([7])[0]
-        votes = cast_votes(panel, False, ByzantineModel(0.0), substream(0, "votes"))
+        votes = cast_votes(panel, False, 0.0, substream(0, "votes"))
         assert votes == [False] * 7
 
     def test_full_inversion(self):
         panel = make_groups([5])[0]
-        votes = cast_votes(panel, True, ByzantineModel(1.0), substream(0, "votes"))
+        votes = cast_votes(panel, True, 1.0, substream(0, "votes"))
         assert votes == [False] * 5
 
-    def test_rate_validation(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"commission": float("nan")},
+        {"commission": float("inf")},
+        {"commission": -0.1},
+        {"byzantine_rate": float("nan")},
+        {"byzantine_rate": -0.1},
+        {"byzantine_rate": 1.5},
+    ], ids=["commission-nan", "commission-inf", "commission-negative",
+            "rate-nan", "rate-negative", "rate-above-one"])
+    def test_rate_validation(self, kwargs):
         with pytest.raises(ValueError):
-            ByzantineModel(1.5)
+            FuzzychainEngine(small_registry(), Chain(), **kwargs)
 
     def test_tally_majority(self):
         accepted, succ, unsucc = tally([True] * 4 + [False] * 3)
@@ -391,7 +398,7 @@ class TestEngineRounds:
     def test_accept_path_keeps_reputations_and_pays_winner(self):
         reg = small_registry()
         chain = Chain()
-        engine = FuzzychainEngine(reg, chain, ConsensusParams(commission=0.05))
+        engine = FuzzychainEngine(reg, chain, commission=0.05)
         stakes_before = {p.id: p.stake for p in reg.participants()}
         result = engine.run_round(signed_block(chain, 1),
                                   substream(1, "selection"), substream(1, "votes"))
@@ -409,7 +416,7 @@ class TestEngineRounds:
     def test_invalid_block_is_rejected_and_chain_untouched(self):
         reg = small_registry()
         chain = Chain()
-        engine = FuzzychainEngine(reg, chain, ConsensusParams())
+        engine = FuzzychainEngine(reg, chain)
         good = signed_block(chain, 1)
         bad = type(good)(good.index, good.timestamp, b"\x99" * 32, good.transactions,
                          good.hash)
@@ -429,9 +436,7 @@ class TestEngineRounds:
         )
         reg = small_registry()
         chain = Chain()
-        engine = FuzzychainEngine(
-            reg, chain, ConsensusParams(byzantine=ByzantineModel(0.15))
-        )
+        engine = FuzzychainEngine(reg, chain, byzantine_rate=0.15)
         result = engine.run_round(signed_block(chain, 1),
                                   substream(1, "selection"), substream(vote_seed, "votes"))
         assert result.accepted and result.appended
@@ -449,9 +454,7 @@ class TestEngineRounds:
     def test_settlement_touches_only_the_panel(self):
         reg = small_registry()
         chain = Chain()
-        engine = FuzzychainEngine(
-            reg, chain, ConsensusParams(byzantine=ByzantineModel(0.4))
-        )
+        engine = FuzzychainEngine(reg, chain, byzantine_rate=0.4)
         sel, vot = substream(9, "selection"), substream(9, "votes")
         for r in range(1, 11):
             before = {p.id: p.reputation for p in reg.participants()}
@@ -466,9 +469,7 @@ class TestEngineRounds:
     def test_expelled_members_never_reappear(self):
         reg = small_registry(epsilon=0.05)
         chain = Chain()
-        engine = FuzzychainEngine(
-            reg, chain, ConsensusParams(byzantine=ByzantineModel(0.5))
-        )
+        engine = FuzzychainEngine(reg, chain, byzantine_rate=0.5)
         sel, vot = substream(3, "selection"), substream(3, "votes")
         expelled_ever = set()
         saw_expulsion = False
@@ -488,9 +489,7 @@ class TestEngineRounds:
         for _ in range(2):
             reg = small_registry()
             chain = Chain()
-            engine = FuzzychainEngine(
-                reg, chain, ConsensusParams(byzantine=ByzantineModel(0.2))
-            )
+            engine = FuzzychainEngine(reg, chain, byzantine_rate=0.2)
             sel, vot = substream(21, "selection"), substream(21, "votes")
             outcomes.append(
                 [engine.run_round(signed_block(chain, r), sel, vot) for r in range(1, 16)]
@@ -510,7 +509,7 @@ class TestBlockValidation:
         monkeypatch.setattr(ledger, "verify_transaction", counting)
         reg = small_registry()
         chain = Chain()
-        engine = FuzzychainEngine(reg, chain, ConsensusParams())
+        engine = FuzzychainEngine(reg, chain)
         sel, vot = substream(4, "selection"), substream(4, "votes")
         n = 12
         for r in range(1, n + 1):
@@ -528,9 +527,7 @@ class TestBlockValidation:
     def test_long_adversarial_run_keeps_the_chain_valid(self):
         reg = small_registry(census=(12, 9, 7, 5, 4), seed=8)
         chain = Chain()
-        engine = FuzzychainEngine(
-            reg, chain, ConsensusParams(byzantine=ByzantineModel(0.2))
-        )
+        engine = FuzzychainEngine(reg, chain, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(8, "keys"))
         sel, vot, blk = (substream(8, name) for name in ("selection", "votes", "blocks"))
         appended = 0

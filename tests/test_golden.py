@@ -1,4 +1,4 @@
-"""Golden digests: the four result files of two pinned runs, byte for byte.
+"""Golden digests: the four result files of three pinned runs, byte for byte.
 
 The determinism check in test_acceptance compares runs of the same code
 with each other, so it cannot see the outputs drift between versions.
@@ -6,14 +6,30 @@ These digests can. Re-pin them only in a change that alters the outputs
 on purpose, and say why in CHANGES.md. A numpy release that moves a
 random stream also breaks them; the failure message names the numpy
 version so that case is told apart from a code change.
+
+The exp1 and exp2 runs are honest. The faults run has byzantine voters
+and invalid blocks, so it pins the reject, expulsion and short-panel
+path: of its 120 rounds, 30 are rejected, 5 expel a validator, and 76
+form a panel of 5 seats.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from fuzzychain.cli import main
+
+FAULTS_CONFIG = {
+    "seed": 7,
+    "population_per_label": {"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4},
+    "rounds": [60],
+    "repetitions": 2,
+    "byzantine_rate": 0.15,
+    "invalid_block_rate": 0.3,
+    "granularity": "per-participant",
+}
 
 GOLDEN = {
     "exp1": (
@@ -34,12 +50,23 @@ GOLDEN = {
             "plots.svg": "234d2e2a1bc6f5869abc767a36da0fbb7be0f2aa8f3913b44cdd1e53c1927aa4",
         },
     ),
+    "faults": (
+        ["run", "custom", "--config", "faults.json"],
+        {
+            "frequencies.csv": "93a42ddb388ae691b3d71a97ae9a8035a17c99b3c5e0388a529ec48cab76f961",
+            "summary.json": "c251ce7de5597edb4404f4dc931c4459c35c90497ff888789c30b2ec7bcd8ba1",
+            "audit.jsonl": "4a8e172dbc86e4fe516fa62653ab48023a7a5bf627b89a008c5cbf12368eb49d",
+            "plots.svg": "7e06b6992ddee2d85bda2453515ea3bc86e21d30af35e001fa7d0d83b5671908",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_result_files_match_golden_digests(name, tmp_path):
+def test_result_files_match_golden_digests(name, tmp_path, monkeypatch):
     argv, digests = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "faults.json").write_text(json.dumps(FAULTS_CONFIG))
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}

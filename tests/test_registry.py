@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzychain.consensus import ByzantineModel, ConsensusParams, FuzzychainEngine, NoPanelError
+from fuzzychain.consensus import FuzzychainEngine, NoPanelError
 from fuzzychain.experiments import sample_stakes_for_census
 from fuzzychain.fuzzy import OutOfUniverseError, make_uniform_partition
 from fuzzychain.ledger import Chain, build_block, new_keypair, sign_transaction
@@ -310,7 +310,7 @@ class TestTrustedSetIndex:
         reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(8, "stakes")))
         chain = Chain()
         # a commission of 0.8 moves a winner across a label edge every few wins
-        engine = FuzzychainEngine(reg, chain, ConsensusParams(0.8, ByzantineModel(0.2)))
+        engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(8, "keys"))
         sel, vot = substream(8, "selection"), substream(8, "votes")
         moves = expulsions = rounds = 0
