@@ -100,22 +100,19 @@ def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
 def build_subsets(group: TrustedSet) -> tuple[np.ndarray, TrustedSet]:
     """Split a trusted set into (A, B): A holds the positions of the
     reputation-1 members, B is the whole set, so A is always a subset of B."""
-    return np.flatnonzero(group.reputations == 1.0), group
+    return group.selection()[0], group
 
 
-def _weighted_pick(weights: np.ndarray, rng) -> int:
-    """Position drawn with probability proportional to weights, or
-    uniformly when they are all zero.
+def _weighted_pick(cdf: np.ndarray | None, n: int, rng) -> int:
+    """Position in n drawn from a reputation_cdf, or uniformly when it is
+    None (all weights zero).
 
-    Consumes rng as rng.choice(len(weights), p=weights / wsum) does,
-    with the same floating-point steps, so the pick is the same too.
+    Consumes rng as rng.choice(n, p=weights / wsum) does on the weights
+    behind cdf, so the pick is the same too.
     """
-    wsum = weights.sum()
-    if wsum > 0:
-        cdf = (weights / wsum).cumsum()
-        cdf /= cdf[-1]
+    if cdf is not None:
         return int(cdf.searchsorted(rng.random(), side="right"))
-    return int(rng.integers(0, len(weights)))
+    return int(rng.integers(0, n))
 
 
 def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
@@ -129,7 +126,7 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     """
     a, b = build_subsets(group)
     pool = dict.fromkeys(int(i) for i in _draw(a, 2, rng))
-    pool[_weighted_pick(b.reputations, rng)] = None
+    pool[_weighted_pick(b.selection()[1], len(b), rng)] = None
     return _draw(list(pool), quota, rng)
 
 

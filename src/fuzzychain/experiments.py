@@ -168,8 +168,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         rounds=rounds_value,
         repetition=rep,
         label_table=FrequencyTable.tally(config.labels, winner_labels),
-        participant_table=FrequencyTable.tally(
-            [p.id for p in registry.participants()], winner_seqs),
+        participant_table=FrequencyTable.tally(registry.ids(), winner_seqs),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,

@@ -60,7 +60,9 @@ def _shape_statistics(values, statistic: str) -> tuple[float, float]:
     m2 = np.mean(dev**2)
     if m2 == 0:
         raise DegenerateDistributionError(f"{statistic} undefined for zero variance")
-    m3, m4 = np.mean(dev**3), np.mean(dev**4)
+    # integer counts take few distinct values: raise those, then scatter them back
+    u, inv = np.unique(dev, return_inverse=True)
+    m3, m4 = np.mean((u**3)[inv]), np.mean((u**4)[inv])
     return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
 

@@ -66,7 +66,7 @@ class Participant:
         if value != self._reputation and not self._excluded:
             group = self._trusted_set()
             if group is not None:
-                group.reputations[group._position(self)] = value
+                group._set_reputation(self, value)
         self._reputation = value
 
     @property
@@ -104,13 +104,15 @@ _ENROLLMENT_ORDER = attrgetter("seq")
 
 class TrustedSet:
     """The active members of one trusted set T_i, in enrollment order, and
-    their reputations as a float64 array in the same order.
+    their reputations as a read-only float64 array in the same order.
 
     A registry keeps its sets up to date as its participants change; a set
-    built by hand from a member list is a snapshot of that list.
+    built by hand from a member list is a snapshot of that list. The set
+    also caches its selection state (see selection()), which every change
+    made through its own methods clears.
     """
 
-    __slots__ = ("members", "reputations")
+    __slots__ = ("members", "reputations", "_selection")
 
     def __init__(self, members=()):
         self.members: list[Participant] = []
@@ -126,12 +128,30 @@ class TrustedSet:
     def __getitem__(self, i: int) -> Participant:
         return self.members[i]
 
+    def selection(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(A, cdf): the positions of the reputation-1 members, and
+        reputation_cdf of the reputations; computed on the first call
+        after a change, then cached. Both arrays are read-only."""
+        if self._selection is None:
+            a = np.flatnonzero(self.reputations == 1.0)
+            cdf = reputation_cdf(self.reputations)
+            for arr in (a, cdf):
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._selection = (a, cdf)
+        return self._selection
+
+    def _store(self, reputations: np.ndarray) -> None:
+        reputations.flags.writeable = False
+        self.reputations = reputations
+        self._selection = None
+
     def _extend(self, members: list[Participant]) -> None:
         """Append members that come after every current one in enrollment order."""
         self.members.extend(members)
-        self.reputations = np.concatenate(
+        self._store(np.concatenate(
             [self.reputations, np.array([m.reputation for m in members], dtype=float)]
-        )
+        ))
 
     def _position(self, p: Participant) -> int:
         return bisect_left(self.members, p.seq, key=_ENROLLMENT_ORDER)
@@ -139,12 +159,30 @@ class TrustedSet:
     def _insert(self, p: Participant) -> None:
         i = self._position(p)
         self.members.insert(i, p)
-        self.reputations = np.insert(self.reputations, i, p.reputation)
+        self._store(np.insert(self.reputations, i, p.reputation))
 
     def _remove(self, p: Participant) -> None:
         i = self._position(p)
         del self.members[i]
-        self.reputations = np.delete(self.reputations, i)
+        self._store(np.delete(self.reputations, i))
+
+    def _set_reputation(self, p: Participant, value: float) -> None:
+        """Write a member's reputation in place (the array keeps its identity)."""
+        self.reputations.flags.writeable = True
+        self.reputations[self._position(p)] = value
+        self.reputations.flags.writeable = False
+        self._selection = None
+
+
+def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
+    """The cdf that rng.choice(len(weights), p=weights / wsum) searches,
+    built with the same floating-point steps, or None when every weight is 0."""
+    wsum = weights.sum()
+    if wsum > 0:
+        cdf = (weights / wsum).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+    return None
 
 
 @dataclass
@@ -254,6 +292,10 @@ class Registry:
     def get(self, pid: str) -> Participant:
         return self._participants[pid]
 
+    def ids(self) -> tuple[str, ...]:
+        """Every enrolled id, excluded ones included, in enrollment order."""
+        return tuple(self._participants)
+
     def participants(self) -> list[Participant]:
         """Every enrolled participant, excluded ones included, in enrollment order."""
         return list(self._participants.values())
@@ -262,7 +304,8 @@ class Registry:
         """Active members of T_1..T_n, each in enrollment order.
 
         The sets are the registry's own index, not copies: they follow
-        later changes, and callers must not modify them.
+        later changes, and callers must not modify them (their
+        reputation arrays are read-only).
         """
         return list(self._sets)
 

@@ -5,11 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzychain.metrics import (
     DegenerateDistributionError,
     FrequencyTable,
+    _shape_statistics,
     gini,
     kurtosis,
     skewness,
@@ -31,6 +32,29 @@ def moments(xs):
     m3 = sum((x - mean) ** 3 for x in xs) / n
     m4 = sum((x - mean) ** 4 for x in xs) / n
     return m2, m3, m4
+
+
+def shape_statistics_direct(values):
+    """_shape_statistics with every deviation raised to powers 3 and 4,
+    the form its unique-value powers must reproduce bit for bit."""
+    arr = np.asarray(values, dtype=float)
+    dev = arr - arr.mean()
+    m2 = np.mean(dev**2)
+    if m2 == 0:
+        return None
+    m3, m4 = np.mean(dev**3), np.mean(dev**4)
+    return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
+
+
+def assert_same_bits_as_direct(values):
+    with np.errstate(all="ignore"):  # both forms overflow alike on huge floats
+        expect = shape_statistics_direct(values)
+        if expect is None:
+            with pytest.raises(DegenerateDistributionError):
+                _shape_statistics(values, "shape statistics")
+            return
+        got = _shape_statistics(values, "shape statistics")
+    assert [x.hex() for x in got] == [x.hex() for x in expect]
 
 
 positive_vectors = st.lists(
@@ -160,6 +184,20 @@ class TestShapeStatistics:
         ys = [a * x + b for x in xs]
         assert skewness(ys) == pytest.approx(skewness(xs), rel=1e-4, abs=1e-6)
         assert kurtosis(ys) == pytest.approx(kurtosis(xs), rel=1e-4, abs=1e-6)
+
+    @given(st.integers(1, 60_000), st.integers(0, 5_000), st.integers(0, 2**63 - 1))
+    @example(1, 10, 0)  # single category
+    @example(49_500, 0, 0)  # every count 0: zero variance
+    @example(49_500, 1, 0)
+    def test_integer_counts_equal_the_direct_powers_bit_for_bit(self, n, top, seed):
+        assert_same_bits_as_direct(np.random.default_rng(seed).integers(0, top + 1, n))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @example([0.5])
+    @example([-0.0, 0.0, 1.0, -1.0])
+    @example([2.5, 2.5, 2.5])
+    def test_floats_equal_the_direct_powers_bit_for_bit(self, xs):
+        assert_same_bits_as_direct(xs)
 
 
 class TestFrequencyTable:

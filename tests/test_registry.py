@@ -40,10 +40,40 @@ def regroup(reg):
     return sets
 
 
+def scratch_cdf(reps):
+    """Oracle: the normalised reputation cdf, or None when every weight is 0."""
+    if not reps.any():
+        return None
+    cdf = (reps / reps.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def assert_index_matches(reg):
     sets = reg.trusted_sets()
     assert all(s.reputations.dtype == np.float64 for s in sets)
-    assert [([m.id for m in s], s.reputations.tolist()) for s in sets] == regroup(reg)
+    expect = regroup(reg)
+    assert [([m.id for m in s], s.reputations.tolist()) for s in sets] == expect
+    # each set's cached selection state equals one computed from scratch
+    for s, (_, reps) in zip(sets, expect):
+        reps = np.array(reps, dtype=float)
+        a, cdf = s.selection()
+        assert np.array_equal(a, np.flatnonzero(reps == 1.0))
+        want = scratch_cdf(reps)
+        assert (cdf is None) == (want is None)
+        assert cdf is None or np.array_equal(cdf, want)
+
+
+PICK = st.integers(0, 10**6)  # a participant, as a position modulo the registry's size
+STAKES = st.floats(0.0, 12.0)
+CHANGES = st.one_of(
+    st.tuples(st.just("reputation"), PICK, st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+    st.tuples(st.just("vote"), PICK, st.booleans()),
+    st.tuples(st.just("label_index"), PICK, st.integers(1, len(LABELS))),
+    st.tuples(st.just("stake"), PICK, STAKES),
+    st.tuples(st.just("excluded"), PICK, st.booleans()),
+    st.tuples(st.just("enroll"), st.lists(STAKES, max_size=4)),
+)
 
 
 class TestReputationWalk:
@@ -303,6 +333,45 @@ class TestTrustedSetIndex:
             gc.enable()
         ps[0].reputation = 0.5  # still writable once the registry is gone
         assert ps[0].reputation == 0.5
+
+    def test_handed_out_arrays_are_read_only(self):
+        reg = make_registry()
+        a, b, _ = reg.enroll_many([0.5, 1.0, 6.0])
+        group = reg.trusted_sets()[0]
+
+        def assert_read_only():
+            for arr in (group.reputations, *group.selection()):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.5
+
+        assert_read_only()  # built by concatenation
+        b.excluded = True
+        assert_read_only()  # rebuilt by a delete
+        b.excluded = False
+        assert_read_only()  # rebuilt by an insert
+        a.reputation = 0.4
+        assert_read_only()  # written in place
+        assert group.reputations.tolist() == [0.4, 1.0]
+        assert_index_matches(reg)
+
+    @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=40))
+    def test_cached_selection_follows_every_change(self, stakes, changes):
+        reg = make_registry(epsilon=0.5)
+        reg.enroll_many(stakes)
+        assert_index_matches(reg)
+        for kind, *args in changes:
+            if kind == "enroll":
+                reg.enroll_many(args[0])
+            else:
+                pick, value = args
+                p = reg.participants()[pick % len(reg)]
+                if kind == "vote":
+                    reg.apply_vote_outcome(p.id, value)
+                elif kind == "stake":
+                    reg.set_stake(p.id, value)
+                else:
+                    setattr(p, kind, value)
+            assert_index_matches(reg)
 
     def test_index_matches_a_regroup_after_every_round(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
