@@ -85,7 +85,7 @@ def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
     q = quotas(len(groups))
     picks = [draw(g, q[i], rng) if g else [] for i, g in enumerate(groups)]
     _parity_repair(picks, groups, rng)
-    return [g.members[pos] for g, p in zip(groups, picks) for pos in p]
+    return [g[pos] for g, p in zip(groups, picks) for pos in p]
 
 
 def _draw_uniform(group: TrustedSet, quota: int, rng) -> list[int]:
@@ -183,6 +183,7 @@ class RoundResult:
     accepted: bool
     block_valid: bool
     winner_id: str
+    winner_seq: int  # the winner's enrollment position
     reputation_deltas: dict[str, tuple[float, float]]
     expulsions: list[str]
     appended: bool
@@ -261,6 +262,7 @@ class FuzzychainEngine:
             accepted=accepted,
             block_valid=block_valid,
             winner_id=winner.id,
+            winner_seq=winner.seq,
             reputation_deltas=deltas,
             expulsions=expulsions,
             appended=appended,

@@ -68,11 +68,7 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:
     census = [config.population_per_label[lab] for lab in config.labels]
     stakes = sample_stakes_for_census(var, census, stakes_rng)
-    registry = Registry(
-        var, ReputationParams(config.eta, config.l_divisor, config.epsilon)
-    )
-    registry.enroll_many(stakes)
-    return registry
+    return Registry(var, ReputationParams(config.eta, config.l_divisor, config.epsilon), stakes)
 
 
 @dataclass
@@ -141,7 +137,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         result = engine.run_round(block, selection_rng, votes_rng)
         w = result.panel_ids.index(result.winner_id)
         winner_labels.append(result.panel_labels[w] - 1)
-        winner_seqs.append(registry.get(result.winner_id).seq)
+        winner_seqs.append(result.winner_seq)
         if not result.appended:
             rejected += 1
         expelled += len(result.expulsions)

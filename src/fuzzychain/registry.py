@@ -12,166 +12,190 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
 
 import numpy as np
 
 from .fuzzy import LinguisticVariable, classify_batch, classify_stake
 
 REPUTATION_SNAP_TOL = 1e-9
+_DTYPES = (float, np.int64, float, bool)  # of the stake, label, reputation and excluded columns
+
+
+@lru_cache(maxsize=1)
+def _enrollment_ids(first: int, end: int) -> tuple[str, ...]:
+    """v0000, v0001, ...: "v" and each zero-padded position; one census's repetitions share them."""
+    width = max(4, len(str(end)))
+    return tuple("v" + str(i).zfill(width) for i in range(first, end))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _Storage:
+    """Participant columns in enrollment order, and trusted sets over them.
+
+    stake, label, reputation and excluded are memoryviews of numpy arrays,
+    so a scalar read gives a Python float, int or bool. Set k is its
+    members' sorted positions and reputations, plus its cached selection
+    state: in an indexed storage (a registry's), the active rows labelled
+    k + 1; in a snapshot, every row. Views are held weakly (no cycles).
+    rows: (id, stake, label_index, reputation, excluded) tuples to start with.
+    """
+
+    __slots__ = ("ids", "index", "stake", "label", "reputation", "excluded", "indexed",
+                 "positions", "reputations", "selections", "_views")
+
+    def __init__(self, n_sets: int, indexed: bool, rows=()):
+        self.ids, self.index, self.indexed, self._views = (), {}, indexed, {}
+        self.stake, self.label, self.reputation, self.excluded = (
+            memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
+        self.positions = [memoryview(_read_only(np.zeros(0, np.intp)))] * n_sets
+        self.reputations = [_read_only(np.zeros(0))] * n_sets
+        self.selections: list[tuple | None] = [None] * n_sets
+        if rows:
+            self.append(*zip(*rows))
+
+    def append(self, ids, *columns) -> None:
+        """Add rows (ids, then one value list per column) after every current one;
+        each set gains its new rows at its end."""
+        first = len(self.ids)
+        self.ids += tuple(ids)
+        self.index.update(zip(self.ids[first:], range(first, len(self.ids))))
+        new = [np.asarray(col, dtype) for col, dtype in zip(columns, _DTYPES)]
+        self.stake, self.label, self.reputation, self.excluded = (
+            memoryview(np.concatenate([old, col])) for old, col in
+            zip((self.stake, self.label, self.reputation, self.excluded), new))
+        _, label, reputation, excluded = new
+        for k in range(len(self.positions)):
+            rows = (np.flatnonzero((label == k + 1) & ~excluded) if self.indexed
+                    else np.arange(len(label)))
+            self._set(k, np.concatenate([self.positions[k], rows + first]),
+                      np.concatenate([self.reputations[k], reputation[rows]]))
+
+    def _set(self, k: int, positions: np.ndarray, reputations: np.ndarray) -> None:
+        self.positions[k] = memoryview(_read_only(positions))
+        self.reputations[k] = _read_only(reputations)
+        self.selections[k] = None
+
+    def set_reputation(self, i: int, value: float) -> None:
+        if value != self.reputation[i] and self.indexed and not self.excluded[i]:
+            k = self.label[i] - 1
+            reputations = self.reputations[k]
+            reputations.flags.writeable = True  # in place: the array keeps its identity
+            reputations[bisect_left(self.positions[k], i)] = value
+            reputations.flags.writeable = False
+            self.selections[k] = None
+        self.reputation[i] = value
+
+    def set_label(self, i: int, value: int) -> None:
+        if self.indexed and not 1 <= value <= len(self.positions):  # before anything moves
+            raise ValueError(f"label index {value} outside 1..{len(self.positions)}")
+        if value != self.label[i]:
+            excluded = self.excluded[i]
+            self.set_excluded(i, True)  # out of the old label's set, if in one,
+            self.label[i] = value
+            self.set_excluded(i, excluded)  # and into the new one's
+
+    def set_excluded(self, i: int, value: bool) -> None:
+        """Remove row i from (or insert it into) the set of its label, in order."""
+        if bool(value) == self.excluded[i]:
+            return
+        self.excluded[i] = value
+        if self.indexed:
+            k = self.label[i] - 1
+            positions, reputations = self.positions[k], self.reputations[k]
+            j = bisect_left(positions, i)
+            if value:
+                self._set(k, np.delete(positions, j), np.delete(reputations, j))
+            else:
+                self._set(k, np.insert(positions, j, i),
+                          np.insert(reputations, j, self.reputation[i]))
+
+    def view(self, i: int) -> Participant:
+        """The view of row i: the same object while a reference to it is alive."""
+        p = self._views[i]() if i in self._views else None  # a dead entry is replaced below
+        if p is None:
+            p = Participant.__new__(Participant)
+            p._store, p._seq, p.id = self, i, self.ids[i]
+            self._views[i] = weakref.ref(p)
+        return p
 
 
 class Participant:
-    """One registered validator.
+    """One registered validator: a view of one row of a registry's columns.
 
-    reputation starts at 1.0 and never leaves [0, 1]. label_index is
-    1-based (set on enrollment; refreshed by set_stake()). Writes to
-    reputation, label_index and excluded reach the trusted sets of the
-    registry that enrolled the participant, whoever makes them; a
-    participant built by hand belongs to no registry. seq is the
-    enrollment position, which that registry sets.
+    reputation starts at 1.0 and never leaves [0, 1]; label_index is 1-based
+    and follows Registry.set_stake. Reads give Python floats, ints and bools;
+    writes reach the trusted sets. seq is the read-only enrollment position.
+    A view holds the columns, not the registry, so it outlives the registry.
+    One built by hand is a snapshot of its arguments, with seq 0.
     """
 
-    __slots__ = ("id", "stake", "_reputation", "_label_index", "_excluded",
-                 "seq", "_registry")
+    __slots__ = ("_store", "_seq", "id", "__weakref__")
 
     def __init__(self, id: str, stake: float, reputation: float = 1.0,
                  label_index: int = 0, excluded: bool = False):
-        self.id = id
-        self.stake = stake
-        self._reputation = reputation
-        self._label_index = label_index
-        self._excluded = excluded
-        self.seq = 0
-        self._registry = None  # weak reference, so a registry is never part of a cycle
+        self._store = _Storage(1, False, [(id, stake, label_index, reputation, excluded)])
+        self._seq, self.id = 0, id
 
     def __repr__(self) -> str:
         return (f"Participant(id={self.id!r}, stake={self.stake!r}, "
-                f"reputation={self._reputation!r}, label_index={self._label_index!r}, "
-                f"excluded={self._excluded!r})")
+                f"reputation={self.reputation!r}, label_index={self.label_index!r}, "
+                f"excluded={self.excluded!r})")
 
-    def _trusted_set(self, label_index: int | None = None) -> TrustedSet | None:
-        """The enrolling registry's set for this (or the given) label, if any."""
-        registry = self._registry() if self._registry is not None else None
-        if registry is None:
-            return None
-        return registry._set_of(self._label_index if label_index is None else label_index)
-
-    @property
-    def reputation(self) -> float:
-        return self._reputation
-
-    @reputation.setter
-    def reputation(self, value: float) -> None:
-        if value != self._reputation and not self._excluded:
-            group = self._trusted_set()
-            if group is not None:
-                group._set_reputation(self, value)
-        self._reputation = value
-
-    @property
-    def label_index(self) -> int:
-        return self._label_index
-
-    @label_index.setter
-    def label_index(self, value: int) -> None:
-        if value != self._label_index and not self._excluded:
-            target = self._trusted_set(value)  # an unknown label raises before anything moves
-            if target is not None:
-                self._trusted_set()._remove(self)
-                target._insert(self)
-        self._label_index = value
-
-    @property
-    def excluded(self) -> bool:
-        return self._excluded
-
-    @excluded.setter
-    def excluded(self, value: bool) -> None:
-        if bool(value) != bool(self._excluded):
-            group = self._trusted_set()
-            if group is not None:
-                (group._remove if value else group._insert)(self)
-        self._excluded = value
+    seq = property(lambda self: self._seq)
+    stake = property(lambda self: self._store.stake[self._seq])
+    reputation = property(lambda self: self._store.reputation[self._seq],
+                          lambda self, value: self._store.set_reputation(self._seq, value))
+    label_index = property(lambda self: self._store.label[self._seq],
+                           lambda self, value: self._store.set_label(self._seq, value))
+    excluded = property(lambda self: self._store.excluded[self._seq],
+                        lambda self, value: self._store.set_excluded(self._seq, value))
 
     def expulsion_rate(self) -> float:
         """E = 1 - reputation, so a perfect record has no expulsion risk."""
-        return 1.0 - self._reputation
-
-
-_ENROLLMENT_ORDER = attrgetter("seq")
+        return 1.0 - self.reputation
 
 
 class TrustedSet:
-    """The active members of one trusted set T_i, in enrollment order, and
-    their reputations as a read-only float64 array in the same order.
+    """The active members of one trusted set T_i, in enrollment order.
 
-    A registry keeps its sets up to date as its participants change; a set
-    built by hand from a member list is a snapshot of that list. The set
-    also caches its selection state (see selection()), which every change
-    made through its own methods clears.
+    positions and reputations are theirs, read-only; indexing or iterating makes
+    views. A registry's set follows the registry; one built by hand is a snapshot.
     """
 
-    __slots__ = ("members", "reputations", "_selection")
+    __slots__ = ("_store", "_k")
 
-    def __init__(self, members=()):
-        self.members: list[Participant] = []
-        self.reputations = np.zeros(0)
-        self._extend(list(members))
+    def __init__(self, members=(), *, _store: _Storage | None = None, _k: int = 0):
+        self._store = _store or _Storage(
+            1, False, [(m.id, m.stake, m.label_index, m.reputation, m.excluded) for m in members])
+        self._k = _k
+
+    positions = property(lambda self: self._store.positions[self._k])
+    reputations = property(lambda self: self._store.reputations[self._k])
+    members = property(lambda self: list(self), doc="The members as views, in a new list.")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._store.positions[self._k])
 
     def __iter__(self):
-        return iter(self.members)
+        return map(self._store.view, self.positions)
 
     def __getitem__(self, i: int) -> Participant:
-        return self.members[i]
+        return self._store.view(self._store.positions[self._k][i])
 
     def selection(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(A, cdf): the positions of the reputation-1 members, and
-        reputation_cdf of the reputations; computed on the first call
-        after a change, then cached. Both arrays are read-only."""
-        if self._selection is None:
-            a = np.flatnonzero(self.reputations == 1.0)
-            cdf = reputation_cdf(self.reputations)
-            for arr in (a, cdf):
-                if arr is not None:
-                    arr.flags.writeable = False
-            self._selection = (a, cdf)
-        return self._selection
-
-    def _store(self, reputations: np.ndarray) -> None:
-        reputations.flags.writeable = False
-        self.reputations = reputations
-        self._selection = None
-
-    def _extend(self, members: list[Participant]) -> None:
-        """Append members that come after every current one in enrollment order."""
-        self.members.extend(members)
-        self._store(np.concatenate(
-            [self.reputations, np.array([m.reputation for m in members], dtype=float)]
-        ))
-
-    def _position(self, p: Participant) -> int:
-        return bisect_left(self.members, p.seq, key=_ENROLLMENT_ORDER)
-
-    def _insert(self, p: Participant) -> None:
-        i = self._position(p)
-        self.members.insert(i, p)
-        self._store(np.insert(self.reputations, i, p.reputation))
-
-    def _remove(self, p: Participant) -> None:
-        i = self._position(p)
-        del self.members[i]
-        self._store(np.delete(self.reputations, i))
-
-    def _set_reputation(self, p: Participant, value: float) -> None:
-        """Write a member's reputation in place (the array keeps its identity)."""
-        self.reputations.flags.writeable = True
-        self.reputations[self._position(p)] = value
-        self.reputations.flags.writeable = False
-        self._selection = None
+        """(A, cdf): the positions in this set of the reputation-1 members and
+        reputation_cdf of the reputations, cached until the set changes (read-only)."""
+        store, k = self._store, self._k
+        if store.selections[k] is None:
+            reps = store.reputations[k]
+            a, cdf = np.flatnonzero(reps == 1.0), reputation_cdf(reps)
+            store.selections[k] = (_read_only(a), cdf if cdf is None else _read_only(cdf))
+        return store.selections[k]
 
 
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -231,102 +255,80 @@ def update_reputation(rep: float, successful: bool, params: ReputationParams) ->
 class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
-    Enrollment classifies every stake through the linguistic variable.
-    The registry keeps the *active* (non-excluded) members of each T_i
-    indexed as a TrustedSet, which trusted_sets() hands out as it stands.
+    Enrollment (of stakes, and by enroll and enroll_many) classifies each
+    stake and stores it as columns, building no per-participant object;
+    get, participants and the sets make views on demand. The active
+    members of each T_i are indexed as a TrustedSet (see trusted_sets()).
     """
 
-    def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
+    def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
+                 stakes=()):
         self.variable = variable
         self.params = params or ReputationParams()
-        # nothing is ever removed, so insertion order is enrollment order
-        self._participants: dict[str, Participant] = {}
-        self._sets = [TrustedSet() for _ in range(variable.n)]
-        self._ref = weakref.ref(self)
+        self._store = _Storage(variable.n, indexed=True)
+        self._sets = [TrustedSet(_store=self._store, _k=k) for k in range(variable.n)]
+        if len(stakes):
+            self._enroll(stakes)
 
-    def _set_of(self, label_index: int) -> TrustedSet:
-        if not 1 <= label_index <= len(self._sets):
-            raise ValueError(f"label index {label_index} outside 1..{len(self._sets)}")
-        return self._sets[label_index - 1]
-
-    def _enroll(self, ids: list[str], stakes) -> list[Participant]:
-        """Classify stakes in one batch and enroll them under ids, in order.
-
-        All or nothing: a NaN or below-floor stake (OutOfUniverseError) or
-        an id that is already enrolled (ValueError) enrolls none of them.
-        """
+    def _enroll(self, stakes, ids=None) -> range:
+        """Classify stakes in one batch and enroll them in order under ids (by
+        default _enrollment_ids); returns their positions. All or nothing: a NaN or
+        below-floor stake (OutOfUniverseError) or a taken id (ValueError) enrolls none."""
         stakes = np.asarray(stakes, dtype=float)
         labels, _ = classify_batch(self.variable, stakes)
-        for pid in ids:
-            if pid in self._participants:
-                raise ValueError(f"participant {pid!r} already enrolled")
-        new = [
-            Participant(pid, stake, label_index=label)
-            for pid, stake, label in zip(ids, stakes.tolist(), labels.tolist())
-        ]
-        for seq, p in enumerate(new, start=len(self._participants)):
-            p.seq = seq
-            p._registry = self._ref
-        self._participants.update((p.id, p) for p in new)
-        for label, group in enumerate(self._sets, start=1):
-            group._extend([new[i] for i in np.flatnonzero(labels == label).tolist()])
-        return new
+        store = self._store
+        first, end = len(store.ids), len(store.ids) + len(stakes)
+        ids = _enrollment_ids(first, end) if ids is None else ids
+        if not store.index.keys().isdisjoint(ids):
+            taken = next(pid for pid in ids if pid in store.index)
+            raise ValueError(f"participant {taken!r} already enrolled")
+        store.append(ids, stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes)))
+        return range(first, end)
 
     def enroll(self, pid: str, stake: float) -> Participant:
-        return self._enroll([pid], [stake])[0]
+        return self._store.view(self._enroll([stake], [pid])[0])
 
     def enroll_many(self, stakes) -> list[Participant]:
-        """Enroll stakes in one pass (see _enroll), each as "v" and its
-        zero-padded enrollment position: v0000, v0001, ... in a first batch."""
-        first = len(self._participants)
-        end = first + len(stakes)
-        width = max(4, len(str(end)))
-        return self._enroll(["v" + str(i).zfill(width) for i in range(first, end)], stakes)
+        """Enroll stakes in one pass (see _enroll) and return their views."""
+        return [self._store.view(i) for i in self._enroll(stakes)]
 
     def __len__(self) -> int:
-        return len(self._participants)
+        return len(self._store.ids)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self._participants
+        return pid in self._store.index
 
     def get(self, pid: str) -> Participant:
-        return self._participants[pid]
+        return self._store.view(self._store.index[pid])
 
     def ids(self) -> tuple[str, ...]:
         """Every enrolled id, excluded ones included, in enrollment order."""
-        return tuple(self._participants)
+        return self._store.ids
 
     def participants(self) -> list[Participant]:
         """Every enrolled participant, excluded ones included, in enrollment order."""
-        return list(self._participants.values())
+        return [self._store.view(i) for i in range(len(self))]
 
     def trusted_sets(self) -> list[TrustedSet]:
-        """Active members of T_1..T_n, each in enrollment order.
-
-        The sets are the registry's own index, not copies: they follow
-        later changes, and callers must not modify them (their
-        reputation arrays are read-only).
-        """
+        """Active members of T_1..T_n, each in enrollment order: the registry's
+        own index, not copies, so they follow later changes (and are read-only)."""
         return list(self._sets)
 
-    def apply_vote_outcome(self, pid: str, successful: bool) -> Participant:
+    def apply_vote_outcome(self, pid: str, successful: bool) -> None:
         """Update one voter's reputation and re-check their expulsion status."""
-        p = self._participants[pid]
-        p.reputation = update_reputation(p.reputation, successful, self.params)
-        if p.expulsion_rate() > self.params.epsilon:
-            p.excluded = True
-        return p
+        store, i = self._store, self._store.index[pid]
+        rep = update_reputation(store.reputation[i], successful, self.params)
+        store.set_reputation(i, rep)
+        if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
+            store.set_excluded(i, True)
 
-    def set_stake(self, pid: str, stake: float) -> Participant:
-        """Change a stake (e.g. after a commission payout) and reclassify.
-
-        A rejected stake (NaN, below the floor) leaves the participant as it was.
-        """
-        p = self._participants[pid]
+    def set_stake(self, pid: str, stake: float) -> None:
+        """Change a stake (e.g. after a commission payout) and reclassify; a
+        rejected stake (NaN, below the floor) leaves the participant as it was."""
+        store, i = self._store, self._store.index[pid]
         label_index = classify_stake(self.variable, stake).label_index
-        p.stake = float(stake)
-        p.label_index = label_index
-        return p
+        store.stake[i] = stake
+        store.set_label(i, label_index)
 
 
 def trusted_sets_required(n_labels: int) -> int:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzychain.config import config_from_dict
 from fuzzychain.consensus import FuzzychainEngine, NoPanelError
-from fuzzychain.experiments import sample_stakes_for_census
+from fuzzychain.experiments import build_registry, build_variable, sample_stakes_for_census
 from fuzzychain.fuzzy import OutOfUniverseError, make_uniform_partition
 from fuzzychain.ledger import Chain, build_block, new_keypair, sign_transaction
 from fuzzychain.registry import (
@@ -395,3 +396,98 @@ class TestTrustedSetIndex:
             expulsions += len(result.expulsions)
             assert_index_matches(reg)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
+
+
+def assert_columns_match(reg):
+    """Oracle: each set against the registry's columns, and every view
+    against its row."""
+    store = reg._store  # the columns, as numpy arrays without a copy
+    stake, label, rep, excluded = (np.asarray(col) for col in
+                                   (store.stake, store.label, store.reputation, store.excluded))
+    for k, s in enumerate(reg.trusted_sets(), start=1):
+        positions = np.asarray(s.positions)
+        assert np.array_equal(positions, np.flatnonzero((label == k) & ~excluded))
+        assert np.array_equal(s.reputations, rep[positions])
+    for i, pid in enumerate(reg.ids()):
+        p = reg.get(pid)
+        assert (p.seq, p.stake, p.label_index, p.reputation, p.excluded) == (
+            i, stake[i], label[i], rep[i], excluded[i])
+        assert_python_scalars(p)
+
+
+def assert_python_scalars(p):
+    assert [type(v) for v in (p.stake, p.reputation, p.label_index, p.excluded, p.seq)] == [
+        float, float, int, bool, int]
+
+
+class TestColumns:
+    def test_columns_match_the_sets_and_views_after_every_round(self):
+        var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
+        reg = Registry(var, ReputationParams(),
+                       sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
+        held = reg.participants()[::3]  # views kept alive across the run
+        chain = Chain()
+        engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
+        priv, pub = new_keypair(substream(9, "keys"))
+        sel, vot = substream(9, "selection"), substream(9, "votes")
+        moves = expulsions = rounds = 0
+        for r in range(1, 301):
+            labels = reg._store.label.tolist()
+            block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
+            try:
+                result = engine.run_round(block, sel, vot)
+            except NoPanelError:
+                break
+            rounds += 1
+            moves += reg._store.label[result.winner_seq] != labels[result.winner_seq]
+            expulsions += len(result.expulsions)
+            assert_columns_match(reg)
+            assert all(reg.get(p.id) is p for p in held)
+        assert moves >= 20 and expulsions >= 20 and rounds >= 200
+
+    @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=30),
+           st.booleans())
+    def test_view_reads_are_python_scalars(self, stakes, changes, as_numpy):
+        reg = make_registry(epsilon=0.5)
+        reg.enroll_many(stakes)
+        numpy_type = {"reputation": np.float64, "stake": np.float64,
+                      "label_index": np.int64, "excluded": np.bool_, "vote": np.bool_}
+        for kind, *args in changes:
+            if kind == "enroll":
+                reg.enroll_many(np.array(args[0]) if as_numpy else args[0])
+            else:
+                pick, value = args
+                p = reg.participants()[pick % len(reg)]
+                if as_numpy:
+                    value = numpy_type[kind](value)
+                if kind == "vote":
+                    reg.apply_vote_outcome(p.id, value)
+                elif kind == "stake":
+                    reg.set_stake(p.id, value)
+                else:
+                    setattr(p, kind, value)
+            for p in reg.participants():
+                assert_python_scalars(p)
+        assert_columns_match(reg)
+
+    def test_hand_built_participants_read_python_scalars(self):
+        p = Participant(id="x", stake=np.float64(2.5), reputation=1, label_index=np.int64(2),
+                        excluded=np.bool_(False))
+        assert_python_scalars(p)
+        assert repr(p) == ("Participant(id='x', stake=2.5, reputation=1.0, label_index=2, "
+                           "excluded=False)")
+
+    def test_building_the_population_makes_no_participant(self):
+        def live_participants():
+            return sum(isinstance(o, Participant) for o in gc.get_objects())
+
+        cfg = config_from_dict({
+            "experiment": "custom", "seed": 42, "granularity": "per-participant",
+            "population_per_label": {"VL": 25000, "L": 15000, "M": 7500, "H": 1500, "VH": 500},
+            "rounds": [100], "repetitions": 2,
+        })
+        before = live_participants()
+        reg = build_registry(cfg, build_variable(cfg), substream(42, "custom", 100, 0, "stakes"))
+        assert len(reg) == 49_500 and live_participants() == before
+        p = reg.get("v49499")
+        assert live_participants() == before + 1 and reg.get("v49499") is p
