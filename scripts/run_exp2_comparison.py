@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fuzzychain.config import ExperimentConfig
+from fuzzychain.config import ConfigError, ExperimentConfig
 from fuzzychain.experiments import EXPECTED_GINI_ORDER, run_experiment2
 from fuzzychain.outputs import emit_outputs
 
@@ -43,6 +43,11 @@ def main() -> int:
         ap.error(f"--seeds {args.seeds!r}: expected lo:hi or a comma-separated list of integers")
     if not seeds:
         ap.error(f"--seeds {args.seeds!r} names no seed")
+    try:  # every seed's config, before any seed runs or writes
+        configs = [ExperimentConfig(experiment="exp2", seed=seed, repetitions=args.reps).validate()
+                   for seed in seeds]
+    except ConfigError as exc:
+        ap.error(str(exc))
     out_root = Path(args.out)
     algos = list(EXPECTED_GINI_ORDER)
 
@@ -52,9 +57,7 @@ def main() -> int:
 
     rows = []
     ordered = 0
-    for seed in seeds:
-        cfg = ExperimentConfig(experiment="exp2", seed=seed,
-                               repetitions=args.reps).validate()
+    for seed, cfg in zip(seeds, configs):
         report = run_experiment2(cfg)
         emit_outputs(report, out_root / f"seed{seed:04d}")
         gini = report.mean_gini()

@@ -5,12 +5,14 @@ T_1..T_n by the linguistic variable, and carry a reputation in [0, 1]
 that moves with their voting record. Reputation near-misses caused by
 float accumulation are snapped back to exactly 1.0, because "reputation
 equals 1" is a membership test for the preferred selection pool.
+
+The registry stores its participants as columns. A participant is a view
+of one row, and each trusted set is derived from the columns, cached, and
+rebuilt when a write makes it stale.
 """
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,92 +37,66 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class _Storage:
-    """Participant columns in enrollment order, and trusted sets over them.
+    """Participant columns in enrollment order, and each trusted set's caches.
 
     stake, label, reputation and excluded are memoryviews of numpy arrays,
-    so a scalar read gives a Python float, int or bool. Set k is its
-    members' sorted positions and reputations, plus its cached selection
-    state: in an indexed storage (a registry's), the active rows labelled
-    k + 1; in a snapshot, every row. Views are held weakly (no cycles).
-    rows: (id, stake, label_index, reputation, excluded) tuples to start with.
+    so a scalar read gives a Python float, int or bool. Set k caches its
+    positions, its reputations and its selection state (see TrustedSet);
+    a write drops what it makes stale. An enrollment, exclusion, readmission
+    or label move drops a set's positions, and with them the rest; a
+    reputation write to an active row drops only its set's reputations and
+    selection, so it never rescans the population.
     """
 
-    __slots__ = ("ids", "index", "stake", "label", "reputation", "excluded", "indexed",
-                 "positions", "reputations", "selections", "_views")
+    __slots__ = ("ids", "index", "stake", "label", "reputation", "excluded",
+                 "positions", "reputations", "selections")
 
-    def __init__(self, n_sets: int, indexed: bool, rows=()):
-        self.ids, self.index, self.indexed, self._views = (), {}, indexed, {}
+    def __init__(self, n_sets: int):
+        self.ids, self.index = (), {}
         self.stake, self.label, self.reputation, self.excluded = (
             memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
-        self.positions = [memoryview(_read_only(np.zeros(0, np.intp)))] * n_sets
-        self.reputations = [_read_only(np.zeros(0))] * n_sets
+        self.positions: list[memoryview | None] = [None] * n_sets
+        self.reputations: list[np.ndarray | None] = [None] * n_sets
         self.selections: list[tuple | None] = [None] * n_sets
-        if rows:
-            self.append(*zip(*rows))
 
     def append(self, ids, *columns) -> None:
-        """Add rows (ids, then one value list per column) after every current one;
-        each set gains its new rows at its end."""
+        """Add rows (ids, then one value list per column) after every current one."""
         first = len(self.ids)
         self.ids += tuple(ids)
         self.index.update(zip(self.ids[first:], range(first, len(self.ids))))
-        new = [np.asarray(col, dtype) for col, dtype in zip(columns, _DTYPES)]
         self.stake, self.label, self.reputation, self.excluded = (
-            memoryview(np.concatenate([old, col])) for old, col in
-            zip((self.stake, self.label, self.reputation, self.excluded), new))
-        _, label, reputation, excluded = new
+            memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
+            zip((self.stake, self.label, self.reputation, self.excluded), columns, _DTYPES))
         for k in range(len(self.positions)):
-            rows = (np.flatnonzero((label == k + 1) & ~excluded) if self.indexed
-                    else np.arange(len(label)))
-            self._set(k, np.concatenate([self.positions[k], rows + first]),
-                      np.concatenate([self.reputations[k], reputation[rows]]))
+            self._drop(k)
 
-    def _set(self, k: int, positions: np.ndarray, reputations: np.ndarray) -> None:
-        self.positions[k] = memoryview(_read_only(positions))
-        self.reputations[k] = _read_only(reputations)
-        self.selections[k] = None
+    def _drop(self, k: int) -> None:
+        self.positions[k] = self.reputations[k] = self.selections[k] = None
 
     def set_reputation(self, i: int, value: float) -> None:
-        if value != self.reputation[i] and self.indexed and not self.excluded[i]:
+        if value != self.reputation[i] and not self.excluded[i]:
             k = self.label[i] - 1
-            reputations = self.reputations[k]
-            reputations.flags.writeable = True  # in place: the array keeps its identity
-            reputations[bisect_left(self.positions[k], i)] = value
-            reputations.flags.writeable = False
-            self.selections[k] = None
+            self.reputations[k] = self.selections[k] = None
         self.reputation[i] = value
 
     def set_label(self, i: int, value: int) -> None:
-        if self.indexed and not 1 <= value <= len(self.positions):  # before anything moves
+        if not 1 <= value <= len(self.positions):  # before anything moves
             raise ValueError(f"label index {value} outside 1..{len(self.positions)}")
         if value != self.label[i]:
-            excluded = self.excluded[i]
-            self.set_excluded(i, True)  # out of the old label's set, if in one,
+            if not self.excluded[i]:
+                self._drop(self.label[i] - 1)
+                self._drop(value - 1)
             self.label[i] = value
-            self.set_excluded(i, excluded)  # and into the new one's
 
     def set_excluded(self, i: int, value: bool) -> None:
-        """Remove row i from (or insert it into) the set of its label, in order."""
-        if bool(value) == self.excluded[i]:
-            return
-        self.excluded[i] = value
-        if self.indexed:
-            k = self.label[i] - 1
-            positions, reputations = self.positions[k], self.reputations[k]
-            j = bisect_left(positions, i)
-            if value:
-                self._set(k, np.delete(positions, j), np.delete(reputations, j))
-            else:
-                self._set(k, np.insert(positions, j, i),
-                          np.insert(reputations, j, self.reputation[i]))
+        if bool(value) != self.excluded[i]:
+            self.excluded[i] = value
+            self._drop(self.label[i] - 1)
 
     def view(self, i: int) -> Participant:
-        """The view of row i: the same object while a reference to it is alive."""
-        p = self._views[i]() if i in self._views else None  # a dead entry is replaced below
-        if p is None:
-            p = Participant.__new__(Participant)
-            p._store, p._seq, p.id = self, i, self.ids[i]
-            self._views[i] = weakref.ref(p)
+        """A new view of row i: two views of one row are two objects, so compare ids."""
+        p = Participant.__new__(Participant)
+        p._store, p._seq, p.id = self, i, self.ids[i]
         return p
 
 
@@ -130,16 +106,11 @@ class Participant:
     reputation starts at 1.0 and never leaves [0, 1]; label_index is 1-based
     and follows Registry.set_stake. Reads give Python floats, ints and bools;
     writes reach the trusted sets. seq is the read-only enrollment position.
-    A view holds the columns, not the registry, so it outlives the registry.
-    One built by hand is a snapshot of its arguments, with seq 0.
+    Only a registry makes views (enroll, get, participants, the sets). A view
+    holds the columns, not the registry, so it outlives the registry.
     """
 
-    __slots__ = ("_store", "_seq", "id", "__weakref__")
-
-    def __init__(self, id: str, stake: float, reputation: float = 1.0,
-                 label_index: int = 0, excluded: bool = False):
-        self._store = _Storage(1, False, [(id, stake, label_index, reputation, excluded)])
-        self._seq, self.id = 0, id
+    __slots__ = ("_store", "_seq", "id")
 
     def __repr__(self) -> str:
         return (f"Participant(id={self.id!r}, stake={self.stake!r}, "
@@ -161,38 +132,52 @@ class Participant:
 
 
 class TrustedSet:
-    """The active members of one trusted set T_i, in enrollment order.
+    """The active members of one trusted set T_i (i = k + 1), in enrollment order.
 
-    positions and reputations are theirs, read-only; indexing or iterating makes
-    views. A registry's set follows the registry; one built by hand is a snapshot.
+    Made by a registry over its columns. positions are the active rows
+    labelled i and reputations theirs, both read-only and rebuilt from the
+    columns after a write has dropped them (see _Storage); indexing or
+    iterating makes views.
     """
 
     __slots__ = ("_store", "_k")
 
-    def __init__(self, members=(), *, _store: _Storage | None = None, _k: int = 0):
-        self._store = _store or _Storage(
-            1, False, [(m.id, m.stake, m.label_index, m.reputation, m.excluded) for m in members])
-        self._k = _k
+    def __init__(self, store: _Storage, k: int):
+        self._store, self._k = store, k
 
-    positions = property(lambda self: self._store.positions[self._k])
-    reputations = property(lambda self: self._store.reputations[self._k])
+    @property
+    def positions(self) -> memoryview:
+        store, k = self._store, self._k
+        if store.positions[k] is None:
+            active = (np.asarray(store.label) == k + 1) & ~np.asarray(store.excluded)
+            store.positions[k] = memoryview(_read_only(np.flatnonzero(active)))
+        return store.positions[k]
+
+    @property
+    def reputations(self) -> np.ndarray:
+        store, k = self._store, self._k
+        if store.reputations[k] is None:
+            rows = np.asarray(self.positions)
+            store.reputations[k] = _read_only(np.asarray(store.reputation)[rows])
+        return store.reputations[k]
+
     members = property(lambda self: list(self), doc="The members as views, in a new list.")
 
     def __len__(self) -> int:
-        return len(self._store.positions[self._k])
+        return len(self.positions)
 
     def __iter__(self):
         return map(self._store.view, self.positions)
 
     def __getitem__(self, i: int) -> Participant:
-        return self._store.view(self._store.positions[self._k][i])
+        return self._store.view(self.positions[i])
 
     def selection(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(A, cdf): the positions in this set of the reputation-1 members and
         reputation_cdf of the reputations, cached until the set changes (read-only)."""
         store, k = self._store, self._k
         if store.selections[k] is None:
-            reps = store.reputations[k]
+            reps = self.reputations
             a, cdf = np.flatnonzero(reps == 1.0), reputation_cdf(reps)
             store.selections[k] = (_read_only(a), cdf if cdf is None else _read_only(cdf))
         return store.selections[k]
@@ -258,15 +243,16 @@ class Registry:
     Enrollment (of stakes, and by enroll and enroll_many) classifies each
     stake and stores it as columns, building no per-participant object;
     get, participants and the sets make views on demand. The active
-    members of each T_i are indexed as a TrustedSet (see trusted_sets()).
+    members of each T_i are a TrustedSet derived from the columns (see
+    trusted_sets()).
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
                  stakes=()):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._store = _Storage(variable.n, indexed=True)
-        self._sets = [TrustedSet(_store=self._store, _k=k) for k in range(variable.n)]
+        self._store = _Storage(variable.n)
+        self._sets = [TrustedSet(self._store, k) for k in range(variable.n)]
         if len(stakes):
             self._enroll(stakes)
 
@@ -311,7 +297,7 @@ class Registry:
 
     def trusted_sets(self) -> list[TrustedSet]:
         """Active members of T_1..T_n, each in enrollment order: the registry's
-        own index, not copies, so they follow later changes (and are read-only)."""
+        own sets, not copies, so they follow later changes (and are read-only)."""
         return list(self._sets)
 
     def apply_vote_outcome(self, pid: str, successful: bool) -> None:

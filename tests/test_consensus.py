@@ -32,35 +32,28 @@ from fuzzychain.ledger import (
     new_keypair,
     sign_transaction,
 )
-from fuzzychain.registry import (
-    Participant,
-    Registry,
-    ReputationParams,
-    TrustedSet,
-    reputation_cdf,
-)
+from fuzzychain.registry import Registry, ReputationParams, reputation_cdf
 from fuzzychain.rng import substream
 
 LABELS = ("VL", "L", "M", "H", "VH")
 
 
-def member(pid, label=1, rep=1.0):
-    return Participant(id=pid, stake=1.0, reputation=rep, label_index=label)
-
-
-def make_groups(sizes, reps=None):
-    groups = []
+def make_groups(sizes, reps=None, n_labels=5):
+    """The first len(sizes) trusted sets of one registry with n_labels labels:
+    set i holds sizes[i] members g<i+1>m<j>, enrolled at label i+1's peak, with
+    reputations reps[i] (all 1.0 by default)."""
+    var = make_uniform_partition("stake", tuple(f"S{i}" for i in range(n_labels)), 0.0, 10.0)
+    reg = Registry(var)
     for i, k in enumerate(sizes):
-        group = []
         for j in range(k):
-            rep = 1.0 if reps is None else reps[i][j]
-            group.append(member(f"g{i+1}m{j}", label=i + 1, rep=rep))
-        groups.append(TrustedSet(group))
-    return groups
+            p = reg.enroll(f"g{i+1}m{j}", var.mfs[i].b)
+            if reps is not None:
+                p.reputation = reps[i][j]
+    return reg.trusted_sets()[:len(sizes)]
 
 
 def empty_groups(n=5):
-    return [TrustedSet() for _ in range(n)]
+    return make_groups([0] * n, n_labels=n)
 
 
 def small_registry(census=(4, 3, 3, 2, 2), seed=5, **rep_params):
@@ -112,10 +105,9 @@ class TestFirstRoundSelection:
         assert len(panel) == 5
 
     def test_single_validator_total(self):
-        groups = empty_groups()
-        groups[2] = TrustedSet([member("only", 3)])
+        groups = make_groups([0, 0, 1, 0, 0])
         panel = select_first_round(groups, substream(3, "selection"))
-        assert [m.id for m in panel] == ["only"]
+        assert [m.id for m in panel] == ["g3m0"]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(NoPanelError):
@@ -322,7 +314,7 @@ class TestStreamExactDraws:
     def test_parity_repair_matches_the_spare_list(self, data):
         sizes = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 40)),
                                    min_size=3, max_size=7))
-        groups = make_groups(sizes)
+        groups = make_groups(sizes, n_labels=7)
         picks = [data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=min(k, 2)))
                  if k else [] for k in sizes]
         ref, new = twin_streams(data.draw(SEEDS))

@@ -1,6 +1,7 @@
 """Enrollment, reputation dynamics, expulsion, trusted-set grouping."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -189,7 +190,7 @@ class TestEnrollment:
         taken = reg.enroll("v0002", 5.0)
         with pytest.raises(ValueError, match="already enrolled"):
             reg.enroll_many([1.0, 2.0, 3.0])
-        assert reg.participants() == [taken]
+        assert [p.id for p in reg.participants()] == [taken.id]
         assert_index_matches(reg)
 
     def test_enroll_many_after_enroll_keeps_enrollment_order(self):
@@ -298,12 +299,16 @@ class TestTrustedSetIndex:
         reg = make_registry()
         ps = reg.enroll_many([0.2, 0.4, 0.6])
         group = reg.trusted_sets()[0]
-        reps = group.reputations
+        positions, reps = group.positions, group.reputations
         reg.set_stake(ps[1].id, 0.45)
-        assert group.members == ps
-        assert group.reputations is reps  # not rebuilt by a remove and an insert
+        assert [m.id for m in group] == [p.id for p in ps]
+        assert group.reputations is reps  # a same-label stake change drops nothing
+        ps[0].reputation = 0.5
+        assert group.positions is positions  # a reputation write never rescans the population
+        assert group.reputations.tolist() == [0.5, 1.0, 1.0]
         reg.set_stake(ps[1].id, 2.0)
-        assert group.members == [ps[0], ps[2]]
+        assert group.positions is not positions
+        assert [m.id for m in group] == [ps[0].id, ps[2].id]
         assert_index_matches(reg)
 
     def test_unknown_label_is_refused_before_anything_moves(self):
@@ -314,13 +319,6 @@ class TestTrustedSetIndex:
                 p.label_index = bad
         assert p.label_index == 3
         assert_index_matches(reg)
-
-    def test_hand_built_participant_needs_no_registry(self):
-        p = Participant(id="x", stake=1.0, label_index=2)
-        p.reputation = 0.5
-        p.excluded = True
-        p.label_index = 4
-        assert (p.reputation, p.excluded, p.label_index) == (0.5, True, 4)
 
     def test_participants_do_not_keep_their_registry_alive(self):
         gc.disable()  # freed by reference counting alone, so no cycle is involved
@@ -345,13 +343,13 @@ class TestTrustedSetIndex:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.5
 
-        assert_read_only()  # built by concatenation
+        assert_read_only()  # built after enrollment
         b.excluded = True
-        assert_read_only()  # rebuilt by a delete
+        assert_read_only()  # rebuilt after an exclusion
         b.excluded = False
-        assert_read_only()  # rebuilt by an insert
+        assert_read_only()  # rebuilt after a readmission
         a.reputation = 0.4
-        assert_read_only()  # written in place
+        assert_read_only()  # reputations rebuilt after a reputation write
         assert group.reputations.tolist() == [0.4, 1.0]
         assert_index_matches(reg)
 
@@ -426,23 +424,26 @@ class TestColumns:
         reg = Registry(var, ReputationParams(),
                        sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
         held = reg.participants()[::3]  # views kept alive across the run
+        store = reg._store
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(9, "keys"))
         sel, vot = substream(9, "selection"), substream(9, "votes")
         moves = expulsions = rounds = 0
         for r in range(1, 301):
-            labels = reg._store.label.tolist()
+            labels = store.label.tolist()
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             try:
                 result = engine.run_round(block, sel, vot)
             except NoPanelError:
                 break
             rounds += 1
-            moves += reg._store.label[result.winner_seq] != labels[result.winner_seq]
+            moves += store.label[result.winner_seq] != labels[result.winner_seq]
             expulsions += len(result.expulsions)
             assert_columns_match(reg)
-            assert all(reg.get(p.id) is p for p in held)
+            assert all((p.stake, p.label_index, p.reputation, p.excluded) == (
+                store.stake[p.seq], store.label[p.seq], store.reputation[p.seq],
+                store.excluded[p.seq]) for p in held)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
 
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=30),
@@ -471,8 +472,10 @@ class TestColumns:
         assert_columns_match(reg)
 
     def test_hand_built_participants_read_python_scalars(self):
-        p = Participant(id="x", stake=np.float64(2.5), reputation=1, label_index=np.int64(2),
-                        excluded=np.bool_(False))
+        p = make_registry().enroll("x", np.float64(2.5))
+        p.reputation, p.label_index, p.excluded = np.float64(0.5), np.int64(4), np.bool_(True)
+        assert_python_scalars(p)
+        p.reputation, p.label_index, p.excluded = 1, np.int64(2), np.bool_(False)
         assert_python_scalars(p)
         assert repr(p) == ("Participant(id='x', stake=2.5, reputation=1.0, label_index=2, "
                            "excluded=False)")
@@ -481,13 +484,29 @@ class TestColumns:
         def live_participants():
             return sum(isinstance(o, Participant) for o in gc.get_objects())
 
-        cfg = config_from_dict({
-            "experiment": "custom", "seed": 42, "granularity": "per-participant",
-            "population_per_label": {"VL": 25000, "L": 15000, "M": 7500, "H": 1500, "VH": 500},
-            "rounds": [100], "repetitions": 2,
-        })
         before = live_participants()
-        reg = build_registry(cfg, build_variable(cfg), substream(42, "custom", 100, 0, "stakes"))
+        reg = build_population()
         assert len(reg) == 49_500 and live_participants() == before
         p = reg.get("v49499")
-        assert live_participants() == before + 1 and reg.get("v49499") is p
+        assert live_participants() == before + 1 and p.seq == 49_499
+        assert (p.stake, p.label_index) == (reg._store.stake[49_499], reg._store.label[49_499])
+
+    def test_dropped_views_leave_nothing_behind(self):
+        reg = build_population()
+        tracemalloc.start()
+        try:
+            reg.participants()
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1_000_000
+
+
+def build_population():
+    """The 49,500 validators of exp1's shares x50, built as a run builds them."""
+    cfg = config_from_dict({
+        "experiment": "custom", "seed": 42, "granularity": "per-participant",
+        "population_per_label": {"VL": 25000, "L": 15000, "M": 7500, "H": 1500, "VH": 500},
+        "rounds": [100], "repetitions": 2,
+    })
+    return build_registry(cfg, build_variable(cfg), substream(42, "custom", 100, 0, "stakes"))

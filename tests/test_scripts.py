@@ -60,3 +60,15 @@ def test_exp2_comparison_rejects_an_empty_seed_range(tmp_path, seeds, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "scan").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "3,-1"], "seed: expected a non-negative integer, got -1"),
+    (["--seeds", "1:2", "--reps", "0"], "repetitions: expected an integer >= 1, got 0"),
+], ids=["negative-seed", "no-repetitions"])
+def test_exp2_comparison_rejects_an_invalid_config(tmp_path, args, message):
+    proc = run_scan(tmp_path, *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "scan").exists()
