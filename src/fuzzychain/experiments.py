@@ -193,11 +193,6 @@ def _metrics_block(tables: list[FrequencyTable]) -> dict:
     }
 
 
-def _table_rows(lead: tuple, table: FrequencyTable):
-    """One CSV row per category: lead + (category, count)."""
-    return (lead + (str(cat), n) for cat, n in zip(table.categories, table.counts().tolist()))
-
-
 @dataclass
 class Exp1Report:
     config: ExperimentConfig
@@ -231,16 +226,15 @@ class Exp1Report:
             "results": results,
         }
 
-    def frequency_rows(self) -> tuple[tuple, list[tuple]]:
-        """(header, rows) of frequencies.csv; a rounds column only for a sweep."""
+    def frequency_tables(self) -> tuple[tuple, list[tuple]]:
+        """(header, [(lead, table)]) of frequencies.csv, one row per category
+        of each table: lead + (category, count); a rounds column only for a sweep."""
         key_col = "label" if self.config.granularity == "per-label" else "participant"
         multi = len(self.config.rounds) > 1
-        rows = []
-        for run in self.runs:
-            lead = (run.rounds, run.repetition) if multi else (run.repetition,)
-            rows.extend(_table_rows(lead, run.table(self.config.granularity)))
+        tables = [((run.rounds, run.repetition) if multi else (run.repetition,),
+                   run.table(self.config.granularity)) for run in self.runs]
         lead_cols = ("rounds", "repetition") if multi else ("repetition",)
-        return lead_cols + (key_col, "count"), rows
+        return lead_cols + (key_col, "count"), tables
 
     def audit_rows(self) -> list[dict]:
         return [row for run in self.runs for row in run.audit_rows]
@@ -338,16 +332,14 @@ class Exp2Report:
             },
         }
 
-    def frequency_rows(self) -> tuple[tuple, list[tuple]]:
-        """(header, rows) of frequencies.csv: the fuzzy runs, then each baseline."""
-        rows = []
-        for run in self.fuzzy_runs:
-            rows.extend(_table_rows(("fuzzychain", run.repetition),
-                                    run.table(self.config.granularity)))
-        for algo in BASELINE_ALGOS:
-            for rep, table in enumerate(self.baseline_tables[algo]):
-                rows.extend(_table_rows((algo, rep), table))
-        return ("algorithm", "repetition", "key", "count"), rows
+    def frequency_tables(self) -> tuple[tuple, list[tuple]]:
+        """(header, [(lead, table)]) of frequencies.csv: the fuzzy runs, then
+        each baseline."""
+        tables = [(("fuzzychain", run.repetition), run.table(self.config.granularity))
+                  for run in self.fuzzy_runs]
+        tables += [((algo, rep), table) for algo in BASELINE_ALGOS
+                   for rep, table in enumerate(self.baseline_tables[algo])]
+        return ("algorithm", "repetition", "key", "count"), tables
 
     def audit_rows(self) -> list[dict]:
         return [row for run in self.fuzzy_runs for row in run.audit_rows]

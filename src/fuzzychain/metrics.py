@@ -45,9 +45,10 @@ def gini(values) -> float:
         raise DegenerateDistributionError("gini undefined when all values are zero")
     srt = np.sort(arr)
     n = srt.size
-    # sum_i (2i - n - 1) x_(i) equals the double sum over |x_i - x_j|
+    # sum_i (2i - n - 1) x_(i) equals the double sum over |x_i - x_j|; summed by
+    # numpy's own reduction, not BLAS, so the bits do not depend on its thread count
     coef = 2.0 * np.arange(1, n + 1) - n - 1
-    return float(np.dot(coef, srt) / (n * total))
+    return float((coef * srt).sum() / (n * total))
 
 
 def _shape_statistics(values, statistic: str) -> tuple[float, float]:

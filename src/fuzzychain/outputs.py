@@ -3,16 +3,25 @@
 A run directory holds exactly four files — frequencies.csv,
 summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
-frequencies.csv is the report's frequency_rows(): a header tuple and
-one tuple per (repetition, category) count, written by csv.writer
-straight from the count vectors.
+frequencies.csv holds the report's frequency_tables(): csv.writer
+writes the header, and each table is then written as one string, one
+row per category. Each category's cell is built once per distinct
+category tuple (so once per emission for the repetitions' equal id
+tuples), quoted exactly as csv.writer quotes it, as a zero-count row
+tail: the cell, ",0" and the line end. A table's rows are a copy of
+those tails with its nonzero counts written in, joined behind the
+table's lead ("<rep>,", "<rounds>,<rep>," or "<algo>,<rep>,").
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from pathlib import Path
+
+import numpy as np
 
 from .experiments import Exp2Report
 from .svg import render_exp1_plots, render_exp2_plots
@@ -26,8 +35,8 @@ def emit_outputs(report, out_dir) -> dict:
     Raises on an empty report — silently writing headers with no rows
     has burned too many downstream joins to be worth allowing.
     """
-    header, rows = report.frequency_rows()
-    if not rows:
+    header, tables = report.frequency_tables()
+    if not tables:
         raise ValueError("nothing to emit: report contains no repetitions")
     out = Path(out_dir)
     paths = {name: out / name for name in FILES}
@@ -35,9 +44,7 @@ def emit_outputs(report, out_dir) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         # opened as Path.write_text opens, so the bytes match a whole-string write
         with open(paths["frequencies.csv"], "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            write_frequencies(fh, header, tables)
 
         paths["summary.json"].write_text(
             json.dumps(report.summary_dict(), indent=2, sort_keys=True) + "\n"
@@ -51,6 +58,49 @@ def emit_outputs(report, out_dir) -> dict:
     except OSError as e:
         raise OSError(f"failed writing results under {out}: {e}") from e
     return {name: str(p) for name, p in paths.items()}
+
+
+# a cell holding none of these is written unquoted by csv.writer
+_QUOTED_CHARS = re.compile('[,"\r\n]')
+
+
+def _zero_tails(categories) -> list[str]:
+    """Each category's zero-count row tail: its cell, quoted as csv.writer
+    quotes it, then ",0" and the line end."""
+    cells = [str(c) for c in categories]
+    if not _QUOTED_CHARS.search("".join(cells)):
+        return [c + ",0\n" for c in cells]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    tails = []
+    for c in cells:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((c, 0))
+        tails.append(buf.getvalue())
+    return tails
+
+
+def write_frequencies(fh, header, tables) -> None:
+    """Write frequencies.csv to the open text file fh: the header, then one
+    row lead + (category, count) per category of each (lead, table), the
+    bytes csv.writer writes for those rows.
+
+    Lead values (repetitions, round counts, algorithm names) never need
+    quoting. Each table's text goes to fh as soon as it is built.
+    """
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    tails_of = {}
+    for lead, table in tables:
+        if table.categories not in tails_of:
+            tails_of[table.categories] = _zero_tails(table.categories)
+        rows = tails_of[table.categories].copy()
+        counts = table.counts()
+        nonzero = np.flatnonzero(counts)
+        for i, n in zip(nonzero.tolist(), counts[nonzero].tolist()):
+            rows[i] = f"{rows[i][:-2]}{n}\n"  # the tail less its "0\n"
+        prefix = "".join(f"{v}," for v in lead)
+        fh.write(prefix + prefix.join(rows))
 
 
 def format_report(run_dir) -> str:

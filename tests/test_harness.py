@@ -2,13 +2,15 @@
 
 import csv
 import dataclasses
+import io
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fuzzychain import experiments
+from fuzzychain import experiments, outputs
 from fuzzychain.cli import main
 from fuzzychain.config import (
     ConfigError,
@@ -19,13 +21,16 @@ from fuzzychain.config import (
 )
 from fuzzychain.experiments import (
     Exp1Report,
+    Exp2Report,
+    SingleRun,
     run_configured,
     run_experiment1,
     run_experiment2,
     sample_stakes_for_census,
     build_variable,
 )
-from fuzzychain.outputs import FILES, emit_outputs, format_report
+from fuzzychain.metrics import FrequencyTable
+from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
 from fuzzychain.rng import substream
 
 TINY_POP = {"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4}
@@ -46,6 +51,14 @@ def tiny(**overrides):
 def read_csv(path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def emitted_frequencies(report, out_dir) -> tuple[list, list]:
+    """(header, rows) of the report's emitted frequencies.csv, read by csv.reader."""
+    paths = emit_outputs(report, out_dir)
+    with open(paths["frequencies.csv"], newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 # one wrong-typed or non-finite value per document; each test adds a range error too
@@ -97,6 +110,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             config_from_dict({"population_per_label": dict.fromkeys(TINY_POP, 0)})
         assert exc.value.errors == ["population_per_label: at least one validator required"]
+
+    @pytest.mark.parametrize("bad", ["a\rb", "a\nb", "a\x00b", "a\tb", ""],
+                             ids=["cr", "lf", "nul", "tab", "empty"])
+    def test_unprintable_or_empty_label_rejected(self, bad):
+        labels = [bad, "L", "M", "H", "VH"]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"labels": labels,
+                              "population_per_label": dict.fromkeys(labels, 2)})
+        assert exc.value.errors == [f"labels: {bad!r} must be non-empty and printable"]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -187,25 +209,25 @@ class TestExperiment1:
         assert len(block["metrics"]["per_repetition"]) == 3
         assert block["metrics"]["granularity"] == "per-label"
 
-    def test_frequency_rows_single_sweep(self, tiny_config):
-        header, rows = run_experiment1(tiny_config).frequency_rows()
+    def test_frequency_rows_single_sweep(self, tiny_config, tmp_path):
+        header, rows = emitted_frequencies(run_experiment1(tiny_config), tmp_path)
         assert len(rows) == 3 * 5  # repetitions x labels
-        assert header == ("repetition", "label", "count")
+        assert header == ["repetition", "label", "count"]
         assert {len(row) for row in rows} == {len(header)}
 
-    def test_frequency_rows_multi_sweep_gain_rounds_column(self):
+    def test_frequency_rows_multi_sweep_gain_rounds_column(self, tmp_path):
         cfg = tiny(rounds=(10, 20), repetitions=2)
-        header, rows = run_experiment1(cfg).frequency_rows()
+        header, rows = emitted_frequencies(run_experiment1(cfg), tmp_path)
         assert len(rows) == 2 * 2 * 5
-        assert header == ("rounds", "repetition", "label", "count")
+        assert header == ["rounds", "repetition", "label", "count"]
         assert {len(row) for row in rows} == {len(header)}
 
-    def test_per_participant_granularity(self):
+    def test_per_participant_granularity(self, tmp_path):
         cfg = tiny(granularity="per-participant", repetitions=1)
         report = run_experiment1(cfg)
-        header, rows = report.frequency_rows()
+        header, rows = emitted_frequencies(report, tmp_path)
         assert len(rows) == 37  # one per enrolled participant
-        assert header == ("repetition", "participant", "count")
+        assert header == ["repetition", "participant", "count"]
         s = report.summary_dict()
         assert s["results"]["25"]["metrics"]["granularity"] == "per-participant"
 
@@ -245,13 +267,14 @@ class TestExperiment1:
         report = run_configured(cfg)
         assert isinstance(report, Exp1Report)
 
-    def test_workers_do_not_change_results(self, tiny_config):
+    def test_workers_do_not_change_results(self, tiny_config, tmp_path):
         serial = run_experiment1(tiny_config)
         with_workers = run_configured(tiny_config, workers=4)
         assert json.dumps(serial.summary_dict(), sort_keys=True) == json.dumps(
             with_workers.summary_dict(), sort_keys=True
         )
-        assert serial.frequency_rows() == with_workers.frequency_rows()
+        assert (emitted_frequencies(serial, tmp_path / "serial")
+                == emitted_frequencies(with_workers, tmp_path / "workers"))
 
 
 def small_exp2_config(repetitions=2):
@@ -285,9 +308,9 @@ class TestExperiment2:
             for t in small_exp2.baseline_tables[algo]:
                 assert t.total() == 50
 
-    def test_frequency_rows_cover_all_algorithms(self, small_exp2):
-        header, rows = small_exp2.frequency_rows()
-        assert header == ("algorithm", "repetition", "key", "count")
+    def test_frequency_rows_cover_all_algorithms(self, small_exp2, tmp_path):
+        header, rows = emitted_frequencies(small_exp2, tmp_path)
+        assert header == ["algorithm", "repetition", "key", "count"]
         algos = {r[0] for r in rows}
         assert algos == {"fuzzychain", "pow", "pos", "dpos"}
         fz = [r for r in rows if r[0] == "fuzzychain"]
@@ -366,6 +389,87 @@ class TestOutputs:
         assert "mean gini" in text and "fuzzychain" in text
 
 
+def reference_csv(header, tables) -> str:
+    """frequencies.csv as csv.writer writes it from one tuple per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for lead, table in tables:
+        writer.writerows(lead + (cat, n)
+                         for cat, n in zip(table.categories, table.counts().tolist()))
+    return buf.getvalue()
+
+
+# printable cells, biased towards the characters csv.writer quotes or keeps
+cells = st.one_of(st.text(alphabet=',"\' ab', min_size=1, max_size=5),
+                  st.text(min_size=1, max_size=5).filter(str.isprintable))
+
+
+@st.composite
+def tables_over(draw, categories):
+    counts = draw(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)),
+                           min_size=len(categories), max_size=len(categories)))
+    return FrequencyTable(categories, counts)
+
+
+def fake_run(rounds, rep, table) -> SingleRun:
+    return SingleRun(rounds=rounds, repetition=rep, label_table=table,
+                     participant_table=table, audit_rows=[], chain_height=0,
+                     rejected_rounds=0, expelled=0)
+
+
+class TestFrequencyWriter:
+    @given(labels=st.lists(cells, min_size=1, max_size=6, unique=True),
+           rounds=st.lists(st.integers(1, 10**4), min_size=1, max_size=3, unique=True),
+           repetitions=st.integers(1, 3), data=st.data())
+    def test_exp1_bytes_equal_csv_writer(self, labels, rounds, repetitions, data):
+        cfg = dataclasses.replace(ExperimentConfig(), labels=tuple(labels), rounds=tuple(rounds))
+        report = Exp1Report(config=cfg, trusted_sets=2, runs=[
+            fake_run(rv, rep, data.draw(tables_over(tuple(labels))))
+            for rv in rounds for rep in range(repetitions)])
+        buf = io.StringIO()
+        write_frequencies(buf, *report.frequency_tables())
+        assert buf.getvalue() == reference_csv(*report.frequency_tables())
+        assert buf.getvalue().startswith("rounds," if len(rounds) > 1 else "repetition,")
+
+    @given(labels=st.lists(cells, min_size=1, max_size=6, unique=True),
+           ids=st.lists(cells, min_size=1, max_size=6, unique=True),
+           repetitions=st.integers(1, 3), data=st.data())
+    def test_exp2_bytes_equal_csv_writer(self, labels, ids, repetitions, data):
+        cfg = dataclasses.replace(ExperimentConfig(), experiment="exp2", labels=tuple(labels))
+        report = Exp2Report(
+            config=cfg, trusted_sets=2,
+            fuzzy_runs=[fake_run(10, rep, data.draw(tables_over(tuple(labels))))
+                        for rep in range(repetitions)],
+            baseline_tables={algo: [data.draw(tables_over(tuple(ids)))
+                                    for _ in range(repetitions)]
+                             for algo in ("pow", "pos", "dpos")})
+        buf = io.StringIO()
+        write_frequencies(buf, *report.frequency_tables())
+        assert buf.getvalue() == reference_csv(*report.frequency_tables())
+
+    @pytest.mark.parametrize("granularity", ["per-label", "per-participant"])
+    def test_emitted_file_equals_csv_writer(self, granularity, tmp_path):
+        labels = ["low,est", 'say "hi"', " lead", "M", "x'y"]
+        cfg = tiny(labels=tuple(labels), rounds=(15, 30), repetitions=2,
+                   granularity=granularity,
+                   population_per_label=dict(zip(labels, TINY_POP.values())))
+        report = run_experiment1(cfg)
+        paths = emit_outputs(report, tmp_path / "out")
+        with open(paths["frequencies.csv"], "rb") as fh:
+            assert fh.read() == reference_csv(*report.frequency_tables()).encode()
+
+    def test_cells_built_once_per_emission(self, monkeypatch, tmp_path):
+        report = run_experiment1(tiny(granularity="per-participant", repetitions=3))
+        calls = []
+        original = outputs._zero_tails
+        monkeypatch.setattr(outputs, "_zero_tails",
+                            lambda categories: calls.append(1) or original(categories))
+        emit_outputs(report, tmp_path / "out")
+        # each repetition has its own registry, with equal id tuples
+        assert len(calls) == 1
+
+
 class TestCli:
     def test_run_exp1_writes_files(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -387,7 +491,7 @@ class TestCli:
         assert "frequencies.csv: 10 rows" in text
 
     def test_report_counts_csv_records_not_lines(self, tmp_path, capsys):
-        labels = ["low,est", "mid\ndle", "top"]
+        labels = ["low,est", "mid", "top"]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
             "experiment": "custom",
@@ -399,11 +503,31 @@ class TestCli:
         }))
         out = tmp_path / "q"
         assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0
-        # the quoted "mid\ndle" field spans two lines in each repetition
-        assert len((out / "frequencies.csv").read_text().splitlines()) == 9
+        # a label cannot hold an LF, so a quoted two-line field is written in by hand;
+        # it spans two lines in each repetition
+        freq = out / "frequencies.csv"
+        freq.write_text(freq.read_text().replace(",mid,", ',"mid\ndle",'))
+        assert len(freq.read_text().splitlines()) == 9
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         assert "frequencies.csv: 6 rows" in capsys.readouterr().out
+
+    def test_label_with_cr_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # csv.writer would leave the CR unquoted, and the report would count 12 rows for these 10
+        labels = ["a\rb", "L", "M", "H", "VH"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "experiment": "custom",
+            "labels": labels,
+            "population_per_label": dict(zip(labels, (5, 4, 3, 2, 1))),
+            "rounds": [20],
+            "repetitions": 2,
+        }))
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'a\\rb'" in err
+        assert not out.exists()
 
     def test_duplicate_rounds_exit_one_and_write_nothing(self, tmp_path, capsys):
         out = tmp_path / "dup"

@@ -111,6 +111,17 @@ class TestGini:
     def test_scale_invariance(self, xs, c):
         assert gini([c * x for x in xs]) == pytest.approx(gini(xs), rel=1e-7, abs=1e-9)
 
+    # every product and partial sum stays an integer below 2**53, so the
+    # float sum is exact and the one rounding is the final division
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=300)
+           .filter(lambda xs: sum(xs) > 0))
+    @example([0] * 299 + [10**6])
+    @example([10**6] * 300)
+    def test_integer_counts_equal_the_exact_ratio(self, xs):
+        n, srt = len(xs), sorted(xs)
+        s = sum((2 * i - n - 1) * x for i, x in enumerate(srt, start=1))
+        assert gini(np.array(xs, dtype=np.int64)) == s / (n * sum(xs))
+
     @given(
         st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=8)
         .filter(lambda xs: sum(xs) > 0),
