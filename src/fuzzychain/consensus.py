@@ -5,6 +5,10 @@ lower set, two per each of the top two), votes on the candidate block,
 rewards one uniformly chosen member of the majority bloc, and walks
 every panelist's reputation. Round 1 ignores reputation (everyone
 starts equal); later rounds prefer full-reputation members.
+
+The engine works on enrollment positions (Participant.seq) throughout:
+panels, votes, settlement and RoundResult. Ids appear only in the audit
+rows that experiments writes from a RoundResult.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def tally(votes: list[bool]):
     return accepted, successful, unsuccessful
 
 
-def pick_winner(successful: list[Participant], rng) -> Participant:
+def pick_winner(successful: Sequence, rng):
     """Uniform choice among the majority bloc; the winner takes the round's
     whole commission."""
     if not successful:
@@ -174,18 +178,23 @@ def pick_winner(successful: list[Participant], rng) -> Participant:
 
 @dataclass
 class RoundResult:
-    """Everything the audit log wants to know about one round."""
+    """Everything the audit log wants to know about one round.
+
+    Participants are enrollment positions (Participant.seq); the audit log
+    turns them into ids through Registry.ids(). panel_labels are the labels
+    the panel held when it was drawn, so the winner keeps its label even
+    when the commission moves its stake across a label edge.
+    """
 
     round_index: int
-    panel_ids: list[str]
+    panel: list[int]
     panel_labels: list[int]
     votes: list[bool]
     accepted: bool
     block_valid: bool
-    winner_id: str
-    winner_seq: int  # the winner's enrollment position
-    reputation_deltas: dict[str, tuple[float, float]]
-    expulsions: list[str]
+    winner: int
+    reputation_deltas: dict[int, tuple[float, float]]  # panelists whose reputation moved
+    expulsions: list[int]
     appended: bool
 
 
@@ -221,12 +230,12 @@ class FuzzychainEngine:
         it joins the chain only when the vote accepts it AND the check passed.
         """
         j = self.rounds_completed + 1
-        groups = self.registry.trusted_sets()
-        if j == 1:
-            panel = select_first_round(groups, selection_rng)
-        else:
-            panel = select_round_j(groups, selection_rng)
-        labels = [m.label_index for m in panel]
+        registry = self.registry
+        groups = registry.trusted_sets()
+        select = select_first_round if j == 1 else select_round_j
+        panel = [m.seq for m in select(groups, selection_rng)]
+        stake, label, reputation, excluded = registry.columns()
+        labels = [label[i] for i in panel]
 
         block_valid = validate_block(self.chain, block)
         votes = cast_votes(panel, block_valid, self.byzantine_rate, vote_rng)
@@ -235,18 +244,18 @@ class FuzzychainEngine:
         winner = pick_winner([panel[i] for i in succ_idx], selection_rng)
 
         succ = set(succ_idx)
-        deltas: dict[str, tuple[float, float]] = {}
-        expulsions: list[str] = []
-        for i, member in enumerate(panel):
-            before = member.reputation
-            self.registry.apply_vote_outcome(member.id, i in succ)
-            after = member.reputation
+        deltas: dict[int, tuple[float, float]] = {}
+        expulsions: list[int] = []
+        for i, seq in enumerate(panel):
+            before = reputation[seq]
+            registry.apply_vote_outcome(seq, i in succ)
+            after = reputation[seq]
             if after != before:
-                deltas[member.id] = (before, after)
+                deltas[seq] = (before, after)
             # panels come from the active trusted sets, so an excluded panelist was just expelled
-            if member.excluded:
-                expulsions.append(member.id)
-        self.registry.set_stake(winner.id, winner.stake + self.commission)
+            if excluded[seq]:
+                expulsions.append(seq)
+        registry.set_stake(winner, stake[winner] + self.commission)
 
         appended = accepted and block_valid
         if appended:
@@ -256,13 +265,12 @@ class FuzzychainEngine:
         self.rounds_completed += 1
         return RoundResult(
             round_index=j,
-            panel_ids=[m.id for m in panel],
+            panel=panel,
             panel_labels=labels,
             votes=votes,
             accepted=accepted,
             block_valid=block_valid,
-            winner_id=winner.id,
-            winner_seq=winner.seq,
+            winner=winner,
             reputation_deltas=deltas,
             expulsions=expulsions,
             appended=appended,

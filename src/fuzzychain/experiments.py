@@ -109,7 +109,8 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     engine = FuzzychainEngine(
         registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
-    winner_labels, winner_seqs = [], []  # label and enrollment positions
+    ids = registry.ids()  # positions become ids only in the audit rows
+    winner_labels, winners = [], []  # label and enrollment positions
     audit_rows = []
     rejected = expelled = 0
 
@@ -135,9 +136,9 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             block = build_block(tip, [tx], clock=r)
 
         result = engine.run_round(block, selection_rng, votes_rng)
-        w = result.panel_ids.index(result.winner_id)
+        w = result.panel.index(result.winner)
         winner_labels.append(result.panel_labels[w] - 1)
-        winner_seqs.append(result.winner_seq)
+        winners.append(result.winner)
         if not result.appended:
             rejected += 1
         expelled += len(result.expulsions)
@@ -145,18 +146,18 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             "rounds": rounds_value,
             "repetition": rep,
             "round": result.round_index,
-            "panel": result.panel_ids,
+            "panel": [ids[i] for i in result.panel],
             "panel_labels": [config.labels[i - 1] for i in result.panel_labels],
             "votes": "".join("A" if v else "R" for v in result.votes),
             "decision": "accepted" if result.accepted else "rejected",
             "block_valid": result.block_valid,
-            "winner": result.winner_id,
+            "winner": ids[result.winner],
             "winner_label": config.labels[winner_labels[-1]],
             "reputation_deltas": {
-                pid: [round(b, 9), round(a, 9)]
-                for pid, (b, a) in result.reputation_deltas.items()
+                ids[i]: [round(b, 9), round(a, 9)]
+                for i, (b, a) in result.reputation_deltas.items()
             },
-            "expulsions": result.expulsions,
+            "expulsions": [ids[i] for i in result.expulsions],
             "appended": result.appended,
         })
 
@@ -164,7 +165,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         rounds=rounds_value,
         repetition=rep,
         label_table=FrequencyTable.tally(config.labels, winner_labels),
-        participant_table=FrequencyTable.tally(registry.ids(), winner_seqs),
+        participant_table=FrequencyTable.tally(ids, winners),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,

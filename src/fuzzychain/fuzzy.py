@@ -183,9 +183,17 @@ def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndar
         raise OutOfUniverseError(
             f"stake {outside[0]} outside universe [{var.universe_lo}, {var.universe_hi}]"
         )
-    degrees = np.stack([membership_array(mf, xs) for mf in var.mfs])
-    best = np.argmax(degrees, axis=0)  # first max == lowest label index
-    return best + 1, degrees[best, np.arange(xs.size)]
+    # a running argmax: a later label takes a stake only with a strictly higher
+    # degree, so ties stay with the lowest label and one degree array is alive at a time
+    best = membership_array(var.mfs[0], xs)
+    labels = np.ones(xs.size, dtype=np.intp)
+    for label, mf in enumerate(var.mfs[1:], start=2):
+        degree = membership_array(mf, xs)
+        higher = degree > best
+        np.copyto(best, degree, where=higher)
+        np.copyto(labels, label, where=higher)
+        del degree, higher
+    return labels, best
 
 
 def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:

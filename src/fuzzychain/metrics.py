@@ -103,6 +103,8 @@ class FrequencyTable:
         if len(set(self.categories)) != len(self.categories):
             raise ValueError("duplicate categories")
         counts = np.asarray(counts)
+        if counts.size == 0:  # np.asarray([]) is float64, which the safe cast refuses
+            counts = counts.astype(np.int64)
         if counts.shape != (len(self.categories),):
             raise ValueError(f"counts of shape {counts.shape} for {len(self.categories)} categories")
         self._counts = counts.astype(np.int64, casting="safe")

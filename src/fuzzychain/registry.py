@@ -9,6 +9,12 @@ equals 1" is a membership test for the preferred selection pool.
 The registry stores its participants as columns. A participant is a view
 of one row, and each trusted set is derived from the columns, cached, and
 rebuilt when a write makes it stale.
+
+Rows are addressed by enrollment position (Participant.seq): the round
+engine selects, votes and settles on positions, and ids are spoken only
+where a caller asks for them (get, in, and the audit log, which reads
+ids()). So the id -> position index is built on the first id lookup, not
+at enrollment; a run that never looks an id up never builds it.
 """
 
 from __future__ import annotations
@@ -40,19 +46,20 @@ class _Storage:
     """Participant columns in enrollment order, and each trusted set's caches.
 
     stake, label, reputation and excluded are memoryviews of numpy arrays,
-    so a scalar read gives a Python float, int or bool. Set k caches its
-    positions, its reputations and its selection state (see TrustedSet);
-    a write drops what it makes stale. An enrollment, exclusion, readmission
-    or label move drops a set's positions, and with them the rest; a
-    reputation write to an active row drops only its set's reputations and
-    selection, so it never rescans the population.
+    so a scalar read gives a Python float, int or bool. index maps each id
+    to its position; it is built on first use, then kept up by append. Set
+    k caches its positions, its reputations and its selection state (see
+    TrustedSet); a write drops what it makes stale. An enrollment,
+    exclusion, readmission or label move drops a set's positions, and with
+    them the rest; a reputation write to an active row drops only its set's
+    reputations and selection, so it never rescans the population.
     """
 
-    __slots__ = ("ids", "index", "stake", "label", "reputation", "excluded",
+    __slots__ = ("ids", "_index", "stake", "label", "reputation", "excluded",
                  "positions", "reputations", "selections")
 
     def __init__(self, n_sets: int):
-        self.ids, self.index = (), {}
+        self.ids, self._index = (), None
         self.stake, self.label, self.reputation, self.excluded = (
             memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
         self.positions: list[memoryview | None] = [None] * n_sets
@@ -63,12 +70,25 @@ class _Storage:
         """Add rows (ids, then one value list per column) after every current one."""
         first = len(self.ids)
         self.ids += tuple(ids)
-        self.index.update(zip(self.ids[first:], range(first, len(self.ids))))
+        if self._index is not None:
+            self._index.update(zip(self.ids[first:], range(first, len(self.ids))))
         self.stake, self.label, self.reputation, self.excluded = (
             memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
             zip((self.stake, self.label, self.reputation, self.excluded), columns, _DTYPES))
         for k in range(len(self.positions)):
             self._drop(k)
+
+    @property
+    def index(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = dict(zip(self.ids, range(len(self.ids))))
+        return self._index
+
+    def row(self, seq: int) -> int:
+        """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
+        if not 0 <= seq < len(self.ids):
+            raise IndexError(f"no participant at position {seq}")
+        return seq
 
     def _drop(self, k: int) -> None:
         self.positions[k] = self.reputations[k] = self.selections[k] = None
@@ -105,9 +125,10 @@ class Participant:
 
     reputation starts at 1.0 and never leaves [0, 1]; label_index is 1-based
     and follows Registry.set_stake. Reads give Python floats, ints and bools;
-    writes reach the trusted sets. seq is the read-only enrollment position.
-    Only a registry makes views (enroll, get, participants, the sets). A view
-    holds the columns, not the registry, so it outlives the registry.
+    writes reach the trusted sets. seq is the read-only enrollment position,
+    the key that settlement and the round engine use. Only a registry makes
+    views (enroll, get, participants, the sets). A view holds the columns,
+    not the registry, so it outlives the registry.
     """
 
     __slots__ = ("_store", "_seq", "id")
@@ -244,7 +265,8 @@ class Registry:
     stake and stores it as columns, building no per-participant object;
     get, participants and the sets make views on demand. The active
     members of each T_i are a TrustedSet derived from the columns (see
-    trusted_sets()).
+    trusted_sets()). Settlement (apply_vote_outcome, set_stake) and
+    columns() address participants by position; only get and in take ids.
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
@@ -265,7 +287,7 @@ class Registry:
         store = self._store
         first, end = len(store.ids), len(store.ids) + len(stakes)
         ids = _enrollment_ids(first, end) if ids is None else ids
-        if not store.index.keys().isdisjoint(ids):
+        if first and not store.index.keys().isdisjoint(ids):  # an empty registry has no taken id
             taken = next(pid for pid in ids if pid in store.index)
             raise ValueError(f"participant {taken!r} already enrolled")
         store.append(ids, stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes)))
@@ -285,6 +307,8 @@ class Registry:
         return pid in self._store.index
 
     def get(self, pid: str) -> Participant:
+        """The view of the participant enrolled as pid (KeyError if none). The
+        first id lookup builds the id -> position index; positions need none."""
         return self._store.view(self._store.index[pid])
 
     def ids(self) -> tuple[str, ...]:
@@ -300,18 +324,28 @@ class Registry:
         own sets, not copies, so they follow later changes (and are read-only)."""
         return list(self._sets)
 
-    def apply_vote_outcome(self, pid: str, successful: bool) -> None:
-        """Update one voter's reputation and re-check their expulsion status."""
-        store, i = self._store, self._store.index[pid]
+    def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
+        """Read-only (stake, label, reputation, excluded) columns, indexed by
+        position. Settlement writes show through them; an enrollment replaces
+        the columns, so take them again after one."""
+        store = self._store
+        return tuple(col.toreadonly() for col in
+                     (store.stake, store.label, store.reputation, store.excluded))
+
+    def apply_vote_outcome(self, seq: int, successful: bool) -> None:
+        """Update the reputation of the voter at position seq (Participant.seq)
+        and re-check their expulsion status."""
+        store, i = self._store, self._store.row(seq)
         rep = update_reputation(store.reputation[i], successful, self.params)
         store.set_reputation(i, rep)
         if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
             store.set_excluded(i, True)
 
-    def set_stake(self, pid: str, stake: float) -> None:
-        """Change a stake (e.g. after a commission payout) and reclassify; a
-        rejected stake (NaN, below the floor) leaves the participant as it was."""
-        store, i = self._store, self._store.index[pid]
+    def set_stake(self, seq: int, stake: float) -> None:
+        """Change the stake at position seq (e.g. after a commission payout) and
+        reclassify; a rejected stake (NaN, below the floor) leaves the participant
+        as it was."""
+        store, i = self._store, self._store.row(seq)
         label_index = classify_stake(self.variable, stake).label_index
         store.stake[i] = stake
         store.set_label(i, label_index)

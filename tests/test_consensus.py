@@ -398,19 +398,19 @@ class TestEngineRounds:
         reg = small_registry()
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.05)
-        stakes_before = {p.id: p.stake for p in reg.participants()}
+        stakes_before = [p.stake for p in reg.participants()]
         result = engine.run_round(signed_block(chain, 1),
                                   substream(1, "selection"), substream(1, "votes"))
         assert result.accepted and result.appended and result.block_valid
-        assert len(result.panel_ids) == 7
+        assert len(result.panel) == 7
         assert chain.height() == 1
         assert all(p.reputation == 1.0 for p in reg.participants())
         assert result.reputation_deltas == {} and result.expulsions == []
-        assert reg.get(result.winner_id).stake == pytest.approx(
-            stakes_before[result.winner_id] + 0.05
+        assert reg.participants()[result.winner].stake == pytest.approx(
+            stakes_before[result.winner] + 0.05
         )
-        others = [p for p in reg.participants() if p.id != result.winner_id]
-        assert all(p.stake == stakes_before[p.id] for p in others)
+        others = [p for p in reg.participants() if p.seq != result.winner]
+        assert all(p.stake == stakes_before[p.seq] for p in others)
 
     def test_invalid_block_is_rejected_and_chain_untouched(self):
         reg = small_registry()
@@ -440,15 +440,15 @@ class TestEngineRounds:
                                   substream(1, "selection"), substream(vote_seed, "votes"))
         assert result.accepted and result.appended
         assert len(result.reputation_deltas) == 1
-        (pid, (before, after)), = result.reputation_deltas.items()
+        (seq, (before, after)), = result.reputation_deltas.items()
         assert (before, after) == (1.0, 0.9)
-        assert result.winner_id != pid
+        assert result.winner != seq
 
         # next round: the penalized member is out of its group's A subset
-        group = reg.trusted_sets()[reg.get(pid).label_index - 1]
+        group = reg.trusted_sets()[reg.participants()[seq].label_index - 1]
         a, b = build_subsets(group)
-        assert pid not in {b[i].id for i in a}
-        assert pid in {m.id for m in b}
+        assert seq not in {b[i].seq for i in a}
+        assert seq in {m.seq for m in b}
 
     def test_settlement_touches_only_the_panel(self):
         reg = small_registry()
@@ -456,13 +456,13 @@ class TestEngineRounds:
         engine = FuzzychainEngine(reg, chain, byzantine_rate=0.4)
         sel, vot = substream(9, "selection"), substream(9, "votes")
         for r in range(1, 11):
-            before = {p.id: p.reputation for p in reg.participants()}
+            before = [p.reputation for p in reg.participants()]
             result = engine.run_round(signed_block(chain, r), sel, vot)
-            panel = set(result.panel_ids)
+            panel = set(result.panel)
             for p in reg.participants():
-                if p.id in panel:
+                if p.seq in panel:
                     continue
-                assert p.reputation == before[p.id], "non-member reputation moved"
+                assert p.reputation == before[p.seq], "non-member reputation moved"
             assert set(result.reputation_deltas) <= panel
 
     def test_expelled_members_never_reappear(self):
@@ -477,7 +477,7 @@ class TestEngineRounds:
                 result = engine.run_round(signed_block(chain, r), sel, vot)
             except NoPanelError:
                 break
-            assert not (set(result.panel_ids) & expelled_ever)
+            assert not (set(result.panel) & expelled_ever)
             if result.expulsions:
                 saw_expulsion = True
                 expelled_ever |= set(result.expulsions)

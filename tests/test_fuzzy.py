@@ -1,5 +1,7 @@
 """Membership functions, partitions, and stake classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -193,6 +195,37 @@ class TestHmdf:
         labels, degrees = classify_batch(var5, [])
         assert labels.size == degrees.size == 0
         assert scale_stakes(var5, []) == []
+
+    def test_batch_equals_classify_stake_bit_for_bit_on_a_non_uniform_partition(self):
+        peaks = (0.0, 1.0, 2.5, 6.0, 10.0)
+        mfs = [MembershipFunction(0.0, 0.0, 1.0, SHOULDER_LEFT)]
+        mfs += [MembershipFunction(a, b, c) for a, b, c in zip(peaks, peaks[1:], peaks[2:])]
+        mfs.append(MembershipFunction(6.0, 10.0, 10.0, SHOULDER_RIGHT))
+        var = LinguisticVariable("stake", LABELS5, 0.0, 10.0, tuple(mfs))
+        crossovers = [hi for _lo, hi in hmdf_win_intervals(var)[:-1]]
+        assert crossovers == [0.5, 1.75, 4.25, 8.0]
+        stakes = [0.0, 10.0, 10.5, 1e300, np.inf]
+        stakes += [y for x in crossovers for y in (np.nextafter(x, -np.inf), x,
+                                                    np.nextafter(x, np.inf))]
+        labels, degrees = classify_batch(var, stakes)
+        expect = [classify_stake(var, x) for x in stakes]
+        assert labels.tolist() == [e.label_index for e in expect]
+        assert degrees.tolist() == [e.degree for e in expect]  # exact, not approx
+        assert labels[5:].tolist() == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5]  # ties go down
+
+    def test_batch_memory_does_not_grow_with_the_label_count(self):
+        stakes = np.random.default_rng(3).uniform(0.0, 10.0, 49_500)
+
+        def peak(n_labels):
+            var = make_uniform_partition("stake", [f"L{i}" for i in range(n_labels)], 0, 10)
+            tracemalloc.start()
+            try:
+                classify_batch(var, stakes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(15) <= 1.1 * peak(3)
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     min_size=2, max_size=50))

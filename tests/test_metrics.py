@@ -236,6 +236,18 @@ class TestFrequencyTable:
         with pytest.raises(TypeError):
             FrequencyTable(["a"], [1.5])
 
+    def test_empty_table(self):
+        for counts in ([], (), np.zeros(0)):
+            t = FrequencyTable((), counts)
+            assert t.counts().dtype == np.int64 and t.counts().shape == (0,)
+            assert t.total() == 0
+            assert t.as_dict() == {}
+
+    def test_float_counts_rejected(self):
+        for counts in ([1.5, 2.0], np.array([1.0, 2.0])):
+            with pytest.raises(TypeError):
+                FrequencyTable(["a", "b"], counts)
+
     def test_unknown_tallied_category_rejected(self):
         # a count vector must hold exactly one count per category
         for counts in ([1, 2], [], [[1]], 1):

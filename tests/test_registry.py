@@ -213,13 +213,13 @@ class TestEnrollment:
 
     def test_set_stake_reclassifies(self):
         reg = make_registry()
-        reg.enroll("a", 1.2)
+        seq = reg.enroll("a", 1.2).seq
         assert reg.get("a").label_index == 1
-        reg.set_stake("a", 1.3)
+        reg.set_stake(seq, 1.3)
         assert reg.get("a").label_index == 2
         for bad in (-0.5, float("nan")):
             with pytest.raises(ValueError):
-                reg.set_stake("a", bad)
+                reg.set_stake(seq, bad)
             # a rejected stake leaves the participant as it was
             assert (reg.get("a").stake, reg.get("a").label_index) == (1.3, 2)
         with pytest.raises(ValueError):
@@ -232,14 +232,71 @@ class TestEnrollment:
         assert reg.get("whale").label_index == 5
 
 
+class TestIdIndex:
+    """The id -> position index is built on the first id lookup, never by a round."""
+
+    @pytest.mark.parametrize("hand_first", [True, False])
+    def test_a_taken_id_is_refused_in_either_order(self, hand_first):
+        reg = make_registry()
+        if hand_first:
+            reg.enroll("v0002", 5.0)
+            with pytest.raises(ValueError, match="already enrolled"):
+                reg.enroll_many([1.0, 2.0, 3.0])
+            assert reg.ids() == ("v0002",)
+        else:
+            reg.enroll_many([1.0, 2.0, 3.0])
+            with pytest.raises(ValueError, match="already enrolled"):
+                reg.enroll("v0001", 5.0)
+            assert reg.ids() == ("v0000", "v0001", "v0002")
+        assert_index_matches(reg)
+
+    def test_lookups_on_a_registry_built_from_stakes(self):
+        var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
+        reg = Registry(var, stakes=[0.5, 6.0, 9.5])
+        assert reg._store._index is None  # enrolling into an empty registry builds nothing
+        assert "v0001" in reg and "v0003" not in reg
+        assert reg.get("v0002").seq == 2 and reg.get("v0002").stake == 9.5
+        with pytest.raises(KeyError):
+            reg.get("a")
+        reg.enroll("a", 1.0)  # a later enrollment keeps the built index up to date
+        assert reg.get("a").seq == 3 and reg._store.index == {
+            "v0000": 0, "v0001": 1, "v0002": 2, "a": 3}
+
+    def test_rounds_build_no_id_index(self):
+        reg = build_population()
+        chain = Chain()
+        engine = FuzzychainEngine(reg, chain, commission=0.05, byzantine_rate=0.2)
+        priv, pub = new_keypair(substream(10, "keys"))
+        sel, vot = substream(10, "selection"), substream(10, "votes")
+        for r in range(1, 51):
+            block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
+            engine.run_round(block, sel, vot)
+        assert reg._store._index is None
+        assert reg.get("v49499").seq == 49_499
+
+    def test_settlement_refuses_a_position_outside_the_registry(self):
+        reg = make_registry()
+        reg.enroll_many([1.0, 6.0])
+        for seq in (-1, 2):
+            with pytest.raises(IndexError):
+                reg.apply_vote_outcome(seq, False)
+            with pytest.raises(IndexError):
+                reg.set_stake(seq, 9.0)
+        stake, label, rep, excluded = reg.columns()
+        assert (stake.tolist(), label.tolist(), rep.tolist(), excluded.tolist()) == (
+            [1.0, 6.0], [1, 3], [1.0, 1.0], [False, False])
+        with pytest.raises(TypeError):
+            rep[0] = 0.5  # the columns are handed out read-only
+
+
 class TestExpulsion:
     def test_vote_outcomes_move_reputation(self):
         reg = make_registry()
-        reg.enroll("a", 5.0)
-        reg.apply_vote_outcome("a", successful=False)
+        seq = reg.enroll("a", 5.0).seq
+        reg.apply_vote_outcome(seq, successful=False)
         assert reg.get("a").reputation == 0.9
         assert not reg.get("a").excluded  # E = 0.1 <= 0.25
-        reg.apply_vote_outcome("a", successful=True)
+        reg.apply_vote_outcome(seq, successful=True)
         assert reg.get("a").reputation == 0.905
 
     def test_expulsion_rate_definition(self):
@@ -251,18 +308,18 @@ class TestExpulsion:
 
     def test_exclusion_threshold(self):
         reg = make_registry(epsilon=0.25)
-        reg.enroll("a", 5.0)
-        reg.apply_vote_outcome("a", False)  # 0.9, E=0.1
-        reg.apply_vote_outcome("a", False)  # 0.8, E=0.2
+        seq = reg.enroll("a", 5.0).seq
+        reg.apply_vote_outcome(seq, False)  # 0.9, E=0.1
+        reg.apply_vote_outcome(seq, False)  # 0.8, E=0.2
         assert not reg.get("a").excluded
-        reg.apply_vote_outcome("a", False)  # 0.7, E=0.3 > 0.25
+        reg.apply_vote_outcome(seq, False)  # 0.7, E=0.3 > 0.25
         assert reg.get("a").excluded
 
     def test_excluded_members_leave_active_views(self):
         reg = make_registry(epsilon=0.05)
-        reg.enroll("a", 5.0)
+        a = reg.enroll("a", 5.0)
         reg.enroll("b", 5.0)
-        reg.apply_vote_outcome("a", False)
+        reg.apply_vote_outcome(a.seq, False)
         sets = reg.trusted_sets()
         assert [p.id for p in sets[2]] == ["b"]
         assert [p.id for s in sets for p in s] == ["b"]
@@ -300,13 +357,13 @@ class TestTrustedSetIndex:
         ps = reg.enroll_many([0.2, 0.4, 0.6])
         group = reg.trusted_sets()[0]
         positions, reps = group.positions, group.reputations
-        reg.set_stake(ps[1].id, 0.45)
+        reg.set_stake(ps[1].seq, 0.45)
         assert [m.id for m in group] == [p.id for p in ps]
         assert group.reputations is reps  # a same-label stake change drops nothing
         ps[0].reputation = 0.5
         assert group.positions is positions  # a reputation write never rescans the population
         assert group.reputations.tolist() == [0.5, 1.0, 1.0]
-        reg.set_stake(ps[1].id, 2.0)
+        reg.set_stake(ps[1].seq, 2.0)
         assert group.positions is not positions
         assert [m.id for m in group] == [ps[0].id, ps[2].id]
         assert_index_matches(reg)
@@ -365,9 +422,9 @@ class TestTrustedSetIndex:
                 pick, value = args
                 p = reg.participants()[pick % len(reg)]
                 if kind == "vote":
-                    reg.apply_vote_outcome(p.id, value)
+                    reg.apply_vote_outcome(p.seq, value)
                 elif kind == "stake":
-                    reg.set_stake(p.id, value)
+                    reg.set_stake(p.seq, value)
                 else:
                     setattr(p, kind, value)
             assert_index_matches(reg)
@@ -383,14 +440,14 @@ class TestTrustedSetIndex:
         sel, vot = substream(8, "selection"), substream(8, "votes")
         moves = expulsions = rounds = 0
         for r in range(1, 301):
-            labels = {p.id: p.label_index for p in reg.participants()}
+            labels = [p.label_index for p in reg.participants()]
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             try:
                 result = engine.run_round(block, sel, vot)
             except NoPanelError:
                 break
             rounds += 1
-            moves += reg.get(result.winner_id).label_index != labels[result.winner_id]
+            moves += reg.participants()[result.winner].label_index != labels[result.winner]
             expulsions += len(result.expulsions)
             assert_index_matches(reg)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
@@ -438,7 +495,7 @@ class TestColumns:
             except NoPanelError:
                 break
             rounds += 1
-            moves += store.label[result.winner_seq] != labels[result.winner_seq]
+            moves += store.label[result.winner] != labels[result.winner]
             expulsions += len(result.expulsions)
             assert_columns_match(reg)
             assert all((p.stake, p.label_index, p.reputation, p.excluded) == (
@@ -462,9 +519,9 @@ class TestColumns:
                 if as_numpy:
                     value = numpy_type[kind](value)
                 if kind == "vote":
-                    reg.apply_vote_outcome(p.id, value)
+                    reg.apply_vote_outcome(p.seq, value)
                 elif kind == "stake":
-                    reg.set_stake(p.id, value)
+                    reg.set_stake(p.seq, value)
                 else:
                     setattr(p, kind, value)
             for p in reg.participants():
