@@ -40,19 +40,22 @@ def _draw(members: Sequence, k: int, rng) -> list:
     Consumes rng exactly as sorted(rng.choice(len(members), k, replace=False))
     does: numpy runs Floyd's algorithm for k this small, then shuffles
     the picks, an order the sort discards but whose draw must still be made.
+    For k = 2 Floyd's loop is written out: i from [0, n-1), then j from
+    [0, n), with n - 1 standing in for a j that repeats i.
     """
     n = len(members)
     if k >= n:
         return list(members)
-    if k > 2:
-        raise ValueError(f"stream-exact draw supports at most 2 picks, got {k}")
-    picks: list[int] = []
-    for j in range(n - k, n):
-        i = int(rng.integers(0, j + 1))
-        picks.append(j if i in picks else i)
-    if k == 2:
-        rng.integers(0, 2)  # numpy's shuffle of the two picks
-    return [members[i] for i in sorted(picks)]
+    if k == 1:
+        return [members[rng.integers(0, n)]]
+    if k != 2:
+        raise ValueError(f"stream-exact draw supports 1 or 2 picks (at most 2), got {k}")
+    i = rng.integers(0, n - 1)
+    j = rng.integers(0, n)
+    if j == i:
+        j = n - 1
+    rng.integers(0, 2)  # numpy's shuffle of the two picks
+    return [members[i], members[j]] if i < j else [members[j], members[i]]
 
 
 def _parity_repair(picks: list[list[int]], groups, rng) -> None:
@@ -84,10 +87,10 @@ def _parity_repair(picks: list[list[int]], groups, rng) -> None:
 
 def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
     """draw(set, quota, rng) -> positions, on every non-empty set, then parity repair."""
-    if not any(groups):
-        raise NoPanelError("every trusted set is empty")
     q = quotas(len(groups))
     picks = [draw(g, q[i], rng) if g else [] for i, g in enumerate(groups)]
+    if not any(picks):  # a draw from a non-empty set picks someone
+        raise NoPanelError("every trusted set is empty")
     _parity_repair(picks, groups, rng)
     return [g[pos] for g, p in zip(groups, picks) for pos in p]
 
@@ -129,9 +132,11 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     therefore dominate the pool without ever monopolizing it.
     """
     a, b = build_subsets(group)
-    pool = dict.fromkeys(int(i) for i in _draw(a, 2, rng))
-    pool[_weighted_pick(b.selection()[1], len(b), rng)] = None
-    return _draw(list(pool), quota, rng)
+    pool = [int(i) for i in _draw(a, 2, rng)]
+    pick = _weighted_pick(b.selection()[1], len(b), rng)
+    if pick not in pool:
+        pool.append(pick)
+    return _draw(pool, quota, rng)
 
 
 def select_round_j(groups: list[TrustedSet], rng) -> list[Participant]:
@@ -144,12 +149,13 @@ def cast_votes(panel, block_is_valid: bool, byzantine_rate: float, rng) -> list[
 
     Each panelist independently inverts their honest vote (the block's
     true validity) with probability byzantine_rate, which lies in
-    [0, 1]; FuzzychainEngine checks that range. Flips are drawn for
-    every member regardless of rate so the vote stream's shape never
-    depends on the configured rate.
+    [0, 1]; FuzzychainEngine checks that range. The flips are drawn from
+    the votes stream, one rng.random() per panelist in panel order (the
+    stream rng.random(len(panel)) reads), for every member regardless of
+    rate, so the vote stream's shape never depends on the configured rate.
     """
-    flips = rng.random(len(panel)) < byzantine_rate
-    return [bool(block_is_valid) ^ bool(f) for f in flips]
+    honest = bool(block_is_valid)
+    return [honest ^ (rng.random() < byzantine_rate) for _ in panel]
 
 
 def tally(votes: list[bool]):
@@ -206,7 +212,9 @@ class FuzzychainEngine:
     (in [0, 1]); the constructor raises ValueError outside those ranges.
     The engine owns no randomness: callers hand in the selection and
     vote streams, which keeps independently seeded consumers from
-    perturbing each other.
+    perturbing each other. A stream is anything with numpy's
+    integers(lo, hi) and random(): a Generator, or an rng.Stream over
+    one, which draws the same numbers faster.
     """
 
     def __init__(self, registry: Registry, chain: Chain, *,

@@ -30,7 +30,7 @@ from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it unde
 from .ledger import Chain, Transaction, build_block, make_block, new_keypair, sign_transaction
 from .metrics import FrequencyTable, summarize_counts
 from .registry import Registry, ReputationParams, trusted_sets_required
-from .rng import substream
+from .rng import Stream, substream
 
 N_WALLETS = 4
 BASELINE_ALGOS = ("pow", "pos", "dpos")
@@ -68,7 +68,10 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:
     census = [config.population_per_label[lab] for lab in config.labels]
     stakes = sample_stakes_for_census(var, census, stakes_rng)
-    return Registry(var, ReputationParams(config.eta, config.l_divisor, config.epsilon), stakes)
+    registry = Registry(var, ReputationParams(config.eta, config.l_divisor, config.epsilon))
+    # the sampler redraws until each stake classifies into its census label: no second pass
+    registry._enroll(stakes, labels=np.repeat(np.arange(1, var.n + 1), census))
+    return registry
 
 
 @dataclass
@@ -101,9 +104,8 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
 
     keys_rng = substream(config.seed, *path, "keys")
     wallets = [new_keypair(keys_rng, config.curve) for _ in range(N_WALLETS)]
-    selection_rng = substream(config.seed, *path, "selection")
-    votes_rng = substream(config.seed, *path, "votes")
-    blocks_rng = substream(config.seed, *path, "blocks")
+    selection_rng, votes_rng, blocks_rng = (
+        Stream(substream(config.seed, *path, name)) for name in ("selection", "votes", "blocks"))
 
     chain = Chain(config.curve)
     engine = FuzzychainEngine(
@@ -117,10 +119,10 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     for r in range(1, rounds_value + 1):
         priv, _pub = wallets[(r - 1) % N_WALLETS]
         _, recipient = wallets[r % N_WALLETS]
-        amount = round(float(blocks_rng.uniform(0.0, 100.0)), 6)
+        amount = round(blocks_rng.uniform(0.0, 100.0), 6)
         tx = sign_transaction(priv, recipient, amount, nonce=r)
-        u_corrupt = float(blocks_rng.random())
-        u_mode = float(blocks_rng.random())
+        u_corrupt = blocks_rng.random()
+        u_mode = blocks_rng.random()
         tip = chain.tip()
         if u_corrupt < config.invalid_block_rate:
             if u_mode < 0.5:

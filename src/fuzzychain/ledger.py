@@ -68,10 +68,16 @@ def new_keypair(rng, curve: str = DEFAULT_CURVE):
             break
         except ValueError:  # pragma: no cover - scalar above group order, ~2^-32
             value = (value * 2654435761 + 12345) % (2**c.key_size - 3) + 1
-    pub = priv.public_key().public_bytes(
+    return priv, _sender_bytes(priv)
+
+
+@lru_cache(maxsize=64)
+def _sender_bytes(private_key) -> bytes:
+    """Compressed public key bytes of a signing key, cached per key object
+    (as _public_key caches parses), since every transaction names its sender."""
+    return private_key.public_key().public_bytes(
         serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint
     )
-    return priv, pub
 
 
 def _amount_units(amount: float) -> int:
@@ -126,9 +132,7 @@ def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -
     Uses deterministic ECDSA so rerunning a seeded simulation produces
     byte-identical signatures.
     """
-    sender = private_key.public_key().public_bytes(
-        serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint
-    )
+    sender = _sender_bytes(private_key)
     payload = transaction_signing_bytes(sender, recipient, amount, nonce)
     digest = hashlib.sha256(payload).digest()
     sig = private_key.sign(digest, _SIGN_ALGORITHM)

@@ -278,12 +278,15 @@ class Registry:
         if len(stakes):
             self._enroll(stakes)
 
-    def _enroll(self, stakes, ids=None) -> range:
+    def _enroll(self, stakes, ids=None, labels=None) -> range:
         """Classify stakes in one batch and enroll them in order under ids (by
         default _enrollment_ids); returns their positions. All or nothing: a NaN or
-        below-floor stake (OutOfUniverseError) or a taken id (ValueError) enrolls none."""
+        below-floor stake (OutOfUniverseError) or a taken id (ValueError) enrolls none.
+        labels, when given, must be the stakes' classify_batch labels: they and the
+        stakes are then taken unchecked, with no second classification."""
         stakes = np.asarray(stakes, dtype=float)
-        labels, _ = classify_batch(self.variable, stakes)
+        if labels is None:
+            labels, _ = classify_batch(self.variable, stakes)
         store = self._store
         first, end = len(store.ids), len(store.ids) + len(stakes)
         ids = _enrollment_ids(first, end) if ids is None else ids

@@ -33,7 +33,7 @@ from fuzzychain.ledger import (
     sign_transaction,
 )
 from fuzzychain.registry import Registry, ReputationParams, reputation_cdf
-from fuzzychain.rng import substream
+from fuzzychain.rng import Stream, substream
 
 LABELS = ("VL", "L", "M", "H", "VH")
 
@@ -494,6 +494,34 @@ class TestEngineRounds:
                 [engine.run_round(signed_block(chain, r), sel, vot) for r in range(1, 16)]
             )
         assert outcomes[0] == outcomes[1]
+
+
+def run_faulty_rounds(wrap, rounds=200, seed=31):
+    """rounds of a faulty registry (byzantine 0.15, invalid blocks 0.3), each
+    stream (selection, votes, blocks) a substream passed through wrap."""
+    reg = small_registry(census=(60, 40, 20, 8, 4), seed=seed)
+    chain = Chain()
+    engine = FuzzychainEngine(reg, chain, byzantine_rate=0.15)
+    sel, votes, blocks = (wrap(substream(seed, name)) for name in ("selection", "votes", "blocks"))
+    priv, pub = new_keypair(substream(seed, "keys"))
+    results = []
+    for r in range(1, rounds + 1):
+        tx = sign_transaction(priv, pub, round(float(blocks.uniform(0.0, 100.0)), 6), nonce=r)
+        block = build_block(chain.tip(), [tx], clock=r)
+        if blocks.random() < 0.3:  # break linkage: the block points past the tip
+            block = make_block(block.index, r, b"\x01" * 32, block.transactions)
+        results.append(engine.run_round(block, sel, votes))
+    return results
+
+
+class TestStreamRounds:
+    def test_streams_and_numpy_generators_run_the_same_rounds(self):
+        ref = run_faulty_rounds(lambda g: g)
+        assert run_faulty_rounds(Stream) == ref
+        # the faulty paths all ran: rejections, expulsions and short panels
+        assert any(not r.appended for r in ref)
+        assert any(r.expulsions for r in ref)
+        assert any(len(r.panel) < 7 for r in ref)
 
 
 class TestBlockValidation:

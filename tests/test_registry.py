@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzychain import experiments, fuzzy, registry
 from fuzzychain.config import config_from_dict
 from fuzzychain.consensus import FuzzychainEngine, NoPanelError
 from fuzzychain.experiments import build_registry, build_variable, sample_stakes_for_census
@@ -171,6 +172,30 @@ class TestEnrollment:
         assert [len(s) for s in sets] == [2, 1, 0, 0, 2]
         assert [p.id for p in sets[0]] == ["a", "b"]
         assert [p.id for p in sets[4]] == ["d", "e"]
+
+    def test_a_built_registry_classifies_each_stake_once(self, monkeypatch):
+        cfg = config_from_dict({
+            "experiment": "custom", "seed": 3, "rounds": [10], "repetitions": 1,
+            "population_per_label": {"VL": 700, "L": 400, "M": 0, "H": 30, "VH": 9},
+        })
+        var = build_variable(cfg)
+        stakes = sample_stakes_for_census(var, (700, 400, 0, 30, 9), substream(3, "stakes"))
+        classified = []
+
+        def counted(variable, xs):
+            classified.append(len(xs))
+            return fuzzy.classify_batch(variable, xs)
+
+        monkeypatch.setattr(experiments, "classify_batch", counted)
+        monkeypatch.setattr(registry, "classify_batch", counted)
+        built = build_registry(cfg, var, substream(3, "stakes"))
+        assert sum(classified) == len(stakes)  # the sampler's check, and no more
+        monkeypatch.undo()
+        enrolled = Registry(var, built.params, stakes)
+        for got, want in zip(built.columns(), enrolled.columns()):
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert built.ids() == enrolled.ids()
 
     def test_enroll_many_ids_are_stable(self):
         reg = make_registry()
