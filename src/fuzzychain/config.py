@@ -175,14 +175,17 @@ class ExperimentConfig:
                     errors.append(f"population_per_label.{k}: expected an integer >= 0, got {v!r}")
             if all(_is_count(v, 0) for v in pop.values()) and not sum(pop.values()):
                 errors.append("population_per_label: at least one validator required")
-        if not self.rounds:
+        if not isinstance(self.rounds, (list, tuple)):
+            errors.append(f"rounds: expected a list of round counts, got {self.rounds!r}")
+        elif not self.rounds:
             errors.append("rounds: at least one round count required")
-        bad_rounds = [r for r in self.rounds if not _is_count(r, 1)]
-        for r in bad_rounds:
-            errors.append(f"rounds: every entry must be an integer >= 1, got {r!r}")
-        # each round count keys its own random streams, so a repeat would rerun a sweep
-        if not bad_rounds and len(set(self.rounds)) < len(self.rounds):
-            errors.append(f"rounds: duplicates not allowed, got {list(self.rounds)}")
+        else:
+            bad_rounds = [r for r in self.rounds if not _is_count(r, 1)]
+            for r in bad_rounds:
+                errors.append(f"rounds: every entry must be an integer >= 1, got {r!r}")
+            # each round count keys its own random streams, so a repeat would rerun a sweep
+            if not bad_rounds and len(set(self.rounds)) < len(self.rounds):
+                errors.append(f"rounds: duplicates not allowed, got {list(self.rounds)}")
         if not _is_count(self.repetitions, 1):
             errors.append(f"repetitions: expected an integer >= 1, got {self.repetitions!r}")
         if _number(errors, "eta", self.eta) and not 0 < self.eta <= 1:
@@ -204,13 +207,15 @@ class ExperimentConfig:
         if not isinstance(self.curve, str) or self.curve not in CURVES:
             errors.append(f"curve: {self.curve!r} not one of {sorted(CURVES)}")
         b = self.baselines
-        if not _is_count(b.participants, 1):
-            errors.append(f"baselines.participants: expected an integer >= 1, got {b.participants!r}")
-        if not _is_count(b.rounds, 1):
-            errors.append(f"baselines.rounds: expected an integer >= 1, got {b.rounds!r}")
-        for dist_name in ("pow_power_dist", "pos_stake_dist", "dpos_stake_dist",
-                          "dpos_reputation_dist"):
-            _check_dist(f"baselines.{dist_name}", getattr(b, dist_name), errors)
+        if not isinstance(b, BaselineConfig):
+            errors.append(f"baselines: expected a BaselineConfig, got {b!r}")
+        else:
+            for name in ("participants", "rounds"):
+                if not _is_count(getattr(b, name), 1):
+                    errors.append(f"baselines.{name}: expected an integer >= 1, got {getattr(b, name)!r}")
+            for dist_name in ("pow_power_dist", "pos_stake_dist", "dpos_stake_dist",
+                              "dpos_reputation_dist"):
+                _check_dist(f"baselines.{dist_name}", getattr(b, dist_name), errors)
         if errors:
             raise ConfigError(errors)
         return self

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,6 +92,14 @@ def _amount_units(amount: float) -> int:
     return int(units)
 
 
+def _u64_error(**fields) -> LedgerError:
+    """The error for u64 fields (name=value) that struct.pack(">Q") refused."""
+    return LedgerError("; ".join(
+        f"{name} must be non-negative, integral and below 2**64, got {value!r}"
+        for name, value in fields.items()
+        if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64)))
+
+
 def _bytes_field(b: bytes) -> bytes:
     if len(b) > 0xFFFF:
         raise LedgerError("byte field longer than a u16 length prefix allows")
@@ -108,14 +117,15 @@ class Transaction:
 
 def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, nonce: int) -> bytes:
     """Canonical unsigned serialization — exactly what the sender signs."""
-    if nonce < 0:
-        raise LedgerError("nonce must be non-negative")
-    return (
-        _bytes_field(sender)
-        + _bytes_field(recipient)
-        + struct.pack(">Q", _amount_units(amount))
-        + struct.pack(">Q", nonce)
-    )
+    try:
+        return (
+            _bytes_field(sender)
+            + _bytes_field(recipient)
+            + struct.pack(">Q", _amount_units(amount))
+            + struct.pack(">Q", nonce)
+        )
+    except struct.error:  # the other fields are checked before they are packed
+        raise _u64_error(nonce=nonce) from None
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
@@ -178,8 +188,10 @@ def block_payload(index: int, timestamp: int, prev_hash: bytes, transactions) ->
     """Canonical block serialization (the preimage of the block hash)."""
     if len(prev_hash) != 32:
         raise LedgerError(f"prev_hash must be 32 bytes, got {len(prev_hash)}")
-    out = [struct.pack(">Q", index), struct.pack(">Q", timestamp), prev_hash,
-           struct.pack(">I", len(transactions))]
+    try:
+        out = [struct.pack(">QQ", index, timestamp), prev_hash, struct.pack(">I", len(transactions))]
+    except struct.error:
+        raise _u64_error(index=index, timestamp=timestamp) from None
     out.extend(serialize_transaction(tx) for tx in transactions)
     return b"".join(out)
 

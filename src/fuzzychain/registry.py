@@ -8,7 +8,8 @@ equals 1" is a membership test for the preferred selection pool.
 
 The registry stores its participants as columns. A participant is a view
 of one row, and each trusted set is derived from the columns, cached, and
-rebuilt when a write makes it stale.
+rebuilt when a write makes it stale. Views and trusted-set handles hold
+their registry; the registry holds neither, so no reference cycle keeps it.
 
 Rows are addressed by enrollment position (Participant.seq): the round
 engine selects, votes and settles on positions, and ids are spoken only
@@ -42,84 +43,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _Storage:
-    """Participant columns in enrollment order, and each trusted set's caches.
-
-    stake, label, reputation and excluded are memoryviews of numpy arrays,
-    so a scalar read gives a Python float, int or bool. index maps each id
-    to its position; it is built on first use, then kept up by append. Set
-    k caches its positions, its reputations and its selection state (see
-    TrustedSet); a write drops what it makes stale. An enrollment,
-    exclusion, readmission or label move drops a set's positions, and with
-    them the rest; a reputation write to an active row drops only its set's
-    reputations and selection, so it never rescans the population.
-    """
-
-    __slots__ = ("ids", "_index", "stake", "label", "reputation", "excluded",
-                 "positions", "reputations", "selections")
-
-    def __init__(self, n_sets: int):
-        self.ids, self._index = (), None
-        self.stake, self.label, self.reputation, self.excluded = (
-            memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
-        self.positions: list[memoryview | None] = [None] * n_sets
-        self.reputations: list[np.ndarray | None] = [None] * n_sets
-        self.selections: list[tuple | None] = [None] * n_sets
-
-    def append(self, ids, *columns) -> None:
-        """Add rows (ids, then one value list per column) after every current one."""
-        first = len(self.ids)
-        self.ids += tuple(ids)
-        if self._index is not None:
-            self._index.update(zip(self.ids[first:], range(first, len(self.ids))))
-        self.stake, self.label, self.reputation, self.excluded = (
-            memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
-            zip((self.stake, self.label, self.reputation, self.excluded), columns, _DTYPES))
-        for k in range(len(self.positions)):
-            self._drop(k)
-
-    @property
-    def index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = dict(zip(self.ids, range(len(self.ids))))
-        return self._index
-
-    def row(self, seq: int) -> int:
-        """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
-        if not 0 <= seq < len(self.ids):
-            raise IndexError(f"no participant at position {seq}")
-        return seq
-
-    def _drop(self, k: int) -> None:
-        self.positions[k] = self.reputations[k] = self.selections[k] = None
-
-    def set_reputation(self, i: int, value: float) -> None:
-        if value != self.reputation[i] and not self.excluded[i]:
-            k = self.label[i] - 1
-            self.reputations[k] = self.selections[k] = None
-        self.reputation[i] = value
-
-    def set_label(self, i: int, value: int) -> None:
-        if not 1 <= value <= len(self.positions):  # before anything moves
-            raise ValueError(f"label index {value} outside 1..{len(self.positions)}")
-        if value != self.label[i]:
-            if not self.excluded[i]:
-                self._drop(self.label[i] - 1)
-                self._drop(value - 1)
-            self.label[i] = value
-
-    def set_excluded(self, i: int, value: bool) -> None:
-        if bool(value) != self.excluded[i]:
-            self.excluded[i] = value
-            self._drop(self.label[i] - 1)
-
-    def view(self, i: int) -> Participant:
-        """A new view of row i: two views of one row are two objects, so compare ids."""
-        p = Participant.__new__(Participant)
-        p._store, p._seq, p.id = self, i, self.ids[i]
-        return p
-
-
 class Participant:
     """One registered validator: a view of one row of a registry's columns.
 
@@ -127,11 +50,11 @@ class Participant:
     and follows Registry.set_stake. Reads give Python floats, ints and bools;
     writes reach the trusted sets. seq is the read-only enrollment position,
     the key that settlement and the round engine use. Only a registry makes
-    views (enroll, get, participants, the sets). A view holds the columns,
-    not the registry, so it outlives the registry.
+    views (enroll, get, participants, the sets). A view holds its registry,
+    so it keeps the registry alive; the registry holds no view.
     """
 
-    __slots__ = ("_store", "_seq", "id")
+    __slots__ = ("_reg", "_seq", "id")
 
     def __repr__(self) -> str:
         return (f"Participant(id={self.id!r}, stake={self.stake!r}, "
@@ -139,13 +62,13 @@ class Participant:
                 f"excluded={self.excluded!r})")
 
     seq = property(lambda self: self._seq)
-    stake = property(lambda self: self._store.stake[self._seq])
-    reputation = property(lambda self: self._store.reputation[self._seq],
-                          lambda self, value: self._store.set_reputation(self._seq, value))
-    label_index = property(lambda self: self._store.label[self._seq],
-                           lambda self, value: self._store.set_label(self._seq, value))
-    excluded = property(lambda self: self._store.excluded[self._seq],
-                        lambda self, value: self._store.set_excluded(self._seq, value))
+    stake = property(lambda self: self._reg._stake[self._seq])
+    reputation = property(lambda self: self._reg._reputation[self._seq],
+                          lambda self, value: self._reg._set_reputation(self._seq, value))
+    label_index = property(lambda self: self._reg._label[self._seq],
+                           lambda self, value: self._reg._set_label(self._seq, value))
+    excluded = property(lambda self: self._reg._excluded[self._seq],
+                        lambda self, value: self._reg._set_excluded(self._seq, value))
 
     def expulsion_rate(self) -> float:
         """E = 1 - reputation, so a perfect record has no expulsion risk."""
@@ -155,32 +78,29 @@ class Participant:
 class TrustedSet:
     """The active members of one trusted set T_i (i = k + 1), in enrollment order.
 
-    Made by a registry over its columns. positions are the active rows
-    labelled i and reputations theirs, both read-only and rebuilt from the
-    columns after a write has dropped them (see _Storage); indexing or
-    iterating makes views.
+    A handle made by Registry.trusted_sets() over the registry's columns.
+    positions are the active rows labelled i; reputations are theirs, and
+    selection() is built from them. All are read-only, cached in the
+    registry and rebuilt from the columns after a write has dropped them
+    (see Registry); indexing or iterating makes views.
     """
 
-    __slots__ = ("_store", "_k")
+    __slots__ = ("_reg", "_k")
 
-    def __init__(self, store: _Storage, k: int):
-        self._store, self._k = store, k
+    def __init__(self, registry: Registry, k: int):
+        self._reg, self._k = registry, k
 
     @property
     def positions(self) -> memoryview:
-        store, k = self._store, self._k
-        if store.positions[k] is None:
-            active = (np.asarray(store.label) == k + 1) & ~np.asarray(store.excluded)
-            store.positions[k] = memoryview(_read_only(np.flatnonzero(active)))
-        return store.positions[k]
+        reg, k = self._reg, self._k
+        if reg._positions[k] is None:
+            active = (np.asarray(reg._label) == k + 1) & ~np.asarray(reg._excluded)
+            reg._positions[k] = memoryview(_read_only(np.flatnonzero(active)))
+        return reg._positions[k]
 
     @property
     def reputations(self) -> np.ndarray:
-        store, k = self._store, self._k
-        if store.reputations[k] is None:
-            rows = np.asarray(self.positions)
-            store.reputations[k] = _read_only(np.asarray(store.reputation)[rows])
-        return store.reputations[k]
+        return (self._reg._selections[self._k] or self._select())[0]
 
     members = property(lambda self: list(self), doc="The members as views, in a new list.")
 
@@ -188,20 +108,23 @@ class TrustedSet:
         return len(self.positions)
 
     def __iter__(self):
-        return map(self._store.view, self.positions)
+        return map(self._reg._view, self.positions)
 
     def __getitem__(self, i: int) -> Participant:
-        return self._store.view(self.positions[i])
+        return self._reg._view(self.positions[i])
 
     def selection(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(A, cdf): the positions in this set of the reputation-1 members and
         reputation_cdf of the reputations, cached until the set changes (read-only)."""
-        store, k = self._store, self._k
-        if store.selections[k] is None:
-            reps = self.reputations
-            a, cdf = np.flatnonzero(reps == 1.0), reputation_cdf(reps)
-            store.selections[k] = (_read_only(a), cdf if cdf is None else _read_only(cdf))
-        return store.selections[k]
+        return (self._reg._selections[self._k] or self._select())[1]
+
+    def _select(self) -> tuple:
+        """Build and cache (reputations, (A, cdf)) from the columns."""
+        reps = _read_only(np.asarray(self._reg._reputation)[np.asarray(self.positions)])
+        a, cdf = np.flatnonzero(reps == 1.0), reputation_cdf(reps)
+        entry = self._reg._selections[self._k] = (
+            reps, (_read_only(a), cdf if cdf is None else _read_only(cdf)))
+        return entry
 
 
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -267,16 +190,31 @@ class Registry:
     members of each T_i are a TrustedSet derived from the columns (see
     trusted_sets()). Settlement (apply_vote_outcome, set_stake) and
     columns() address participants by position; only get and in take ids.
+
+    The columns are memoryviews of numpy arrays, so a scalar read gives a
+    Python float, int or bool. Each set caches its positions and one
+    (reputations, (A, cdf)) entry: an enrollment, exclusion, readmission or
+    label move drops both, and a reputation write to an active row only the
+    entry, so it never rescans the population.
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
                  stakes=()):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._store = _Storage(variable.n)
-        self._sets = [TrustedSet(self._store, k) for k in range(variable.n)]
+        self._ids, self._index = (), None
+        self._stake, self._label, self._reputation, self._excluded = (
+            memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
+        self._positions, self._selections = [None] * variable.n, [None] * variable.n
         if len(stakes):
             self._enroll(stakes)
+
+    @property
+    def _id_index(self) -> dict[str, int]:
+        """id -> position, built on first use, then kept up by _enroll."""
+        if self._index is None:
+            self._index = dict(zip(self._ids, range(len(self._ids))))
+        return self._index
 
     def _enroll(self, stakes, ids=None, labels=None) -> range:
         """Classify stakes in one batch and enroll them in order under ids (by
@@ -287,71 +225,112 @@ class Registry:
         stakes = np.asarray(stakes, dtype=float)
         if labels is None:
             labels, _ = classify_batch(self.variable, stakes)
-        store = self._store
-        first, end = len(store.ids), len(store.ids) + len(stakes)
-        ids = _enrollment_ids(first, end) if ids is None else ids
-        if first and not store.index.keys().isdisjoint(ids):  # an empty registry has no taken id
-            taken = next(pid for pid in ids if pid in store.index)
+        first, end = len(self._ids), len(self._ids) + len(stakes)
+        ids = _enrollment_ids(first, end) if ids is None else tuple(ids)
+        if first and not self._id_index.keys().isdisjoint(ids):  # an empty registry has no taken id
+            taken = next(pid for pid in ids if pid in self._index)
             raise ValueError(f"participant {taken!r} already enrolled")
-        store.append(ids, stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes)))
+        self._ids += ids
+        if self._index is not None:
+            self._index.update(zip(ids, range(first, end)))
+        self._stake, self._label, self._reputation, self._excluded = (
+            memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
+            zip((self._stake, self._label, self._reputation, self._excluded),
+                (stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes))), _DTYPES))
+        self._positions, self._selections = [None] * self.variable.n, [None] * self.variable.n
         return range(first, end)
 
+    def _row(self, seq: int) -> int:
+        """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
+        if not 0 <= seq < len(self._ids):
+            raise IndexError(f"no participant at position {seq}")
+        return seq
+
+    def _drop(self, k: int) -> None:
+        self._positions[k] = self._selections[k] = None
+
+    def _set_reputation(self, i: int, value: float) -> None:
+        if value != self._reputation[i] and not self._excluded[i]:
+            self._selections[self._label[i] - 1] = None
+        self._reputation[i] = value
+
+    def _set_label(self, i: int, value: int) -> None:
+        if not 1 <= value <= len(self._positions):  # before anything moves
+            raise ValueError(f"label index {value} outside 1..{len(self._positions)}")
+        if value != self._label[i]:
+            if not self._excluded[i]:
+                self._drop(self._label[i] - 1)
+                self._drop(value - 1)
+            self._label[i] = value
+
+    def _set_excluded(self, i: int, value: bool) -> None:
+        if bool(value) != self._excluded[i]:
+            self._excluded[i] = value
+            self._drop(self._label[i] - 1)
+
+    def _view(self, i: int) -> Participant:
+        """A new view of row i: two views of one row are two objects, so compare ids."""
+        p = Participant.__new__(Participant)
+        p._reg, p._seq, p.id = self, i, self._ids[i]
+        return p
+
     def enroll(self, pid: str, stake: float) -> Participant:
-        return self._store.view(self._enroll([stake], [pid])[0])
+        return self._view(self._enroll([stake], [pid])[0])
 
     def enroll_many(self, stakes) -> list[Participant]:
         """Enroll stakes in one pass (see _enroll) and return their views."""
-        return [self._store.view(i) for i in self._enroll(stakes)]
+        return [self._view(i) for i in self._enroll(stakes)]
 
     def __len__(self) -> int:
-        return len(self._store.ids)
+        return len(self._ids)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self._store.index
+        return pid in self._id_index
 
     def get(self, pid: str) -> Participant:
         """The view of the participant enrolled as pid (KeyError if none). The
         first id lookup builds the id -> position index; positions need none."""
-        return self._store.view(self._store.index[pid])
+        return self._view(self._id_index[pid])
 
     def ids(self) -> tuple[str, ...]:
         """Every enrolled id, excluded ones included, in enrollment order."""
-        return self._store.ids
+        return self._ids
 
     def participants(self) -> list[Participant]:
         """Every enrolled participant, excluded ones included, in enrollment order."""
-        return [self._store.view(i) for i in range(len(self))]
+        return [self._view(i) for i in range(len(self))]
 
     def trusted_sets(self) -> list[TrustedSet]:
-        """Active members of T_1..T_n, each in enrollment order: the registry's
-        own sets, not copies, so they follow later changes (and are read-only)."""
-        return list(self._sets)
+        """Active members of T_1..T_n, each in enrollment order: new handles over
+        the registry's own sets, not copies, so they follow later changes (and are
+        read-only). The registry keeps no handle, so it is in no reference cycle."""
+        n = len(self._positions)
+        return list(map(TrustedSet, [self] * n, range(n)))
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
         """Read-only (stake, label, reputation, excluded) columns, indexed by
         position. Settlement writes show through them; an enrollment replaces
         the columns, so take them again after one."""
-        store = self._store
         return tuple(col.toreadonly() for col in
-                     (store.stake, store.label, store.reputation, store.excluded))
+                     (self._stake, self._label, self._reputation, self._excluded))
 
     def apply_vote_outcome(self, seq: int, successful: bool) -> None:
         """Update the reputation of the voter at position seq (Participant.seq)
         and re-check their expulsion status."""
-        store, i = self._store, self._store.row(seq)
-        rep = update_reputation(store.reputation[i], successful, self.params)
-        store.set_reputation(i, rep)
+        i = self._row(seq)
+        rep = update_reputation(self._reputation[i], successful, self.params)
+        self._set_reputation(i, rep)
         if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
-            store.set_excluded(i, True)
+            self._set_excluded(i, True)
 
     def set_stake(self, seq: int, stake: float) -> None:
         """Change the stake at position seq (e.g. after a commission payout) and
         reclassify; a rejected stake (NaN, below the floor) leaves the participant
         as it was."""
-        store, i = self._store, self._store.row(seq)
+        i = self._row(seq)
         label_index = classify_stake(self.variable, stake).label_index
-        store.stake[i] = stake
-        store.set_label(i, label_index)
+        self._stake[i] = stake
+        self._set_label(i, label_index)
 
 
 def trusted_sets_required(n_labels: int) -> int:

@@ -141,6 +141,15 @@ class TestConfigValidation:
         assert any(e.startswith(field + ":") for e in exc.value.errors)
         assert any(e.startswith("epsilon:") for e in exc.value.errors)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 5), ("rounds", "100"), ("rounds", None), ("baselines", {}),
+        ("baselines", None)])
+    def test_directly_built_wrong_type_is_one_config_error(self, field, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{field: value}, epsilon=3).validate()
+        # one error for the field, not one per character, alongside the other fields' errors
+        assert sorted(e.split(":")[0] for e in exc.value.errors) == sorted([field, "epsilon"])
+
     def test_round_trip_through_dict(self):
         cfg = tiny(rounds=(25, 50), granularity="per-participant")
         again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))

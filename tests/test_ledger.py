@@ -93,6 +93,14 @@ class TestCanonicalBytes:
         with pytest.raises(LedgerError):
             transaction_signing_bytes(b"A", b"B", 1.0, -1)
 
+    @pytest.mark.parametrize("nonce, message", [
+        (-1, "nonce must be non-negative"), (2**64, r"nonce .* below 2\*\*64"),
+        (1.5, "nonce .* integral"), ("7", "nonce .* integral")])
+    def test_nonce_outside_u64_rejected(self, nonce, message):
+        with pytest.raises(LedgerError, match=message):
+            transaction_signing_bytes(b"A", b"B", 1.0, nonce)
+        assert transaction_signing_bytes(b"A", b"B", 1.0, 2**64 - 1).endswith(b"\xff" * 8)
+
     def test_block_payload_layout(self):
         prev = b"\xaa" * 32
         got = block_payload(1, 9, prev, ())
@@ -137,6 +145,12 @@ class TestSignatures:
         _, pub = wallet
         assert not verify_transaction(Transaction(pub, pub, 1.0, 0, b"not a signature"))
         assert not verify_transaction(Transaction(b"junk", pub, 1.0, 0, b"\x30\x06"))
+
+    def test_unserializable_nonce_fails_verification(self, wallet):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 1.0, 0)
+        for nonce in (2**64, -1, 1.5):
+            assert not verify_transaction(dataclasses.replace(tx, nonce=nonce))
 
     def test_unserializable_amount_fails_verification(self, wallet):
         _, pub = wallet
@@ -238,6 +252,19 @@ class TestBlocksAndChain:
             tx = Transaction(pub, pub, amount, 1, b"")
             blk = Block(1, 1, chain.tip().hash, (tx,), bytes(32))
             assert block_rejection_reason(chain, blk).startswith("unserializable block")
+
+    @pytest.mark.parametrize("field, value", [
+        ("index", -1), ("index", 2**64), ("timestamp", -1), ("timestamp", 2**64),
+        ("timestamp", 1.5)])
+    def test_block_field_outside_u64_is_unserializable(self, wallet, field, value):
+        priv, pub = wallet
+        chain = Chain()
+        blk = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, 1)], clock=1)
+        bad = dataclasses.replace(blk, **{field: value})
+        assert block_rejection_reason(chain, bad).startswith(f"unserializable block: {field}")
+        with pytest.raises(LedgerError, match="unserializable block"):
+            chain.append(bad)
+        assert chain.height() == 0
 
     def test_validate_all_detects_tampered_history(self, wallet):
         priv, pub = wallet

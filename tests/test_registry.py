@@ -278,13 +278,13 @@ class TestIdIndex:
     def test_lookups_on_a_registry_built_from_stakes(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
         reg = Registry(var, stakes=[0.5, 6.0, 9.5])
-        assert reg._store._index is None  # enrolling into an empty registry builds nothing
+        assert reg._index is None  # enrolling into an empty registry builds nothing
         assert "v0001" in reg and "v0003" not in reg
         assert reg.get("v0002").seq == 2 and reg.get("v0002").stake == 9.5
         with pytest.raises(KeyError):
             reg.get("a")
         reg.enroll("a", 1.0)  # a later enrollment keeps the built index up to date
-        assert reg.get("a").seq == 3 and reg._store.index == {
+        assert reg.get("a").seq == 3 and reg._id_index == {
             "v0000": 0, "v0001": 1, "v0002": 2, "a": 3}
 
     def test_rounds_build_no_id_index(self):
@@ -296,7 +296,7 @@ class TestIdIndex:
         for r in range(1, 51):
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             engine.run_round(block, sel, vot)
-        assert reg._store._index is None
+        assert reg._index is None
         assert reg.get("v49499").seq == 49_499
 
     def test_settlement_refuses_a_position_outside_the_registry(self):
@@ -402,18 +402,29 @@ class TestTrustedSetIndex:
         assert p.label_index == 3
         assert_index_matches(reg)
 
-    def test_participants_do_not_keep_their_registry_alive(self):
-        gc.disable()  # freed by reference counting alone, so no cycle is involved
+    def test_reference_counting_alone_frees_the_registry(self):
+        gc.disable()  # so a reference cycle through the registry would keep it alive
         try:
-            reg = make_registry()
-            ps = reg.enroll_many([1.0, 6.0])
+            var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
+            reg = Registry(var, ReputationParams(),
+                           sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(7, "stakes")))
+            views, sets = reg.participants(), reg.trusted_sets()
+            chain = Chain()
+            engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
+            priv, pub = new_keypair(substream(7, "keys"))
+            sel, vot = substream(7, "selection"), substream(7, "votes")
+            for r in range(1, 21):
+                block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
+                engine.run_round(block, sel, vot)
+            views[0].reputation = 0.5
+            for group in sets:
+                group.selection()  # each set's caches hold arrays again
+            members = sets[2].members
             ref = weakref.ref(reg)
-            del reg
+            del reg, engine, views, sets, group, members
             assert ref() is None
         finally:
             gc.enable()
-        ps[0].reputation = 0.5  # still writable once the registry is gone
-        assert ps[0].reputation == 0.5
 
     def test_handed_out_arrays_are_read_only(self):
         reg = make_registry()
@@ -481,9 +492,8 @@ class TestTrustedSetIndex:
 def assert_columns_match(reg):
     """Oracle: each set against the registry's columns, and every view
     against its row."""
-    store = reg._store  # the columns, as numpy arrays without a copy
-    stake, label, rep, excluded = (np.asarray(col) for col in
-                                   (store.stake, store.label, store.reputation, store.excluded))
+    # the columns, as numpy arrays without a copy
+    stake, label, rep, excluded = (np.asarray(col) for col in reg.columns())
     for k, s in enumerate(reg.trusted_sets(), start=1):
         positions = np.asarray(s.positions)
         assert np.array_equal(positions, np.flatnonzero((label == k) & ~excluded))
@@ -506,26 +516,25 @@ class TestColumns:
         reg = Registry(var, ReputationParams(),
                        sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
         held = reg.participants()[::3]  # views kept alive across the run
-        store = reg._store
+        stake, label, rep, excluded = reg.columns()  # no enrollment below, so they stay current
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(9, "keys"))
         sel, vot = substream(9, "selection"), substream(9, "votes")
         moves = expulsions = rounds = 0
         for r in range(1, 301):
-            labels = store.label.tolist()
+            labels = label.tolist()
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             try:
                 result = engine.run_round(block, sel, vot)
             except NoPanelError:
                 break
             rounds += 1
-            moves += store.label[result.winner] != labels[result.winner]
+            moves += label[result.winner] != labels[result.winner]
             expulsions += len(result.expulsions)
             assert_columns_match(reg)
             assert all((p.stake, p.label_index, p.reputation, p.excluded) == (
-                store.stake[p.seq], store.label[p.seq], store.reputation[p.seq],
-                store.excluded[p.seq]) for p in held)
+                stake[p.seq], label[p.seq], rep[p.seq], excluded[p.seq]) for p in held)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
 
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=30),
@@ -571,7 +580,8 @@ class TestColumns:
         assert len(reg) == 49_500 and live_participants() == before
         p = reg.get("v49499")
         assert live_participants() == before + 1 and p.seq == 49_499
-        assert (p.stake, p.label_index) == (reg._store.stake[49_499], reg._store.label[49_499])
+        stake, label, _, _ = reg.columns()
+        assert (p.stake, p.label_index) == (stake[49_499], label[49_499])
 
     def test_dropped_views_leave_nothing_behind(self):
         reg = build_population()
