@@ -15,7 +15,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
@@ -114,6 +114,13 @@ class Transaction:
     nonce: int
     signature: bytes = b""
 
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        """transaction_signing_bytes of the fields, built once per transaction;
+        sign_transaction seeds it with the bytes it signed. A copy made by
+        dataclasses.replace builds its own."""
+        return transaction_signing_bytes(self.sender, self.recipient, self.amount, self.nonce)
+
 
 def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, nonce: int) -> bytes:
     """Canonical unsigned serialization — exactly what the sender signs."""
@@ -130,10 +137,7 @@ def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, no
 
 def serialize_transaction(tx: Transaction) -> bytes:
     """Signed canonical form: unsigned bytes plus the length-prefixed signature."""
-    return (
-        transaction_signing_bytes(tx.sender, tx.recipient, tx.amount, tx.nonce)
-        + _bytes_field(tx.signature)
-    )
+    return tx.signing_bytes + _bytes_field(tx.signature)
 
 
 def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -> Transaction:
@@ -146,7 +150,9 @@ def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -
     payload = transaction_signing_bytes(sender, recipient, amount, nonce)
     digest = hashlib.sha256(payload).digest()
     sig = private_key.sign(digest, _SIGN_ALGORITHM)
-    return Transaction(sender=sender, recipient=recipient, amount=amount, nonce=nonce, signature=sig)
+    tx = Transaction(sender=sender, recipient=recipient, amount=amount, nonce=nonce, signature=sig)
+    tx.__dict__["signing_bytes"] = payload  # where cached_property keeps its value
+    return tx
 
 
 @lru_cache(maxsize=64)
@@ -163,7 +169,7 @@ def verify_transaction(tx: Transaction, curve: str = DEFAULT_CURVE) -> bool:
     never crashes.
     """
     try:
-        payload = transaction_signing_bytes(tx.sender, tx.recipient, tx.amount, tx.nonce)
+        payload = tx.signing_bytes
     except LedgerError:
         return False
     digest = hashlib.sha256(payload).digest()

@@ -9,6 +9,8 @@ are the whole population of interest.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -61,8 +63,13 @@ def _shape_statistics(values, statistic: str) -> tuple[float, float]:
     m2 = np.mean(dev**2)
     if m2 == 0:
         raise DegenerateDistributionError(f"{statistic} undefined for zero variance")
-    # integer counts take few distinct values: raise those, then scatter them back
-    u, inv = np.unique(dev, return_inverse=True)
+    # integer counts take few distinct values: raise those, then scatter them back.
+    # The distinct values come from one sort, and searchsorted finds each value's
+    # place among them: no argsort (np.unique's return_inverse), and no lazy
+    # numpy.ma import on the first call (np.unique's plain path)
+    srt = np.sort(dev)
+    u = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+    inv = u.searchsorted(dev)
     m3, m4 = np.mean((u**3)[inv]), np.mean((u**4)[inv])
     return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
@@ -84,6 +91,15 @@ def kurtosis(values) -> float:
     return _shape_statistics(values, "kurtosis")[1]
 
 
+@lru_cache(maxsize=4)
+def _check_distinct(categories: tuple) -> None:
+    """Raise on duplicate categories. Cached per distinct tuple, because the
+    repetitions of a run tally over equal id tuples; a raise is not cached.
+    The cache keeps its last four tuples alive (exp2 tallies over three)."""
+    if len(set(categories)) != len(categories):
+        raise ValueError("duplicate categories")
+
+
 class FrequencyTable:
     """Win counts over a fixed category order (validator ids, or linguistic labels).
 
@@ -100,8 +116,7 @@ class FrequencyTable:
         :raises ValueError: on duplicate categories or a count vector of the wrong shape.
         """
         self.categories = tuple(categories)
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError("duplicate categories")
+        _check_distinct(self.categories)
         counts = np.asarray(counts)
         if counts.size == 0:  # np.asarray([]) is float64, which the safe cast refuses
             counts = counts.astype(np.int64)

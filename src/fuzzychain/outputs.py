@@ -4,13 +4,14 @@ A run directory holds exactly four files — frequencies.csv,
 summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
 frequencies.csv holds the report's frequency_tables(): csv.writer
-writes the header, and each table is then written as one string, one
-row per category. Each category's cell is built once per distinct
-category tuple (so once per emission for the repetitions' equal id
-tuples), quoted exactly as csv.writer quotes it, as a zero-count row
-tail: the cell, ",0" and the line end. A table's rows are a copy of
-those tails with its nonzero counts written in, joined behind the
-table's lead ("<rep>,", "<rounds>,<rep>," or "<algo>,<rep>,").
+writes the header, then each table one row per category, the bytes
+csv.writer writes for those rows. Each category's cell is built once
+per distinct category tuple (so once per emission for the repetitions'
+equal id tuples), quoted exactly as csv.writer quotes it. A table is
+written as runs of cells that end at its nonzero counts: the cells of a
+run are joined by ",0", the line end and the table's lead ("<rep>,",
+"<rounds>,<rep>," or "<algo>,<rep>,"), so every zero-count row is
+written by that join and only the nonzero counts are formatted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -60,47 +60,49 @@ def emit_outputs(report, out_dir) -> dict:
     return {name: str(p) for name, p in paths.items()}
 
 
-# a cell holding none of these is written unquoted by csv.writer
-_QUOTED_CHARS = re.compile('[,"\r\n]')
-
-
-def _zero_tails(categories) -> list[str]:
-    """Each category's zero-count row tail: its cell, quoted as csv.writer
-    quotes it, then ",0" and the line end."""
+def _cells(categories) -> list[str]:
+    """Each category's cell, quoted as csv.writer quotes it."""
     cells = [str(c) for c in categories]
-    if not _QUOTED_CHARS.search("".join(cells)):
-        return [c + ",0\n" for c in cells]
+    joined = "".join(cells)
+    # a cell holding none of these is written unquoted by csv.writer
+    if not any(ch in joined for ch in ',"\r\n'):
+        return cells
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    tails = []
+    quoted = []
     for c in cells:
         buf.seek(0)
         buf.truncate()
         writer.writerow((c, 0))
-        tails.append(buf.getvalue())
-    return tails
+        quoted.append(buf.getvalue()[:-3])  # the row less its ",0\n"
+    return quoted
 
 
 def write_frequencies(fh, header, tables) -> None:
     """Write frequencies.csv to the open text file fh: the header, then one
     row lead + (category, count) per category of each (lead, table), the
-    bytes csv.writer writes for those rows.
+    bytes csv.writer writes for those rows. A table with no categories
+    writes no row.
 
     Lead values (repetitions, round counts, algorithm names) never need
-    quoting. Each table's text goes to fh as soon as it is built.
+    quoting. Text goes to fh one run of rows at a time.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
-    tails_of = {}
+    cells_of = {}
     for lead, table in tables:
-        if table.categories not in tails_of:
-            tails_of[table.categories] = _zero_tails(table.categories)
-        rows = tails_of[table.categories].copy()
+        if table.categories not in cells_of:
+            cells_of[table.categories] = _cells(table.categories)
+        cells = cells_of[table.categories]
+        prefix = "".join(f"{v}," for v in lead)
+        sep = ",0\n" + prefix  # ends a zero-count row and leads the next
         counts = table.counts()
         nonzero = np.flatnonzero(counts)
+        start = 0
         for i, n in zip(nonzero.tolist(), counts[nonzero].tolist()):
-            rows[i] = f"{rows[i][:-2]}{n}\n"  # the tail less its "0\n"
-        prefix = "".join(f"{v}," for v in lead)
-        fh.write(prefix + prefix.join(rows))
+            fh.write(f"{prefix}{sep.join(cells[start:i + 1])},{n}\n")
+            start = i + 1
+        if start < len(cells):
+            fh.write(f"{prefix}{sep.join(cells[start:])},0\n")
 
 
 def format_report(run_dir) -> str:

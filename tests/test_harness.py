@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -471,12 +472,43 @@ class TestFrequencyWriter:
     def test_cells_built_once_per_emission(self, monkeypatch, tmp_path):
         report = run_experiment1(tiny(granularity="per-participant", repetitions=3))
         calls = []
-        original = outputs._zero_tails
-        monkeypatch.setattr(outputs, "_zero_tails",
+        original = outputs._cells
+        monkeypatch.setattr(outputs, "_cells",
                             lambda categories: calls.append(1) or original(categories))
         emit_outputs(report, tmp_path / "out")
         # each repetition has its own registry, with equal id tuples
         assert len(calls) == 1
+
+    def test_table_without_categories_writes_no_row(self):
+        tables = [((0,), FrequencyTable((), [])), ((1,), FrequencyTable(("a",), [2]))]
+        buf = io.StringIO()
+        write_frequencies(buf, ("repetition", "participant", "count"), tables)
+        assert buf.getvalue() == "repetition,participant,count\n1,a,2\n"
+        assert buf.getvalue() == reference_csv(("repetition", "participant", "count"), tables)
+
+    def test_peak_memory_within_twice_the_text_at_49500_validators(self):
+        # the exp1_pop49500 benchmark workload: exp1 label shares x50, per-participant
+        cfg = config_from_dict({
+            "experiment": "custom", "seed": 42, "granularity": "per-participant",
+            "population_per_label": {"VL": 25000, "L": 15000, "M": 7500, "H": 1500, "VH": 500},
+            "rounds": [100], "repetitions": 2})
+        header, tables = run_configured(cfg).frequency_tables()
+
+        class NullSink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = NullSink()
+        tracemalloc.start()
+        try:
+            write_frequencies(sink, header, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 1_000_000
+        assert peak <= 2 * sink.chars
 
 
 class TestCli:

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from fuzzychain import ledger
 from fuzzychain.ledger import (
     GENESIS_PREV_HASH,
     _public_key,
@@ -196,6 +197,60 @@ class TestPublicKeyCache:
             assert verify_transaction(sign_transaction(priv, pub, 1.0, nonce))
             assert _public_key.cache_info().currsize <= bound
         assert _public_key.cache_info().currsize == bound
+
+
+class TestSigningBytesCache:
+    """A transaction's signing bytes are built once and kept on it."""
+
+    def test_cached_bytes_equal_the_fields_serialization(self, wallet, other_wallet):
+        priv, pub = wallet
+        _, recipient = other_wallet
+        tx = sign_transaction(priv, recipient, 12.25, 3)
+        expect = transaction_signing_bytes(pub, recipient, 12.25, 3)
+        assert tx.signing_bytes == expect
+        assert Transaction(pub, recipient, 12.25, 3).signing_bytes == expect
+        assert serialize_transaction(tx) == expect + len(tx.signature).to_bytes(2, "big") + (
+            tx.signature)
+
+    def test_replaced_transaction_builds_its_own_and_fails(self, wallet):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 2.0, 5)
+        assert verify_transaction(tx)
+        for field, value in (("amount", 2.000001), ("nonce", 6), ("recipient", b"x" * 33)):
+            tampered = dataclasses.replace(tx, **{field: value})
+            assert tampered.signing_bytes == transaction_signing_bytes(
+                tampered.sender, tampered.recipient, tampered.amount, tampered.nonce)
+            assert tampered.signing_bytes != tx.signing_bytes
+            assert not verify_transaction(tampered)
+            blk = build_block(Chain().tip(), [tampered], clock=1)
+            assert "invalid tx" in block_rejection_reason(Chain(), blk)
+        assert verify_transaction(tx)
+
+    def test_nonce_outside_u64_is_an_error_or_false(self, wallet):
+        priv, pub = wallet
+        with pytest.raises(LedgerError, match="nonce"):
+            sign_transaction(priv, pub, 1.0, 2**64)
+        tx = sign_transaction(priv, pub, 1.0, 0)
+        for nonce in (2**64, -1):
+            bad = dataclasses.replace(tx, nonce=nonce)
+            for _ in range(2):  # an error is not cached
+                assert not verify_transaction(bad)
+                with pytest.raises(LedgerError, match="nonce"):
+                    serialize_transaction(bad)
+            blk = Block(1, 1, Chain().tip().hash, (bad,), bytes(32))
+            assert block_rejection_reason(Chain(), blk).startswith("unserializable block")
+
+    def test_one_serialization_per_signed_transaction(self, wallet, monkeypatch):
+        calls = []
+        original = ledger.transaction_signing_bytes
+        monkeypatch.setattr(ledger, "transaction_signing_bytes",
+                            lambda *fields: calls.append(1) or original(*fields))
+        priv, pub = wallet
+        chain = Chain()
+        # signing, the block hash, its recomputation and the signature check
+        chain.append(build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, 1)], clock=1))
+        assert chain.validate_all()
+        assert len(calls) == 1
 
 
 class TestBlocksAndChain:

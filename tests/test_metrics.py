@@ -57,6 +57,38 @@ def assert_same_bits_as_direct(values):
     assert [x.hex() for x in got] == [x.hex() for x in expect]
 
 
+def shape_statistics_return_inverse(values):
+    """(skewness, kurtosis) with the inverse taken by np.unique's
+    return_inverse, or None where they are undefined."""
+    arr = np.asarray(values, dtype=float)
+    dev = arr - arr.mean()
+    m2 = np.mean(dev**2)
+    if m2 == 0:
+        return None
+    u, inv = np.unique(dev, return_inverse=True)
+    m3, m4 = np.mean((u**3)[inv]), np.mean((u**4)[inv])
+    return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
+
+
+def assert_same_bits_as_return_inverse(values, *, summarize=True):
+    """skewness, kurtosis and (for values gini accepts) summarize_counts
+    equal the return_inverse formula bit for bit."""
+    with np.errstate(all="ignore"):  # both forms overflow alike on huge floats
+        expect = shape_statistics_return_inverse(values)
+        if expect is None:
+            for statistic in (skewness, kurtosis):
+                with pytest.raises(DegenerateDistributionError):
+                    statistic(values)
+        else:
+            assert skewness(values).hex() == expect[0].hex()
+            assert kurtosis(values).hex() == expect[1].hex()
+        if summarize:
+            out = summarize_counts(values)
+            got = (out["skewness"], out["kurtosis"])
+            assert got == (None, None) if expect is None else [
+                x.hex() for x in got] == [x.hex() for x in expect]
+
+
 positive_vectors = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False),
     min_size=1, max_size=12,
@@ -211,6 +243,24 @@ class TestShapeStatistics:
         assert_same_bits_as_direct(xs)
 
 
+    @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=60)
+           | st.lists(st.integers(0, 3), min_size=1, max_size=60)
+           | st.integers(1, 60).map(lambda n: [7] * n))
+    @example([0])
+    @example([0, 0, 0])
+    @example([2**40, 0, 0, 2**40 - 1])
+    def test_integer_counts_equal_the_return_inverse_form_bit_for_bit(self, counts):
+        assert_same_bits_as_return_inverse(counts)
+        assert_same_bits_as_return_inverse(np.array(counts, dtype=np.int64))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @example([-0.0, 0.0, 1.0, -1.0])
+    @example([1e308, -1e308, 5e-324])
+    def test_floats_equal_the_return_inverse_form_bit_for_bit(self, xs):
+        # summarize_counts takes counts, so only non-negative values reach its gini
+        assert_same_bits_as_return_inverse(xs, summarize=min(xs) >= 0)
+
+
 class TestFrequencyTable:
     def test_counts_follow_category_order(self):
         t = FrequencyTable.tally(["b", "a", "c"], [2, 1, 1, 1])  # c, a, a, a
@@ -257,6 +307,13 @@ class TestFrequencyTable:
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             FrequencyTable.tally(["a", "a"], [])
+
+    def test_duplicates_rejected_on_every_call(self):
+        ids = tuple(f"v{i}" for i in range(100))
+        for _ in range(2):
+            assert FrequencyTable.tally(tuple(list(ids)), [0]).total() == 1  # an equal tuple
+            with pytest.raises(ValueError, match="duplicate"):
+                FrequencyTable.tally(ids + ("v7",), [0])
 
     def test_merge_requires_same_categories(self):
         # pooling sums vectors position by position, so it needs one category list
