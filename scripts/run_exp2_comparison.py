@@ -43,6 +43,8 @@ def main() -> int:
         ap.error(f"--seeds {args.seeds!r}: expected lo:hi or a comma-separated list of integers")
     if not seeds:
         ap.error(f"--seeds {args.seeds!r} names no seed")
+    if len(set(seeds)) < len(seeds):  # a repeat would rerun a seed into the same directory
+        ap.error(f"--seeds {args.seeds!r}: duplicates not allowed, got {seeds}")
     try:  # every seed's config, before any seed runs or writes
         configs = [ExperimentConfig(experiment="exp2", seed=seed, repetitions=args.reps).validate()
                    for seed in seeds]

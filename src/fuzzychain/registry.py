@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -33,9 +34,15 @@ _DTYPES = (float, np.int64, float, bool)  # of the stake, label, reputation and 
 
 @lru_cache(maxsize=1)
 def _enrollment_ids(first: int, end: int) -> tuple[str, ...]:
-    """v0000, v0001, ...: "v" and each zero-padded position; one census's repetitions share them."""
+    """v0000, v0001, ...: "v" and each zero-padded position; one census's repetitions share them.
+
+    Each id is the head of its hundred ("v" and i // 100 padded to two digits
+    fewer) joined with its two-digit tail, so only one str per hundred is formatted."""
     width = max(4, len(str(end)))
-    return tuple("v" + str(i).zfill(width) for i in range(first, end))
+    heads = ["v" + str(h).zfill(width - 2) for h in range(first // 100, (end + 99) // 100)]
+    tails = [f"{t:02d}" for t in range(100)]
+    skip = first % 100
+    return tuple(islice((head + tail for head in heads for tail in tails), skip, skip + end - first))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

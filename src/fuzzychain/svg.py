@@ -4,6 +4,11 @@ Three stacked panels, assembled as plain strings: category bars, a
 series overlay, and boxplots. Deliberately dependency-free — the files
 must render anywhere and diff deterministically, so no plotting
 library, no timestamps, no randomness.
+
+A box's quartiles come from box_stats, which sorts the sample and
+interpolates in plain Python floats step for step as np.percentile's
+default linear method does. np.percentile itself is not called: its
+first call in a process imports numpy.ma, about 15 ms.
 """
 
 from __future__ import annotations
@@ -133,6 +138,31 @@ def overlay_panel(xs, series: dict, title, y_offset=0, x_label=""):
     return parts
 
 
+def box_stats(sample):
+    """(min, q1, median, q3, max) of a non-empty sample as Python floats.
+
+    The quartiles are np.percentile(sample, 25/50/75) bit for bit, NaN for
+    NaN, except that a zero's sign may differ where the sample holds both
+    -0.0 and 0.0 (np.sort and numpy's partition may order them apart).
+    min and max come from the array, so they keep numpy's sign of zero.
+    """
+    arr = np.asarray(sample, dtype=float)
+    xs = np.sort(arr).tolist()
+    if xs[-1] != xs[-1]:  # NaN sorts last; numpy's five values are then NaN
+        return (xs[-1],) * 5
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        if len(xs) == 1:  # numpy interpolates the one value with itself, at weight 1
+            a = b = xs[0]
+            t = 1.0
+        else:
+            index = (len(xs) - 1) * q
+            i = int(index)
+            a, b, t = xs[i], xs[i + 1], index - i
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return (float(arr.min()), *quartiles, float(arr.max()))
+
+
 def box_panel(labels, samples, title, y_offset=0):
     """Min/Q1/median/Q3/max boxes, one per category."""
     flat = [v for s in samples for v in s]
@@ -145,9 +175,7 @@ def box_panel(labels, samples, title, y_offset=0):
         return y0 + h - (v / ymax) * h
 
     for i, (lab, sample) in enumerate(zip(labels, samples)):
-        arr = np.asarray(sample, dtype=float)
-        q1, med, q3 = (np.percentile(arr, q) for q in (25, 50, 75))
-        lo, hi = float(arr.min()), float(arr.max())
+        lo, q1, med, q3, hi = box_stats(sample)
         cx = x0 + i * slot + slot / 2
         color = PALETTE[i % len(PALETTE)]
         parts.extend([

@@ -4,9 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -597,6 +601,29 @@ class TestCli:
     def test_bad_rounds_flag_is_config_error(self, capsys):
         assert main(["run", "exp1", "--rounds", "ten"]) == 1
         assert "--rounds" in capsys.readouterr().err
+
+    def test_a_fresh_run_never_imports_numpy_ma(self, tmp_path):
+        # np.percentile loads numpy.ma on its first call in a process, about 15 ms of
+        # every fresh run; the box plots take their quartiles without it
+        (tmp_path / "exp2.json").write_text(json.dumps({
+            "population_per_label": TINY_POP, "fuzzychain_rounds": 40, "repetitions": 2,
+            "baselines": {"participants": 20, "rounds": 50}}))
+        script = (
+            "import sys\n"
+            "from fuzzychain.cli import main\n"
+            "for args in (['run', 'exp1', '--rounds', '5', '--reps', '2', '--out', 'exp1'],\n"
+            "             ['run', 'exp2', '--config', 'exp2.json', '--out', 'exp2']):\n"
+            "    if main(args) != 0:\n"
+            "        sys.exit(f'{args} failed')\n"
+            "    if 'numpy.ma' in sys.modules:\n"
+            "        sys.exit(f'{args} imported numpy.ma')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        for out in ("exp1", "exp2"):
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == sorted(FILES)
 
     def test_invalid_config_file_exits_one(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -202,6 +202,19 @@ class TestEnrollment:
         ps = reg.enroll_many([1.0, 2.0, 3.0])
         assert [p.id for p in ps] == ["v0000", "v0001", "v0002"]
 
+    @pytest.mark.parametrize("first, end", [
+        (0, 0), (10_000, 10_000),  # no ids
+        (0, 1), (37, 456), (9_901, 9_999),  # width 4
+        (9_950, 10_050), (99_937, 99_999),  # width 5
+        (99_901, 100_123), (999_937, 999_999),  # width 6
+        (999_950, 1_000_050), (999_999, 1_000_000), (1_234_567, 1_234_601),  # width 7
+    ])
+    def test_enrollment_ids_are_v_and_the_zero_padded_position(self, first, end):
+        registry._enrollment_ids.cache_clear()
+        want = tuple("v" + str(i).zfill(max(4, len(str(end)))) for i in range(first, end))
+        assert registry._enrollment_ids(first, end) == want
+        registry._enrollment_ids.cache_clear()
+
     @pytest.mark.parametrize("bad", [float("nan"), -0.5])
     def test_enroll_many_enrolls_nothing_on_a_bad_stake(self, bad):
         reg = make_registry()

@@ -53,7 +53,11 @@ def test_exp2_comparison_scan_reports_the_summary_mean_gini(tmp_path):
     ("5:1", "names no seed"),
     ("1,,2", "expected lo:hi or a comma-separated list of integers"),
     ("a:3", "expected lo:hi or a comma-separated list of integers"),
-], ids=["empty-range", "empty-item", "non-integer"])
+    ("1,1", "duplicates not allowed, got [1, 1]"),
+    ("3,1,2,1", "duplicates not allowed, got [3, 1, 2, 1]"),
+    ("1,01", "duplicates not allowed, got [1, 1]"),
+], ids=["empty-range", "empty-item", "non-integer", "repeated-seed", "repeated-later",
+        "repeated-as-spelled-apart"])
 def test_exp2_comparison_rejects_an_empty_seed_range(tmp_path, seeds, message):
     proc = run_scan(tmp_path, "--seeds", seeds)
     assert proc.returncode == 2
