@@ -141,11 +141,22 @@ class ExperimentConfig:
             errors.append(f"seed: expected a non-negative integer, got {self.seed!r}")
         lo_ok = _number(errors, "universe_lo", self.universe_lo)
         hi_ok = _number(errors, "universe_hi", self.universe_hi)
-        if lo_ok and hi_ok and not self.universe_lo < self.universe_hi:
-            errors.append("universe_lo: must be strictly below universe_hi")
         labels_ok = isinstance(self.labels, (list, tuple)) and all(
             isinstance(lab, str) for lab in self.labels
         )
+        if lo_ok and hi_ok:
+            lo, hi = self.universe_lo, self.universe_hi
+            # the partition puts peak i at lo + i * (hi - lo) / (n - 1), and a label's
+            # interval ends halfway between two peaks: each step must stay finite
+            steps = max(len(self.labels) - 1, 1) if labels_ok else 1
+            if not lo < hi:
+                errors.append("universe_lo: must be strictly below universe_hi")
+            elif not math.isfinite((hi - lo) * steps):
+                errors.append(f"universe_hi - universe_lo: must be finite times {steps} (the label"
+                              f" count less one), got {hi - lo!r}")
+            elif not math.isfinite(2.0 * max(-lo, hi)):
+                errors.append(f"universe_lo, universe_hi: twice each must be finite, got {lo!r},"
+                              f" {hi!r}")
         if not labels_ok:
             errors.append(f"labels: expected a list of names, got {self.labels!r}")
         else:

@@ -14,13 +14,12 @@ rows that experiments writes from a RoundResult.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ledger import Block, Chain, validate_block
-from .registry import Participant, Registry, TrustedSet
+from .registry import Participant, Registry, TrustedSet, members_at
 
 
 class NoPanelError(RuntimeError):
@@ -67,8 +66,7 @@ def _parity_repair(picks: list[list[int]], groups, rng) -> None:
     The draw is an index into the set's unpicked members, in set order;
     trusted sets are disjoint, so only picks[i] can sit in groups[i].
     """
-    total = sum(len(p) for p in picks)
-    if total % 2 == 1:
+    if sum(map(len, picks)) % 2 == 1:
         return
     for i in range(len(groups) - 1, -1, -1):
         n_spare = len(groups[i]) - len(picks[i])
@@ -86,13 +84,13 @@ def _parity_repair(picks: list[list[int]], groups, rng) -> None:
 
 
 def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
-    """draw(set, quota, rng) -> positions, on every non-empty set, then parity repair."""
-    q = quotas(len(groups))
-    picks = [draw(g, q[i], rng) if g else [] for i, g in enumerate(groups)]
+    """draw(set, quota, rng) -> positions in the set ([] for an empty set) on
+    every set, then parity repair, then the picks' views."""
+    picks = [draw(g, quota, rng) for g, quota in zip(groups, quotas(len(groups)))]
     if not any(picks):  # a draw from a non-empty set picks someone
         raise NoPanelError("every trusted set is empty")
     _parity_repair(picks, groups, rng)
-    return [g[pos] for g, p in zip(groups, picks) for pos in p]
+    return members_at(groups, picks)
 
 
 def _draw_uniform(group: TrustedSet, quota: int, rng) -> list[int]:
@@ -104,21 +102,23 @@ def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
     return _assemble_panel(groups, rng, _draw_uniform)
 
 
-def build_subsets(group: TrustedSet) -> tuple[np.ndarray, TrustedSet]:
-    """Split a trusted set into (A, B): A holds the positions of the
-    reputation-1 members, B is the whole set, so A is always a subset of B."""
-    return group.selection()[0], group
+def build_subsets(group: TrustedSet) -> tuple[memoryview, TrustedSet]:
+    """Split a trusted set into (A, B): A holds the positions in the set of
+    the reputation-1 members (a memoryview, read-only), B is the whole set,
+    so A is always a subset of B."""
+    return group.draw_views()[1], group
 
 
-def _weighted_pick(cdf: np.ndarray | None, n: int, rng) -> int:
-    """Position in n drawn from a reputation_cdf, or uniformly when it is
-    None (all weights zero).
+def _weighted_pick(cdf, n: int, rng) -> int:
+    """Position in n drawn from a reputation_cdf (an array or a memoryview of
+    one), or uniformly when it is None (all weights zero).
 
     Consumes rng as rng.choice(n, p=weights / wsum) does on the weights
-    behind cdf, so the pick is the same too.
+    behind cdf, so the pick is the same too: choice searches its cdf with
+    searchsorted(u, side="right"), which is bisect_right.
     """
     if cdf is not None:
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        return bisect_right(cdf, rng.random())
     return int(rng.integers(0, n))
 
 
@@ -129,11 +129,15 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     Pool = up to 2 uniform picks from A (full reputation) plus 1
     reputation-proportional pick from B, deduplicated; the final seats
     are drawn uniformly from that pool. Members with spotless records
-    therefore dominate the pool without ever monopolizing it.
+    therefore dominate the pool without ever monopolizing it. The draws
+    index the set's cached memoryviews, so they get Python ints.
     """
     a, b = build_subsets(group)
-    pool = [int(i) for i in _draw(a, 2, rng)]
-    pick = _weighted_pick(b.selection()[1], len(b), rng)
+    positions, _, cdf = b.draw_views()
+    if not positions:
+        return []
+    pool = _draw(a, 2, rng)
+    pick = _weighted_pick(cdf, len(positions), rng)
     if pick not in pool:
         pool.append(pick)
     return _draw(pool, quota, rng)
@@ -154,12 +158,12 @@ def cast_votes(panel, block_is_valid: bool, byzantine_rate: float, rng) -> list[
     stream rng.random(len(panel)) reads), for every member regardless of
     rate, so the vote stream's shape never depends on the configured rate.
     """
-    honest = bool(block_is_valid)
-    return [honest ^ (rng.random() < byzantine_rate) for _ in panel]
+    honest, random = bool(block_is_valid), rng.random
+    return [honest ^ (random() < byzantine_rate) for _ in panel]
 
 
 def tally(votes: list[bool]):
-    """Strict-majority decision.
+    """Strict-majority decision, in one pass over the votes.
 
     Returns (accepted, successful_indices, unsuccessful_indices) where
     successful voters are the majority bloc. Vote counts are odd by the
@@ -167,11 +171,12 @@ def tally(votes: list[bool]):
     """
     if len(votes) % 2 == 0:
         raise AssertionError(f"even vote count {len(votes)} violates panel parity")
-    accepts = sum(votes)
-    accepted = accepts * 2 > len(votes)
-    successful = [i for i, v in enumerate(votes) if v == accepted]
-    unsuccessful = [i for i, v in enumerate(votes) if v != accepted]
-    return accepted, successful, unsuccessful
+    accepts, rejects = [], []
+    for i, v in enumerate(votes):
+        (accepts if v else rejects).append(i)
+    if len(accepts) * 2 > len(votes):
+        return True, accepts, rejects
+    return False, rejects, accepts
 
 
 def pick_winner(successful: Sequence, rng):
@@ -182,7 +187,7 @@ def pick_winner(successful: Sequence, rng):
     return successful[int(rng.integers(0, len(successful)))]
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundResult:
     """Everything the audit log wants to know about one round.
 
@@ -224,6 +229,8 @@ class FuzzychainEngine:
         if not 0.0 <= byzantine_rate <= 1.0:
             raise ValueError(f"byzantine rate must lie in [0, 1], got {byzantine_rate}")
         self.registry = registry
+        # handles over the registry's own sets: they follow every change, so one list serves
+        self._groups = registry.trusted_sets()
         self.chain = chain
         self.commission = commission
         self.byzantine_rate = byzantine_rate
@@ -239,9 +246,8 @@ class FuzzychainEngine:
         """
         j = self.rounds_completed + 1
         registry = self.registry
-        groups = registry.trusted_sets()
         select = select_first_round if j == 1 else select_round_j
-        panel = [m.seq for m in select(groups, selection_rng)]
+        panel = [m.seq for m in select(self._groups, selection_rng)]
         stake, label, reputation, excluded = registry.columns()
         labels = [label[i] for i in panel]
 
@@ -251,12 +257,12 @@ class FuzzychainEngine:
 
         winner = pick_winner([panel[i] for i in succ_idx], selection_rng)
 
-        succ = set(succ_idx)
         deltas: dict[int, tuple[float, float]] = {}
         expulsions: list[int] = []
-        for i, seq in enumerate(panel):
+        settle = registry.apply_vote_outcome
+        for seq, vote in zip(panel, votes):
             before = reputation[seq]
-            registry.apply_vote_outcome(seq, i in succ)
+            settle(seq, vote == accepted)  # the majority bloc voted with the decision
             after = reputation[seq]
             if after != before:
                 deltas[seq] = (before, after)
@@ -270,16 +276,6 @@ class FuzzychainEngine:
             # unchecked append is safe: nothing moved the tip since the check, and Block is frozen
             self.chain.blocks.append(block)
 
-        self.rounds_completed += 1
-        return RoundResult(
-            round_index=j,
-            panel=panel,
-            panel_labels=labels,
-            votes=votes,
-            accepted=accepted,
-            block_valid=block_valid,
-            winner=winner,
-            reputation_deltas=deltas,
-            expulsions=expulsions,
-            appended=appended,
-        )
+        self.rounds_completed = j
+        return RoundResult(j, panel, labels, votes, accepted, block_valid, winner, deltas,
+                           expulsions, appended)

@@ -112,6 +112,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
     ids = registry.ids()  # positions become ids only in the audit rows
+    labels, invalid_block_rate = config.labels, config.invalid_block_rate
     winner_labels, winners = [], []  # label and enrollment positions
     audit_rows = []
     rejected = expelled = 0
@@ -124,7 +125,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         u_corrupt = blocks_rng.random()
         u_mode = blocks_rng.random()
         tip = chain.tip()
-        if u_corrupt < config.invalid_block_rate:
+        if u_corrupt < invalid_block_rate:
             if u_mode < 0.5:
                 # tamper the amount after signing: signature check must fail
                 tx = Transaction(tx.sender, tx.recipient,
@@ -138,28 +139,29 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             block = build_block(tip, [tx], clock=r)
 
         result = engine.run_round(block, selection_rng, votes_rng)
-        w = result.panel.index(result.winner)
-        winner_labels.append(result.panel_labels[w] - 1)
-        winners.append(result.winner)
+        panel, panel_labels, winner = result.panel, result.panel_labels, result.winner
+        winner_label = panel_labels[panel.index(winner)] - 1
+        winner_labels.append(winner_label)
+        winners.append(winner)
         if not result.appended:
             rejected += 1
-        expelled += len(result.expulsions)
+        deltas, expulsions = result.reputation_deltas, result.expulsions
+        expelled += len(expulsions)
         audit_rows.append({
             "rounds": rounds_value,
             "repetition": rep,
             "round": result.round_index,
-            "panel": [ids[i] for i in result.panel],
-            "panel_labels": [config.labels[i - 1] for i in result.panel_labels],
-            "votes": "".join("A" if v else "R" for v in result.votes),
+            "panel": [ids[i] for i in panel],
+            "panel_labels": [labels[i - 1] for i in panel_labels],
+            "votes": "".join(["A" if v else "R" for v in result.votes]),
             "decision": "accepted" if result.accepted else "rejected",
             "block_valid": result.block_valid,
-            "winner": ids[result.winner],
-            "winner_label": config.labels[winner_labels[-1]],
+            "winner": ids[winner],
+            "winner_label": labels[winner_label],
             "reputation_deltas": {
-                ids[i]: [round(b, 9), round(a, 9)]
-                for i, (b, a) in result.reputation_deltas.items()
-            },
-            "expulsions": [ids[i] for i in result.expulsions],
+                ids[i]: [round(b, 9), round(a, 9)] for i, (b, a) in deltas.items()
+            } if deltas else {},
+            "expulsions": [ids[i] for i in expulsions] if expulsions else [],
             "appended": result.appended,
         })
 

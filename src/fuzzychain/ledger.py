@@ -33,6 +33,7 @@ GENESIS_PREV_HASH = bytes(32)
 AMOUNT_DECIMALS = 6
 _AMOUNT_SCALE = 10**AMOUNT_DECIMALS
 _MAX_AMOUNT_UNITS = 2**64 - 1
+_pack_u64_pair, _pack_u32 = struct.Struct(">QQ").pack, struct.Struct(">I").pack
 
 # ECDSA over a SHA-256 digest computed here; built once, since they hold no state
 _SIGN_ALGORITHM = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
@@ -106,13 +107,19 @@ def _bytes_field(b: bytes) -> bytes:
     return struct.pack(">H", len(b)) + b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transaction:
     sender: bytes
     recipient: bytes
     amount: float
     nonce: int
     signature: bytes = b""
+
+    def __init__(self, sender: bytes, recipient: bytes, amount: float, nonce: int,
+                 signature: bytes = b""):
+        # one __dict__ update, not the frozen dataclass's object.__setattr__ per field
+        self.__dict__.update(sender=sender, recipient=recipient, amount=amount, nonce=nonce,
+                             signature=signature)
 
     @cached_property
     def signing_bytes(self) -> bytes:
@@ -121,23 +128,26 @@ class Transaction:
         dataclasses.replace builds its own."""
         return transaction_signing_bytes(self.sender, self.recipient, self.amount, self.nonce)
 
+    @cached_property
+    def signed_bytes(self) -> bytes:
+        """serialize_transaction's bytes, built once per transaction (and seeded
+        by sign_transaction), as signing_bytes is: the block hash and its
+        recomputation both read them."""
+        return self.signing_bytes + _bytes_field(self.signature)
+
 
 def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, nonce: int) -> bytes:
     """Canonical unsigned serialization — exactly what the sender signs."""
     try:
-        return (
-            _bytes_field(sender)
-            + _bytes_field(recipient)
-            + struct.pack(">Q", _amount_units(amount))
-            + struct.pack(">Q", nonce)
-        )
+        return _bytes_field(sender) + _bytes_field(recipient) + _pack_u64_pair(
+            _amount_units(amount), nonce)
     except struct.error:  # the other fields are checked before they are packed
         raise _u64_error(nonce=nonce) from None
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
     """Signed canonical form: unsigned bytes plus the length-prefixed signature."""
-    return tx.signing_bytes + _bytes_field(tx.signature)
+    return tx.signed_bytes
 
 
 def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -> Transaction:
@@ -150,8 +160,9 @@ def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -
     payload = transaction_signing_bytes(sender, recipient, amount, nonce)
     digest = hashlib.sha256(payload).digest()
     sig = private_key.sign(digest, _SIGN_ALGORITHM)
-    tx = Transaction(sender=sender, recipient=recipient, amount=amount, nonce=nonce, signature=sig)
-    tx.__dict__["signing_bytes"] = payload  # where cached_property keeps its value
+    tx = Transaction(sender, recipient, amount, nonce, sig)
+    # where the two cached_property values live
+    tx.__dict__.update(signing_bytes=payload, signed_bytes=payload + _bytes_field(sig))
     return tx
 
 
@@ -181,7 +192,7 @@ def verify_transaction(tx: Transaction, curve: str = DEFAULT_CURVE) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     index: int
     timestamp: int
@@ -189,17 +200,23 @@ class Block:
     transactions: tuple
     hash: bytes
 
+    def __init__(self, index: int, timestamp: int, prev_hash: bytes, transactions: tuple,
+                 hash: bytes):
+        # one __dict__ update, as in Transaction
+        self.__dict__.update(index=index, timestamp=timestamp, prev_hash=prev_hash,
+                             transactions=transactions, hash=hash)
+
 
 def block_payload(index: int, timestamp: int, prev_hash: bytes, transactions) -> bytes:
     """Canonical block serialization (the preimage of the block hash)."""
     if len(prev_hash) != 32:
         raise LedgerError(f"prev_hash must be 32 bytes, got {len(prev_hash)}")
     try:
-        out = [struct.pack(">QQ", index, timestamp), prev_hash, struct.pack(">I", len(transactions))]
+        head = _pack_u64_pair(index, timestamp)
     except struct.error:
         raise _u64_error(index=index, timestamp=timestamp) from None
-    out.extend(serialize_transaction(tx) for tx in transactions)
-    return b"".join(out)
+    return b"".join([head, prev_hash, _pack_u32(len(transactions)),
+                     *map(serialize_transaction, transactions)])
 
 
 def block_hash(index: int, timestamp: int, prev_hash: bytes, transactions) -> bytes:

@@ -27,6 +27,8 @@ from .experiments import Exp2Report
 from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
+# json.dumps(row, sort_keys=True) makes this encoder anew for each row; one serves them all
+_AUDIT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def emit_outputs(report, out_dir) -> dict:
@@ -51,7 +53,8 @@ def emit_outputs(report, out_dir) -> dict:
         )
 
         with open(paths["audit.jsonl"], "w") as fh:
-            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in report.audit_rows())
+            encode = _AUDIT_ENCODER.encode
+            fh.writelines(encode(row) + "\n" for row in report.audit_rows())
 
         render = render_exp2_plots if isinstance(report, Exp2Report) else render_exp1_plots
         paths["plots.svg"].write_text(render(report))

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -53,11 +54,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Participant:
     """One registered validator: a view of one row of a registry's columns.
 
-    reputation starts at 1.0 and never leaves [0, 1]; label_index is 1-based
-    and follows Registry.set_stake. Reads give Python floats, ints and bools;
+    reputation starts at 1.0 and never leaves [0, 1] (a write outside it raises
+    ValueError); label_index is 1-based and follows Registry.set_stake. Reads give Python floats, ints and bools;
     writes reach the trusted sets. seq is the read-only enrollment position,
     the key that settlement and the round engine use. Only a registry makes
-    views (enroll, get, participants, the sets). A view holds its registry,
+    views (enroll, get, participants, the sets, members_at). A view holds its registry,
     so it keeps the registry alive; the registry holds no view.
     """
 
@@ -68,10 +69,14 @@ class Participant:
                 f"reputation={self.reputation!r}, label_index={self.label_index!r}, "
                 f"excluded={self.excluded!r})")
 
-    seq = property(lambda self: self._seq)
+    def _write_reputation(self, value: float) -> None:
+        if not 0.0 <= value <= 1.0:  # before anything moves; NaN fails too
+            raise ValueError(f"reputation {value!r} outside [0, 1]")
+        self._reg._set_reputation(self._seq, value)
+
+    seq = property(attrgetter("_seq"))
     stake = property(lambda self: self._reg._stake[self._seq])
-    reputation = property(lambda self: self._reg._reputation[self._seq],
-                          lambda self, value: self._reg._set_reputation(self._seq, value))
+    reputation = property(lambda self: self._reg._reputation[self._seq], _write_reputation)
     label_index = property(lambda self: self._reg._label[self._seq],
                            lambda self, value: self._reg._set_label(self._seq, value))
     excluded = property(lambda self: self._reg._excluded[self._seq],
@@ -87,9 +92,9 @@ class TrustedSet:
 
     A handle made by Registry.trusted_sets() over the registry's columns.
     positions are the active rows labelled i; reputations are theirs, and
-    selection() is built from them. All are read-only, cached in the
-    registry and rebuilt from the columns after a write has dropped them
-    (see Registry); indexing or iterating makes views.
+    selection() is built from them, and draw_views() views both. All are
+    read-only, cached in the registry and rebuilt from the columns after a
+    write has dropped them (see Registry); indexing or iterating makes views.
     """
 
     __slots__ = ("_reg", "_k")
@@ -115,7 +120,7 @@ class TrustedSet:
         return len(self.positions)
 
     def __iter__(self):
-        return map(self._reg._view, self.positions)
+        return iter(self._reg._views(self.positions))
 
     def __getitem__(self, i: int) -> Participant:
         return self._reg._view(self.positions[i])
@@ -125,13 +130,31 @@ class TrustedSet:
         reputation_cdf of the reputations, cached until the set changes (read-only)."""
         return (self._reg._selections[self._k] or self._select())[1]
 
+    def draw_views(self) -> tuple[memoryview, memoryview, memoryview | None]:
+        """(positions, A, cdf) as memoryviews over the arrays that positions and
+        selection() hand out, from the same cache entry: indexing them gives
+        Python ints and floats, as the round's draws want."""
+        return (self._reg._selections[self._k] or self._select())[2]
+
     def _select(self) -> tuple:
-        """Build and cache (reputations, (A, cdf)) from the columns."""
-        reps = _read_only(np.asarray(self._reg._reputation)[np.asarray(self.positions)])
-        a, cdf = np.flatnonzero(reps == 1.0), reputation_cdf(reps)
+        """Build and cache (reputations, (A, cdf), (positions, A, cdf) views)."""
+        positions = self.positions
+        reps = _read_only(np.asarray(self._reg._reputation)[np.asarray(positions)])
+        a, cdf = _read_only(np.flatnonzero(reps == 1.0)), reputation_cdf(reps)
+        cdf_view = None if cdf is None else memoryview(_read_only(cdf))
         entry = self._reg._selections[self._k] = (
-            reps, (_read_only(a), cdf if cdf is None else _read_only(cdf)))
+            reps, (a, cdf), (positions, memoryview(a), cdf_view))
         return entry
+
+
+def members_at(groups: list[TrustedSet], picks: list[list[int]]) -> list[Participant]:
+    """Views of the members at positions picks[k] in groups[k], set by set, for
+    sets of one registry: made straight from the sets' positions, in one pass."""
+    rows = []
+    for group, at in zip(groups, picks):
+        if at:
+            rows += map(group.positions.__getitem__, at)
+    return groups[0]._reg._views(rows) if rows else []
 
 
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -200,16 +223,16 @@ class Registry:
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
-    (reputations, (A, cdf)) entry: an enrollment, exclusion, readmission or
-    label move drops both, and a reputation write to an active row only the
-    entry, so it never rescans the population.
+    (reputations, (A, cdf), draw views) entry: an enrollment, exclusion,
+    readmission or label move drops both, and a reputation write to an
+    active row only the entry, so it never rescans the population.
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
                  stakes=()):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._ids, self._index = (), None
+        self._ids, self._index, self._columns = (), None, None
         self._stake, self._label, self._reputation, self._excluded = (
             memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
         self._positions, self._selections = [None] * variable.n, [None] * variable.n
@@ -244,6 +267,7 @@ class Registry:
             memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
             zip((self._stake, self._label, self._reputation, self._excluded),
                 (stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes))), _DTYPES))
+        self._columns = None
         self._positions, self._selections = [None] * self.variable.n, [None] * self.variable.n
         return range(first, end)
 
@@ -275,18 +299,24 @@ class Registry:
             self._excluded[i] = value
             self._drop(self._label[i] - 1)
 
+    def _views(self, rows) -> list[Participant]:
+        """New views of rows, in order: two views of one row are two objects, so compare ids."""
+        new, ids, views = Participant.__new__, self._ids, []
+        for i in rows:
+            p = new(Participant)
+            p._reg, p._seq, p.id = self, i, ids[i]
+            views.append(p)
+        return views
+
     def _view(self, i: int) -> Participant:
-        """A new view of row i: two views of one row are two objects, so compare ids."""
-        p = Participant.__new__(Participant)
-        p._reg, p._seq, p.id = self, i, self._ids[i]
-        return p
+        return self._views((i,))[0]
 
     def enroll(self, pid: str, stake: float) -> Participant:
         return self._view(self._enroll([stake], [pid])[0])
 
     def enroll_many(self, stakes) -> list[Participant]:
         """Enroll stakes in one pass (see _enroll) and return their views."""
-        return [self._view(i) for i in self._enroll(stakes)]
+        return self._views(self._enroll(stakes))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -305,7 +335,7 @@ class Registry:
 
     def participants(self) -> list[Participant]:
         """Every enrolled participant, excluded ones included, in enrollment order."""
-        return [self._view(i) for i in range(len(self))]
+        return self._views(range(len(self)))
 
     def trusted_sets(self) -> list[TrustedSet]:
         """Active members of T_1..T_n, each in enrollment order: new handles over
@@ -316,16 +346,21 @@ class Registry:
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
         """Read-only (stake, label, reputation, excluded) columns, indexed by
-        position. Settlement writes show through them; an enrollment replaces
-        the columns, so take them again after one."""
-        return tuple(col.toreadonly() for col in
-                     (self._stake, self._label, self._reputation, self._excluded))
+        position, made once per set of columns. Settlement writes show through
+        them; an enrollment replaces the columns, so take them again after one."""
+        if self._columns is None:
+            self._columns = tuple(col.toreadonly() for col in
+                                   (self._stake, self._label, self._reputation, self._excluded))
+        return self._columns
 
     def apply_vote_outcome(self, seq: int, successful: bool) -> None:
         """Update the reputation of the voter at position seq (Participant.seq)
         and re-check their expulsion status."""
         i = self._row(seq)
-        rep = update_reputation(self._reputation[i], successful, self.params)
+        rep = self._reputation[i]
+        if successful and rep == 1.0:
+            return  # a spotless record stays spotless, and the member stays in
+        rep = update_reputation(rep, successful, self.params)
         self._set_reputation(i, rep)
         if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
             self._set_excluded(i, True)

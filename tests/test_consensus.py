@@ -126,7 +126,7 @@ class TestSubsets:
     def test_all_below_one(self):
         group = make_groups([2], reps=[[0.8, 0.7]])[0]
         a, b = build_subsets(group)
-        assert a.size == 0 and len(b) == 2
+        assert len(a) == 0 and len(b) == 2
 
     def test_single_perfect_member(self):
         group = make_groups([1])[0]
@@ -287,10 +287,29 @@ class TestStreamExactDraws:
             if kind == "single":
                 weights[shape.integers(0, n)] = shape.choice([0.05, 0.9, 1.0])
         cdf = reputation_cdf(weights)
+        view = None if cdf is None else memoryview(cdf)  # what a set's draw views hold
         ref, new = twin_streams(seed)
+        on_view = np.random.default_rng(seed)
         for _ in range(3):
-            assert _weighted_pick(cdf, n, new) == weighted_pick_with_choice(weights, ref)
+            expect = weighted_pick_with_choice(weights, ref)
+            assert _weighted_pick(cdf, n, new) == expect
+            assert _weighted_pick(view, n, on_view) == expect
             assert new.bit_generator.state == ref.bit_generator.state
+            assert on_view.bit_generator.state == ref.bit_generator.state
+
+    def test_weighted_pick_on_a_cdf_step_takes_the_next_position(self):
+        # choice searches its cdf with side="right": a uniform equal to a step goes past it
+        seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+        u = np.random.default_rng(seed).random()
+        weights = np.array([u, 1.0 - u])  # 1 - u is exact for u >= 0.5, so the cdf is [u, 1]
+        cdf = reputation_cdf(weights)
+        assert cdf.tolist() == [u, 1.0]
+        ref, new = twin_streams(seed)
+        on_view = np.random.default_rng(seed)
+        assert weighted_pick_with_choice(weights, ref) == 1
+        assert _weighted_pick(cdf, 2, new) == _weighted_pick(memoryview(cdf), 2, on_view) == 1
+        assert new.bit_generator.state == ref.bit_generator.state
+        assert on_view.bit_generator.state == ref.bit_generator.state
 
     @given(st.lists(st.integers(1, 60_000), min_size=1, max_size=6), SEEDS)
     def test_pick_winner_matches_choice(self, sizes, seed):

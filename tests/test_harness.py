@@ -83,6 +83,10 @@ WRONG_TYPED = [
     ("l_divisor", {"l_divisor": float("nan")}),
     ("baselines.pos_stake_dist.sigma",
      {"baselines": {"pos_stake_dist": {"type": "lognormal", "mu": 0, "sigma": float("inf")}}}),
+    # finite bounds whose span overflows, or whose peaks' midpoints do
+    ("universe_hi - universe_lo", {"universe_lo": -1e308, "universe_hi": 1e308}),
+    ("universe_hi - universe_lo", {"universe_lo": 0.0, "universe_hi": 1e308}),
+    ("universe_lo, universe_hi", {"universe_lo": 0.85e308, "universe_hi": 0.9e308}),
 ]
 
 
@@ -651,6 +655,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "eta" in err and "commission" in err
+
+    def test_overflowing_universe_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "custom", "universe_lo": -1e308,
+                                 "universe_hi": 1e308}))
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: universe_hi - universe_lo: must be finite times 4"
+                       " (the label count less one), got inf\n")
+        assert not out.exists()
 
     def test_overflowing_hash_powers_exit_two(self, tmp_path, capsys):
         # a pareto with a tiny shape overflows every hash power to inf

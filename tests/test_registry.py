@@ -415,6 +415,21 @@ class TestTrustedSetIndex:
         assert p.label_index == 3
         assert_index_matches(reg)
 
+    def test_reputation_outside_zero_one_is_refused_before_anything_moves(self):
+        reg = make_registry()
+        p, _ = reg.enroll_many([5.0, 5.5])
+        group = reg.trusted_sets()[2]
+        entry = group.selection()
+        for bad in (-0.5, float("nan"), 3.0, 1.0 + 1e-12, -1e-300):
+            with pytest.raises(ValueError, match="reputation"):
+                p.reputation = bad
+        assert p.reputation == 1.0
+        assert group.selection() is entry  # no write reached the set's cache
+        p.reputation = 0.0  # both ends of [0, 1] are taken
+        assert group.reputations.tolist() == [0.0, 1.0]
+        p.reputation = 1.0
+        assert_index_matches(reg)
+
     def test_reference_counting_alone_frees_the_registry(self):
         gc.disable()  # so a reference cycle through the registry would keep it alive
         try:
@@ -487,7 +502,7 @@ class TestTrustedSetIndex:
         engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(8, "keys"))
         sel, vot = substream(8, "selection"), substream(8, "votes")
-        moves = expulsions = rounds = 0
+        moves = expulsions = rounds = cached = 0
         for r in range(1, 301):
             labels = [p.label_index for p in reg.participants()]
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
@@ -498,8 +513,33 @@ class TestTrustedSetIndex:
             rounds += 1
             moves += reg.participants()[result.winner].label_index != labels[result.winner]
             expulsions += len(result.expulsions)
+            # the entries settlement left cached, before anything rebuilds them
+            cached += assert_draw_views_match(reg)
             assert_index_matches(reg)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
+        assert cached >= rounds  # most sets keep their entry through a round
+
+
+def assert_draw_views_match(reg) -> int:
+    """Each set's cached draw views, where an entry is cached, against a
+    rebuild from the columns: positions, A and cdf, each a memoryview of the
+    array its entry hands out. Returns the number of entries checked."""
+    _, label, rep, excluded = (np.asarray(col) for col in reg.columns())
+    checked = 0
+    for k, entry in enumerate(reg._selections):
+        if entry is None:
+            continue
+        (a_array, cdf_array), (positions, a, cdf) = entry[1], entry[2]
+        assert a.obj is a_array and (cdf is None) == (cdf_array is None)
+        assert cdf is None or cdf.obj is cdf_array
+        want = np.flatnonzero((label == k + 1) & ~excluded)
+        assert np.asarray(positions).tolist() == want.tolist()
+        assert a.tolist() == np.flatnonzero(rep[want] == 1.0).tolist()
+        want_cdf = scratch_cdf(rep[want])
+        assert (cdf is None) == (want_cdf is None)
+        assert cdf is None or cdf.tolist() == want_cdf.tolist()
+        checked += 1
+    return checked
 
 
 def assert_columns_match(reg):

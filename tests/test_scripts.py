@@ -1,6 +1,9 @@
-"""The scripts under scripts/, run as a user runs them: a subprocess."""
+"""The scripts under scripts/, run as a user runs them: a subprocess,
+and bench_pairs.py's summary on given numbers (no benchmark runs)."""
 
+import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +79,53 @@ def test_exp2_comparison_rejects_an_invalid_config(tmp_path, args, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "scan").exists()
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_counts_wins_in_each_direction():
+    bench_pairs = load_bench_pairs()
+    rates = [(100.0, 120.0), (104.0, 118.0), (98.0, 121.0), (102.0, 102.0), (101.0, 119.0)]
+    setups = [(0.010, 0.009), (0.011, 0.012), (0.010, 0.010), (0.012, 0.008), (0.009, 0.010)]
+    pairs = [({"rounds_per_s": r0, "setup_s": s0}, {"rounds_per_s": r1, "setup_s": s1})
+             for (r0, r1), (s0, s1) in zip(rates, setups)]
+    rows = bench_pairs.summarize(pairs, [("rounds_per_s", "higher"), ("setup_s", "lower")])
+    rate, setup = rows
+    assert rate["metric"] == "rounds_per_s" and rate["pairs"] == 5
+    assert rate["wins"] == 4  # the tied pair is no win
+    q1, med, q3 = statistics.quantiles([r0 for r0, _ in rates], n=4)
+    assert rate["parent"] == {"q1": q1, "median": med, "q3": q3}
+    assert rate["change"]["median"] == 119.0
+    assert not rate["clear"]  # 4 of 5 is under 9 in 10
+    assert setup["wins"] == 2 and not setup["clear"]  # lower is better
+    text = bench_pairs.format_summary(rows)
+    assert "rounds_per_s" in text and "4/5" in text and "2/5" in text
+
+
+def test_bench_pairs_summary_is_clear_only_past_the_parent_spread():
+    bench_pairs = load_bench_pairs()
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
+
+    def rows(gain):
+        pairs = [({"x": p}, {"x": p + gain}) for p in parent]
+        return bench_pairs.summarize(pairs, [("x", "higher")])[0]
+
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert rows(2 * (q3 - q1))["clear"]  # 10 of 10 and past the spread
+    assert not rows((q3 - q1) / 2)["clear"]  # 10 of 10, inside the spread
+    one = bench_pairs.summarize([({"x": 1.0}, {"x": 2.0})], [("x", "higher")])[0]
+    assert one["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0} and one["clear"]
+
+
+def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
+    short, longer = tmp_path / "a", tmp_path / "bb"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(short), str(longer), "--workload", "exp1_paper"])
+    assert exc.value.code == 2
+    assert "checkout paths differ in length" in capsys.readouterr().err
