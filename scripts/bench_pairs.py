@@ -3,8 +3,9 @@
 
 Each pair runs `bench/run.py --trace 0` once in each checkout, each with
 its own copy of the benchmark, and alternates which side goes first.
-For every end-to-end metric it prints each side's median and quartiles
-and the number of pairs the change won.
+For every end-to-end metric it prints each side's median and quartiles,
+the number of pairs the change won, whether that is a clear gain, and a
+regression verdict against the metric's bound in BENCHMARK.json.
 
     python3 scripts/bench_pairs.py ../parent ../change --workload exp1_paper --pairs 10
 
@@ -26,10 +27,10 @@ from pathlib import Path
 CHILD_TIMEOUT_S = 900
 
 
-def end_to_end_metrics(checkout: Path) -> list[tuple[str, str]]:
-    """(name, "higher" or "lower") of each end-to-end metric in BENCHMARK.json."""
+def end_to_end_metrics(checkout: Path) -> list[tuple[str, str, float]]:
+    """(name, "higher" or "lower", bound) of each end-to-end metric in BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def run_side(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -52,26 +53,40 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) -> list[dict]:
-    """Per metric, each side's quartiles and the pairs the change won.
+def summarize(pairs: list[tuple[dict, dict]],
+              metrics: list[tuple[str, str, float]]) -> list[dict]:
+    """Per metric, each side's quartiles, the pairs the change won and two verdicts.
 
     pairs holds (parent, change) metric values per pair, {name: value};
-    metrics holds (name, "higher" or "lower"). A tie is no win. clear says
-    whether the change won at least 9 in 10 pairs and its median beats the
-    parent's by more than the parent's interquartile range.
+    metrics holds (name, "higher" or "lower", bound). A tie is no win. clear
+    says whether the change won at least 9 in 10 pairs and its median beats
+    the parent's by more than the parent's interquartile range. verdict
+    measures regressions against the margin bound x the parent's median:
+    "worse" when the change's median is worse than the parent's by more than
+    the margin; "unresolved" when the parent's interquartile range exceeds
+    the margin and not every run of the change beats every run of the
+    parent; "ok" otherwise.
     """
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = _spread(parent), _spread(change)
+        margin = bound * abs(pmed)
+        if sign * (pmed - cmed) > margin:
+            verdict = "worse"
+        elif pq3 - pq1 > margin and not all(sign * (c - p) > 0 for c in change for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append({
             "metric": name, "better": better, "pairs": len(pairs), "wins": wins,
             "parent": {"q1": pq1, "median": pmed, "q3": pq3},
             "change": {"q1": cq1, "median": cmed, "q3": cq3},
             "clear": wins * 10 >= 9 * len(pairs) and sign * (cmed - pmed) > pq3 - pq1,
+            "verdict": verdict,
         })
     return rows
 
@@ -81,11 +96,11 @@ def format_summary(rows: list[dict]) -> str:
         return f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
 
     lines = [f"{'metric':<14} {'better':<7} {'parent median [q1, q3]':<30} "
-             f"{'change median [q1, q3]':<30} won  clear"]
+             f"{'change median [q1, q3]':<30} won  clear  verdict"]
     for r in rows:
         lines.append(f"{r['metric']:<14} {r['better']:<7} {side(r['parent']):<30} "
                      f"{side(r['change']):<30} {r['wins']}/{r['pairs']}  "
-                     f"{'yes' if r['clear'] else 'no'}")
+                     f"{'yes' if r['clear'] else 'no':<5}  {r['verdict']}")
     return "\n".join(lines)
 
 
@@ -122,10 +137,10 @@ def main(argv=None) -> int:
             if not result["correct"]:
                 print(f"pair {i + 1}: {checkout} failed {result['failed']} of"
                       f" {result['attempted']} runs", file=sys.stderr)
-            out[checkout] = {name: result["metrics"][name]["value"] for name, _ in metrics}
+            out[checkout] = {name: result["metrics"][name]["value"] for name, *_ in metrics}
         pairs.append((out[parent], out[change]))
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{name} {out[parent][name]:.6g} -> {out[change][name]:.6g}" for name, _ in metrics),
+            f"{name} {out[parent][name]:.6g} -> {out[change][name]:.6g}" for name, *_ in metrics),
             flush=True)
     print(format_summary(summarize(pairs, metrics)))
     return 0

@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory (default runs/<experiment>)")
     run.add_argument("--granularity", choices=["per-label", "per-participant"],
                      help="frequency key for the fuzzy algorithm's metrics")
-    run.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility and ignored: repetitions "
-                          "always run serially (must be at least 1)")
 
     rep = sub.add_parser("report", help="print a digest of a finished run directory")
     rep.add_argument("run_dir")
@@ -68,6 +65,9 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.rounds is not None:
+        if args.experiment == "exp2":  # exp2 runs fuzzychain_rounds; rounds would be echoed unused
+            raise ConfigError(["--rounds: exp2 runs fuzzychain_rounds rounds; set that key"
+                               " in a --config file instead"])
         overrides["rounds"] = _parse_rounds(args.rounds)
     if args.reps is not None:
         overrides["repetitions"] = args.reps
@@ -85,8 +85,6 @@ def main(argv=None) -> int:
             sys.stdout.write(format_report(args.run_dir))
             return 0
         cfg = _resolve_config(args)
-        if args.workers < 1:
-            raise ConfigError(["--workers: must be at least 1"])
         report = run_configured(cfg)
         out_dir = args.out or f"runs/{cfg.experiment}"
         paths = emit_outputs(report, out_dir)

@@ -76,6 +76,10 @@ def _check_dist(name: str, spec, errors: list[str]) -> None:
     if not isinstance(kind, str) or kind not in DIST_PARAMS:
         errors.append(f"{name}.type: {kind!r} not one of {sorted(DIST_PARAMS)}")
         return
+    extra = set(spec) - {"type", *DIST_PARAMS[kind]}
+    if extra:
+        errors.append(f"{name}: unknown keys {sorted(extra)} for type {kind!r}")
+        return
     for p in DIST_PARAMS[kind]:
         if p not in spec:
             errors.append(f"{name}.{p}: required for type {kind!r}")

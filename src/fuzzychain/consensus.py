@@ -102,11 +102,12 @@ def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
     return _assemble_panel(groups, rng, _draw_uniform)
 
 
-def build_subsets(group: TrustedSet) -> tuple[memoryview, TrustedSet]:
-    """Split a trusted set into (A, B): A holds the positions in the set of
-    the reputation-1 members (a memoryview, read-only), B is the whole set,
-    so A is always a subset of B."""
-    return group.draw_views()[1], group
+def build_subsets(group: TrustedSet) -> tuple[memoryview, memoryview, memoryview | None]:
+    """Split a trusted set into (B, A, cdf): B is the set's positions, A the
+    indices into B of its reputation-1 members, so A is always a subset of B,
+    and cdf the reputation_cdf over B (None when every reputation is 0). All
+    three are the set's cached, read-only memoryviews (TrustedSet.draw_views)."""
+    return group.draw_views()
 
 
 def _weighted_pick(cdf, n: int, rng) -> int:
@@ -132,12 +133,11 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     therefore dominate the pool without ever monopolizing it. The draws
     index the set's cached memoryviews, so they get Python ints.
     """
-    a, b = build_subsets(group)
-    positions, _, cdf = b.draw_views()
-    if not positions:
+    b, a, cdf = build_subsets(group)
+    if not b:
         return []
     pool = _draw(a, 2, rng)
-    pick = _weighted_pick(cdf, len(positions), rng)
+    pick = _weighted_pick(cdf, len(b), rng)
     if pick not in pool:
         pool.append(pick)
     return _draw(pool, quota, rng)

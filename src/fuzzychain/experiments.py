@@ -376,8 +376,9 @@ def run_experiment2(config: ExperimentConfig) -> Exp2Report:
 def run_configured(config: ExperimentConfig, workers: int = 1):
     """Dispatch on config.experiment ('custom' runs the frequency driver).
 
-    workers is accepted for existing callers and ignored: repetitions
-    always run serially, and the output does not depend on it.
+    workers is ignored: repetitions always run serially, and the output
+    does not depend on it. It stays because the benchmark's child
+    process (bench/child.py) passes it.
     """
     if config.experiment == "exp2":
         return run_experiment2(config)

@@ -46,23 +46,19 @@ def _enrollment_ids(first: int, end: int) -> tuple[str, ...]:
     return tuple(islice((head + tail for head in heads for tail in tails), skip, skip + end - first))
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 class Participant:
     """One registered validator: a view of one row of a registry's columns.
 
     reputation starts at 1.0 and never leaves [0, 1] (a write outside it raises
     ValueError); label_index is 1-based and follows Registry.set_stake. Reads give Python floats, ints and bools;
     writes reach the trusted sets. seq is the read-only enrollment position,
-    the key that settlement and the round engine use. Only a registry makes
-    views (enroll, get, participants, the sets, members_at). A view holds its registry,
-    so it keeps the registry alive; the registry holds no view.
+    the key that settlement and the round engine use, and id the read-only id
+    that Registry.ids() holds there. Only a registry makes views (enroll, get,
+    participants, the sets, members_at). A view holds its registry and a position
+    only, so it keeps the registry alive; the registry holds no view.
     """
 
-    __slots__ = ("_reg", "_seq", "id")
+    __slots__ = ("_reg", "_seq")
 
     def __repr__(self) -> str:
         return (f"Participant(id={self.id!r}, stake={self.stake!r}, "
@@ -75,6 +71,7 @@ class Participant:
         self._reg._set_reputation(self._seq, value)
 
     seq = property(attrgetter("_seq"))
+    id = property(lambda self: self._reg._ids[self._seq])
     stake = property(lambda self: self._reg._stake[self._seq])
     reputation = property(lambda self: self._reg._reputation[self._seq], _write_reputation)
     label_index = property(lambda self: self._reg._label[self._seq],
@@ -91,10 +88,10 @@ class TrustedSet:
     """The active members of one trusted set T_i (i = k + 1), in enrollment order.
 
     A handle made by Registry.trusted_sets() over the registry's columns.
-    positions are the active rows labelled i; reputations are theirs, and
-    selection() is built from them, and draw_views() views both. All are
-    read-only, cached in the registry and rebuilt from the columns after a
-    write has dropped them (see Registry); indexing or iterating makes views.
+    positions are the active rows labelled i, and draw_views() is the set's
+    one selection entry built from them. Both are read-only memoryviews,
+    cached in the registry and rebuilt from the columns after a write has
+    dropped them (see Registry); indexing or iterating makes views.
     """
 
     __slots__ = ("_reg", "_k")
@@ -107,14 +104,8 @@ class TrustedSet:
         reg, k = self._reg, self._k
         if reg._positions[k] is None:
             active = (np.asarray(reg._label) == k + 1) & ~np.asarray(reg._excluded)
-            reg._positions[k] = memoryview(_read_only(np.flatnonzero(active)))
+            reg._positions[k] = memoryview(np.flatnonzero(active)).toreadonly()
         return reg._positions[k]
-
-    @property
-    def reputations(self) -> np.ndarray:
-        return (self._reg._selections[self._k] or self._select())[0]
-
-    members = property(lambda self: list(self), doc="The members as views, in a new list.")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -125,26 +116,19 @@ class TrustedSet:
     def __getitem__(self, i: int) -> Participant:
         return self._reg._view(self.positions[i])
 
-    def selection(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(A, cdf): the positions in this set of the reputation-1 members and
-        reputation_cdf of the reputations, cached until the set changes (read-only)."""
-        return (self._reg._selections[self._k] or self._select())[1]
-
     def draw_views(self) -> tuple[memoryview, memoryview, memoryview | None]:
-        """(positions, A, cdf) as memoryviews over the arrays that positions and
-        selection() hand out, from the same cache entry: indexing them gives
-        Python ints and floats, as the round's draws want."""
-        return (self._reg._selections[self._k] or self._select())[2]
-
-    def _select(self) -> tuple:
-        """Build and cache (reputations, (A, cdf), (positions, A, cdf) views)."""
-        positions = self.positions
-        reps = _read_only(np.asarray(self._reg._reputation)[np.asarray(positions)])
-        a, cdf = _read_only(np.flatnonzero(reps == 1.0)), reputation_cdf(reps)
-        cdf_view = None if cdf is None else memoryview(_read_only(cdf))
-        entry = self._reg._selections[self._k] = (
-            reps, (a, cdf), (positions, memoryview(a), cdf_view))
-        return entry
+        """(positions, A, cdf): A the positions in this set of the reputation-1
+        members and cdf reputation_cdf of the members' reputations (None when
+        all are 0), cached until the set changes. Indexing these read-only
+        memoryviews gives Python ints and floats, as the round's draws want."""
+        reg, k = self._reg, self._k
+        if reg._selections[k] is None:
+            positions = self.positions
+            reps = np.asarray(reg._reputation)[np.asarray(positions)]
+            cdf = reputation_cdf(reps)
+            reg._selections[k] = (positions, memoryview(np.flatnonzero(reps == 1.0)).toreadonly(),
+                                  None if cdf is None else memoryview(cdf).toreadonly())
+        return reg._selections[k]
 
 
 def members_at(groups: list[TrustedSet], picks: list[list[int]]) -> list[Participant]:
@@ -223,9 +207,9 @@ class Registry:
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
-    (reputations, (A, cdf), draw views) entry: an enrollment, exclusion,
-    readmission or label move drops both, and a reputation write to an
-    active row only the entry, so it never rescans the population.
+    (positions, A, cdf) entry of read-only memoryviews: an enrollment,
+    exclusion, readmission or label move drops both, and a reputation write
+    to an active row only the entry, so it never rescans the population.
     """
 
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
@@ -301,10 +285,10 @@ class Registry:
 
     def _views(self, rows) -> list[Participant]:
         """New views of rows, in order: two views of one row are two objects, so compare ids."""
-        new, ids, views = Participant.__new__, self._ids, []
+        new, views = Participant.__new__, []
         for i in rows:
             p = new(Participant)
-            p._reg, p._seq, p.id = self, i, ids[i]
+            p._reg, p._seq = self, i
             views.append(p)
         return views
 

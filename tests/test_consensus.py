@@ -119,19 +119,19 @@ class TestFirstRoundSelection:
 class TestSubsets:
     def test_mixed_reputations(self):
         group = make_groups([3], reps=[[1.0, 1.0, 0.9]])[0]
-        a, b = build_subsets(group)
-        assert [b[i].id for i in a] == ["g1m0", "g1m1"]
-        assert b is group and len(b) == 3
+        b, a, _ = build_subsets(group)
+        assert [group[i].id for i in a] == ["g1m0", "g1m1"]
+        assert b is group.positions and len(b) == 3
 
     def test_all_below_one(self):
         group = make_groups([2], reps=[[0.8, 0.7]])[0]
-        a, b = build_subsets(group)
+        b, a, _ = build_subsets(group)
         assert len(a) == 0 and len(b) == 2
 
     def test_single_perfect_member(self):
         group = make_groups([1])[0]
-        a, b = build_subsets(group)
-        assert a.tolist() == [0] and b is group
+        b, a, _ = build_subsets(group)
+        assert a.tolist() == [0] and b is group.positions
 
 
 class TestReputationBias:
@@ -218,11 +218,12 @@ def weighted_pick_with_choice(weights, rng):
 
 def select_from_group_with_choice(group, quota, rng):
     """_select_from_group as written with Generator.choice, pooled by id."""
-    members = group.members
+    members = list(group)
+    reps = np.array([m.reputation for m in members])
     pool = {}
-    for i in draw_with_choice(np.flatnonzero(group.reputations == 1.0), 2, rng):
+    for i in draw_with_choice(np.flatnonzero(reps == 1.0), 2, rng):
         pool[members[i].id] = int(i)
-    j = weighted_pick_with_choice(group.reputations, rng)
+    j = weighted_pick_with_choice(reps, rng)
     pool[members[j].id] = j
     return draw_with_choice(list(pool.values()), quota, rng)
 
@@ -465,9 +466,9 @@ class TestEngineRounds:
 
         # next round: the penalized member is out of its group's A subset
         group = reg.trusted_sets()[reg.participants()[seq].label_index - 1]
-        a, b = build_subsets(group)
-        assert seq not in {b[i].seq for i in a}
-        assert seq in {m.seq for m in b}
+        b, a, _ = build_subsets(group)
+        assert seq not in {b[i] for i in a}
+        assert seq in set(b)
 
     def test_settlement_touches_only_the_panel(self):
         reg = small_registry()

@@ -138,10 +138,15 @@ class TestConfigValidation:
         # baseline draws are hash powers, stakes and reputations: all must be positive
         ("pow_power_dist", {"type": "uniform", "lo": -1.0, "hi": 2.0}),
         ("dpos_reputation_dist", {"type": "uniform", "lo": 0.0, "hi": 1.0}),
-    ], ids=["unknown-type", "uniform-negative-lo", "uniform-zero-lo"])
+        # a misspelt or foreign parameter would otherwise run and be echoed into summary.json
+        ("pos_stake_dist", {"type": "lognormal", "mu": 0, "sigma": 1, "sigam": 5}),
+        ("dpos_stake_dist", {"type": "constant", "value": 1.0, "mu": 0}),
+    ], ids=["unknown-type", "uniform-negative-lo", "uniform-zero-lo", "misspelt-parameter",
+            "parameter-of-another-type"])
     def test_bad_dist_rejected(self, dist_name, spec):
-        with pytest.raises(ConfigError, match=dist_name):
+        with pytest.raises(ConfigError, match=dist_name) as exc:
             config_from_dict({"baselines": {dist_name: spec}})
+        assert len(exc.value.errors) == 1
 
     @pytest.mark.parametrize("field, doc", WRONG_TYPED, ids=[f for f, _ in WRONG_TYPED])
     def test_wrong_typed_value_is_config_error(self, field, doc):
@@ -605,6 +610,23 @@ class TestCli:
     def test_bad_rounds_flag_is_config_error(self, capsys):
         assert main(["run", "exp1", "--rounds", "ten"]) == 1
         assert "--rounds" in capsys.readouterr().err
+
+    def test_rounds_flag_on_exp2_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # exp2 runs fuzzychain_rounds: --rounds would only be echoed into summary.json
+        out = tmp_path / "never"
+        assert main(["run", "exp2", "--rounds", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --rounds") and "fuzzychain_rounds" in err
+        assert not out.exists()
+
+    def test_workers_flag_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "exp1", "--rounds", "5", "--reps", "1", "--out", str(out),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_a_fresh_run_never_imports_numpy_ma(self, tmp_path):
         # np.percentile loads numpy.ma on its first call in a process, about 15 ms of

@@ -31,18 +31,6 @@ def make_registry(**params):
     return Registry(var, ReputationParams(**params))
 
 
-def regroup(reg):
-    """Oracle: per label, the active members' ids and reputations, rebuilt
-    from scratch out of participants() in enrollment order."""
-    sets = [([], []) for _ in range(reg.variable.n)]
-    for p in reg.participants():
-        if not p.excluded:
-            ids, reps = sets[p.label_index - 1]
-            ids.append(p.id)
-            reps.append(p.reputation)
-    return sets
-
-
 def scratch_cdf(reps):
     """Oracle: the normalised reputation cdf, or None when every weight is 0."""
     if not reps.any():
@@ -52,19 +40,35 @@ def scratch_cdf(reps):
     return cdf
 
 
-def assert_index_matches(reg):
-    sets = reg.trusted_sets()
-    assert all(s.reputations.dtype == np.float64 for s in sets)
-    expect = regroup(reg)
-    assert [([m.id for m in s], s.reputations.tolist()) for s in sets] == expect
-    # each set's cached selection state equals one computed from scratch
-    for s, (_, reps) in zip(sets, expect):
-        reps = np.array(reps, dtype=float)
-        a, cdf = s.selection()
-        assert np.array_equal(a, np.flatnonzero(reps == 1.0))
-        want = scratch_cdf(reps)
-        assert (cdf is None) == (want is None)
-        assert cdf is None or np.array_equal(cdf, want)
+def assert_sets_match(reg) -> int:
+    """Oracle: each trusted set against a rebuild from columns(). The entries
+    already cached are checked first, before anything rebuilds them; then every
+    set's positions, members and entry. An entry is (positions, A, cdf), read-only
+    memoryviews of the active rows of its label, of the positions among them of
+    the reputation-1 members, and of their cdf. Returns the number of entries
+    that were cached."""
+    _, label, rep, excluded = (np.asarray(col) for col in reg.columns())
+
+    def check(k, entry):
+        positions, a, cdf = entry
+        want = np.flatnonzero((label == k + 1) & ~excluded)
+        assert positions.tolist() == want.tolist()
+        assert a.tolist() == np.flatnonzero(rep[want] == 1.0).tolist()
+        want_cdf = scratch_cdf(rep[want])
+        assert (cdf is None) == (want_cdf is None)
+        assert cdf is None or cdf.tolist() == want_cdf.tolist()
+        assert all(view.readonly for view in entry if view is not None)
+
+    cached = [(k, entry) for k, entry in enumerate(reg._selections) if entry is not None]
+    for k, entry in cached:
+        check(k, entry)
+    ids = reg.ids()
+    for k, s in enumerate(reg.trusted_sets()):
+        entry = s.draw_views()
+        assert entry[0] is s.positions
+        check(k, entry)
+        assert [m.id for m in s] == [ids[i] for i in s.positions]
+    return len(cached)
 
 
 PICK = st.integers(0, 10**6)  # a participant, as a position modulo the registry's size
@@ -229,7 +233,7 @@ class TestEnrollment:
         with pytest.raises(ValueError, match="already enrolled"):
             reg.enroll_many([1.0, 2.0, 3.0])
         assert [p.id for p in reg.participants()] == [taken.id]
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_enroll_many_after_enroll_keeps_enrollment_order(self):
         reg = make_registry()
@@ -238,7 +242,7 @@ class TestEnrollment:
         assert [(p.id, p.stake, p.label_index) for p in ps] == [
             ("v0001", 0.5, 1), ("v0002", 9.0, 5), ("v0003", 25.0, 5)]
         assert [p.id for p in reg.trusted_sets()[0]] == ["a", "v0001"]
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_enroll_many_twice_numbers_ids_by_enrollment_position(self):
         reg = make_registry()
@@ -247,7 +251,7 @@ class TestEnrollment:
         assert [p.id for p in first + second] == ["v0000", "v0001", "v0002", "v0003", "v0004"]
         assert [p.seq for p in reg.participants()] == [0, 1, 2, 3, 4]
         assert [p.id for p in reg.trusted_sets()[0]] == ["v0000", "v0004"]
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_set_stake_reclassifies(self):
         reg = make_registry()
@@ -286,7 +290,7 @@ class TestIdIndex:
             with pytest.raises(ValueError, match="already enrolled"):
                 reg.enroll("v0001", 5.0)
             assert reg.ids() == ("v0000", "v0001", "v0002")
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_lookups_on_a_registry_built_from_stakes(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
@@ -371,15 +375,15 @@ class TestTrustedSetIndex:
         a, b, c, d, e = reg.enroll_many([0.5, 1.0, 0.2, 6.0, 9.5])
         assert [p.label_index for p in (a, b, c, d, e)] == [1, 1, 1, 3, 5]
         b.reputation = 0.7
-        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7, 1.0]
+        assert [m.reputation for m in reg.trusted_sets()[0]] == [1.0, 0.7, 1.0]
         b.excluded = True
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, c.id]
         c.label_index = 3
         assert [m.id for m in reg.trusted_sets()[2]] == [c.id, d.id]
         b.excluded = False  # back into its place, with the reputation it left with
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id]
-        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7]
-        assert_index_matches(reg)
+        assert [m.reputation for m in reg.trusted_sets()[0]] == [1.0, 0.7]
+        assert_sets_match(reg)
         # writes to an excluded member show up when it comes back
         e.excluded = True
         e.reputation = 0.3
@@ -387,24 +391,24 @@ class TestTrustedSetIndex:
         assert len(reg.trusted_sets()[4]) == 0
         e.excluded = False
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id, e.id]
-        assert reg.trusted_sets()[0].reputations.tolist() == [1.0, 0.7, 0.3]
-        assert_index_matches(reg)
+        assert [m.reputation for m in reg.trusted_sets()[0]] == [1.0, 0.7, 0.3]
+        assert_sets_match(reg)
 
     def test_set_stake_leaves_a_same_label_member_in_place(self):
         reg = make_registry()
         ps = reg.enroll_many([0.2, 0.4, 0.6])
         group = reg.trusted_sets()[0]
-        positions, reps = group.positions, group.reputations
+        positions, entry = group.positions, group.draw_views()
         reg.set_stake(ps[1].seq, 0.45)
         assert [m.id for m in group] == [p.id for p in ps]
-        assert group.reputations is reps  # a same-label stake change drops nothing
+        assert group.draw_views() is entry  # a same-label stake change drops nothing
         ps[0].reputation = 0.5
         assert group.positions is positions  # a reputation write never rescans the population
-        assert group.reputations.tolist() == [0.5, 1.0, 1.0]
+        assert [m.reputation for m in group] == [0.5, 1.0, 1.0]
         reg.set_stake(ps[1].seq, 2.0)
         assert group.positions is not positions
         assert [m.id for m in group] == [ps[0].id, ps[2].id]
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_unknown_label_is_refused_before_anything_moves(self):
         reg = make_registry()
@@ -413,22 +417,22 @@ class TestTrustedSetIndex:
             with pytest.raises(ValueError, match="label index"):
                 p.label_index = bad
         assert p.label_index == 3
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_reputation_outside_zero_one_is_refused_before_anything_moves(self):
         reg = make_registry()
         p, _ = reg.enroll_many([5.0, 5.5])
         group = reg.trusted_sets()[2]
-        entry = group.selection()
+        entry = group.draw_views()
         for bad in (-0.5, float("nan"), 3.0, 1.0 + 1e-12, -1e-300):
             with pytest.raises(ValueError, match="reputation"):
                 p.reputation = bad
         assert p.reputation == 1.0
-        assert group.selection() is entry  # no write reached the set's cache
+        assert group.draw_views() is entry  # no write reached the set's cache
         p.reputation = 0.0  # both ends of [0, 1] are taken
-        assert group.reputations.tolist() == [0.0, 1.0]
+        assert [m.reputation for m in group] == [0.0, 1.0]
         p.reputation = 1.0
-        assert_index_matches(reg)
+        assert_sets_match(reg)
 
     def test_reference_counting_alone_frees_the_registry(self):
         gc.disable()  # so a reference cycle through the registry would keep it alive
@@ -446,8 +450,8 @@ class TestTrustedSetIndex:
                 engine.run_round(block, sel, vot)
             views[0].reputation = 0.5
             for group in sets:
-                group.selection()  # each set's caches hold arrays again
-            members = sets[2].members
+                group.draw_views()  # each set's caches hold memoryviews again
+            members = list(sets[2])
             ref = weakref.ref(reg)
             del reg, engine, views, sets, group, members
             assert ref() is None
@@ -460,9 +464,11 @@ class TestTrustedSetIndex:
         group = reg.trusted_sets()[0]
 
         def assert_read_only():
-            for arr in (group.reputations, *group.selection()):
+            for view in (group.positions, *group.draw_views()):
+                with pytest.raises(TypeError, match="read-only"):
+                    view[0] = 0.5
                 with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 0.5
+                    np.asarray(view)[0] = 0.5
 
         assert_read_only()  # built after enrollment
         b.excluded = True
@@ -470,15 +476,15 @@ class TestTrustedSetIndex:
         b.excluded = False
         assert_read_only()  # rebuilt after a readmission
         a.reputation = 0.4
-        assert_read_only()  # reputations rebuilt after a reputation write
-        assert group.reputations.tolist() == [0.4, 1.0]
-        assert_index_matches(reg)
+        assert_read_only()  # entry rebuilt after a reputation write
+        assert [m.reputation for m in group] == [0.4, 1.0]
+        assert_sets_match(reg)
 
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=40))
     def test_cached_selection_follows_every_change(self, stakes, changes):
         reg = make_registry(epsilon=0.5)
         reg.enroll_many(stakes)
-        assert_index_matches(reg)
+        assert_sets_match(reg)
         for kind, *args in changes:
             if kind == "enroll":
                 reg.enroll_many(args[0])
@@ -491,7 +497,7 @@ class TestTrustedSetIndex:
                     reg.set_stake(p.seq, value)
                 else:
                     setattr(p, kind, value)
-            assert_index_matches(reg)
+            assert_sets_match(reg)
 
     def test_index_matches_a_regroup_after_every_round(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
@@ -513,44 +519,16 @@ class TestTrustedSetIndex:
             rounds += 1
             moves += reg.participants()[result.winner].label_index != labels[result.winner]
             expulsions += len(result.expulsions)
-            # the entries settlement left cached, before anything rebuilds them
-            cached += assert_draw_views_match(reg)
-            assert_index_matches(reg)
+            # the entries settlement left cached are checked before anything rebuilds them
+            cached += assert_sets_match(reg)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
         assert cached >= rounds  # most sets keep their entry through a round
 
 
-def assert_draw_views_match(reg) -> int:
-    """Each set's cached draw views, where an entry is cached, against a
-    rebuild from the columns: positions, A and cdf, each a memoryview of the
-    array its entry hands out. Returns the number of entries checked."""
-    _, label, rep, excluded = (np.asarray(col) for col in reg.columns())
-    checked = 0
-    for k, entry in enumerate(reg._selections):
-        if entry is None:
-            continue
-        (a_array, cdf_array), (positions, a, cdf) = entry[1], entry[2]
-        assert a.obj is a_array and (cdf is None) == (cdf_array is None)
-        assert cdf is None or cdf.obj is cdf_array
-        want = np.flatnonzero((label == k + 1) & ~excluded)
-        assert np.asarray(positions).tolist() == want.tolist()
-        assert a.tolist() == np.flatnonzero(rep[want] == 1.0).tolist()
-        want_cdf = scratch_cdf(rep[want])
-        assert (cdf is None) == (want_cdf is None)
-        assert cdf is None or cdf.tolist() == want_cdf.tolist()
-        checked += 1
-    return checked
-
-
-def assert_columns_match(reg):
-    """Oracle: each set against the registry's columns, and every view
-    against its row."""
+def assert_views_match(reg):
+    """Oracle: every view against its row of the registry's columns."""
     # the columns, as numpy arrays without a copy
     stake, label, rep, excluded = (np.asarray(col) for col in reg.columns())
-    for k, s in enumerate(reg.trusted_sets(), start=1):
-        positions = np.asarray(s.positions)
-        assert np.array_equal(positions, np.flatnonzero((label == k) & ~excluded))
-        assert np.array_equal(s.reputations, rep[positions])
     for i, pid in enumerate(reg.ids()):
         p = reg.get(pid)
         assert (p.seq, p.stake, p.label_index, p.reputation, p.excluded) == (
@@ -585,7 +563,8 @@ class TestColumns:
             rounds += 1
             moves += label[result.winner] != labels[result.winner]
             expulsions += len(result.expulsions)
-            assert_columns_match(reg)
+            assert_sets_match(reg)
+            assert_views_match(reg)
             assert all((p.stake, p.label_index, p.reputation, p.excluded) == (
                 stake[p.seq], label[p.seq], rep[p.seq], excluded[p.seq]) for p in held)
         assert moves >= 20 and expulsions >= 20 and rounds >= 200
@@ -613,7 +592,16 @@ class TestColumns:
                     setattr(p, kind, value)
             for p in reg.participants():
                 assert_python_scalars(p)
-        assert_columns_match(reg)
+        assert_sets_match(reg)
+        assert_views_match(reg)
+
+    def test_a_view_holds_its_registry_and_position_only(self):
+        reg = make_registry()
+        p = reg.enroll("a", 1.0)
+        assert Participant.__slots__ == ("_reg", "_seq")
+        with pytest.raises(AttributeError):
+            p.id = "x"  # the id is the registry's, read through the position
+        assert p.id == "a" and reg.ids() == ("a",) and "x" not in reg
 
     def test_hand_built_participants_read_python_scalars(self):
         p = make_registry().enroll("x", np.float64(2.5))

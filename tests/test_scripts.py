@@ -94,7 +94,8 @@ def test_bench_pairs_summary_counts_wins_in_each_direction():
     setups = [(0.010, 0.009), (0.011, 0.012), (0.010, 0.010), (0.012, 0.008), (0.009, 0.010)]
     pairs = [({"rounds_per_s": r0, "setup_s": s0}, {"rounds_per_s": r1, "setup_s": s1})
              for (r0, r1), (s0, s1) in zip(rates, setups)]
-    rows = bench_pairs.summarize(pairs, [("rounds_per_s", "higher"), ("setup_s", "lower")])
+    rows = bench_pairs.summarize(pairs, [("rounds_per_s", "higher", 0.25),
+                                         ("setup_s", "lower", 0.25)])
     rate, setup = rows
     assert rate["metric"] == "rounds_per_s" and rate["pairs"] == 5
     assert rate["wins"] == 4  # the tied pair is no win
@@ -113,13 +114,34 @@ def test_bench_pairs_summary_is_clear_only_past_the_parent_spread():
 
     def rows(gain):
         pairs = [({"x": p}, {"x": p + gain}) for p in parent]
-        return bench_pairs.summarize(pairs, [("x", "higher")])[0]
+        return bench_pairs.summarize(pairs, [("x", "higher", 0.25)])[0]
 
     q1, _, q3 = statistics.quantiles(parent, n=4)
     assert rows(2 * (q3 - q1))["clear"]  # 10 of 10 and past the spread
     assert not rows((q3 - q1) / 2)["clear"]  # 10 of 10, inside the spread
-    one = bench_pairs.summarize([({"x": 1.0}, {"x": 2.0})], [("x", "higher")])[0]
+    one = bench_pairs.summarize([({"x": 1.0}, {"x": 2.0})], [("x", "higher", 0.25)])[0]
     assert one["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0} and one["clear"]
+
+
+def test_bench_pairs_verdict_measures_regressions_against_the_bound():
+    bench_pairs = load_bench_pairs()
+    narrow = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
+    wide = [80.0, 120.0, 90.0, 110.0, 85.0, 115.0, 95.0, 105.0, 100.0, 100.0]
+
+    def verdict(parent, change, better="higher", bound=0.05):
+        pairs = [({"x": p}, {"x": c}) for p, c in zip(parent, change)]
+        row = bench_pairs.summarize(pairs, [("x", better, bound)])[0]
+        return row["verdict"], bench_pairs.format_summary([row])
+
+    assert verdict(narrow, [p - 4 for p in narrow])[0] == "ok"  # 4% worse, inside 5%
+    got, text = verdict(narrow, [p - 6 for p in narrow])
+    assert got == "worse" and text.endswith("worse")  # 6% worse, past 5%
+    assert verdict(narrow, [p + 6 for p in narrow], better="lower")[0] == "worse"
+    assert verdict(narrow, [p - 6 for p in narrow], better="lower")[0] == "ok"
+    # a parent spread of about 20 is wider than the 5-unit margin
+    assert verdict(wide, [p + 1 for p in wide])[0] == "unresolved"
+    assert verdict(wide, [121.0 + i for i in range(10)])[0] == "ok"  # every run beats every run
+    assert verdict(wide, [p - 1 for p in wide], bound=0.25)[0] == "ok"  # spread inside 25%
 
 
 def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path, capsys):
