@@ -5,7 +5,10 @@ Each pair runs `bench/run.py --trace 0` once in each checkout, each with
 its own copy of the benchmark, and alternates which side goes first.
 For every end-to-end metric it prints each side's median and quartiles,
 the number of pairs the change won, whether that is a clear gain, and a
-regression verdict against the metric's bound in BENCHMARK.json.
+regression verdict against the metric's bound in BENCHMARK.json. Below
+that it prints each side's failed and attempted runs, summed over all
+pairs, and flags (exit 1) a change that fails a larger share of its runs
+than the parent.
 
     python3 scripts/bench_pairs.py ../parent ../change --workload exp1_paper --pairs 10
 
@@ -104,6 +107,26 @@ def format_summary(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def run_counts(results: list[tuple[dict, dict]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(attempted, failed) of the parent and of the change, summed over pairs of
+    (parent, change) bench/run.py results."""
+    return tuple((sum(pair[side]["attempted"] for pair in results),
+                  sum(pair[side]["failed"] for pair in results)) for side in (0, 1))
+
+
+def fails_more(parent: tuple[int, int], change: tuple[int, int]) -> bool:
+    """Whether the change failed a larger share of its attempted runs than the parent."""
+    (p_attempted, p_failed), (c_attempted, c_failed) = parent, change
+    return c_failed * p_attempted > p_failed * c_attempted  # the shares, cross-multiplied
+
+
+def format_failures(parent: tuple[int, int], change: tuple[int, int]) -> str:
+    line = f"failed runs: parent {parent[1]}/{parent[0]}, change {change[1]}/{change[0]}"
+    if fails_more(parent, change):
+        line += "  FLAGGED: the change fails a larger share of runs than the parent"
+    return line
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout before the change")
@@ -124,10 +147,10 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     metrics = end_to_end_metrics(change)
-    pairs = []
+    pairs, results = [], []
     for i in range(args.pairs):
         order = (parent, change) if i % 2 == 0 else (change, parent)
-        out = {}
+        out, raw = {}, {}
         for checkout in order:
             try:
                 result = run_side(checkout, args.workload, args.seconds, args.seed)
@@ -137,13 +160,17 @@ def main(argv=None) -> int:
             if not result["correct"]:
                 print(f"pair {i + 1}: {checkout} failed {result['failed']} of"
                       f" {result['attempted']} runs", file=sys.stderr)
+            raw[checkout] = result
             out[checkout] = {name: result["metrics"][name]["value"] for name, *_ in metrics}
         pairs.append((out[parent], out[change]))
+        results.append((raw[parent], raw[change]))
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{name} {out[parent][name]:.6g} -> {out[change][name]:.6g}" for name, *_ in metrics),
             flush=True)
     print(format_summary(summarize(pairs, metrics)))
-    return 0
+    counts = run_counts(results)
+    print(format_failures(*counts))
+    return 1 if fails_more(*counts) else 0
 
 
 if __name__ == "__main__":

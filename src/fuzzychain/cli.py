@@ -5,7 +5,11 @@
     fuzzychain run custom --config my.json --out runs/custom
     fuzzychain report runs/exp1
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+exp2 runs fuzzychain_rounds rounds, so it refuses --rounds and a config
+file's rounds other than the default.
+
+Exit codes: 0 success, 1 configuration or usage error (an unknown flag, a
+bad choice), 2 runtime error; --help exits 0.
 """
 
 from __future__ import annotations
@@ -29,8 +33,16 @@ def _parse_rounds(text: str):
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError (exit 1), not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzychain",
         description="Seeded consensus-fairness simulations with PoW/PoS/DPoS baselines.",
     )
@@ -79,8 +91,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "report":
             sys.stdout.write(format_report(args.run_dir))
             return 0

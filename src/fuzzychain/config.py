@@ -194,6 +194,10 @@ class ExperimentConfig:
             errors.append(f"rounds: expected a list of round counts, got {self.rounds!r}")
         elif not self.rounds:
             errors.append("rounds: at least one round count required")
+        elif self.experiment == "exp2" and tuple(self.rounds) != ExperimentConfig.rounds:
+            # exp2 runs fuzzychain_rounds, so any other rounds would only be echoed unused
+            errors.append(f"rounds: exp2 runs fuzzychain_rounds rounds instead, so it takes only"
+                          f" the default {list(ExperimentConfig.rounds)}, got {list(self.rounds)}")
         else:
             bad_rounds = [r for r in self.rounds if not _is_count(r, 1)]
             for r in bad_rounds:

@@ -11,11 +11,11 @@ of one row, and each trusted set is derived from the columns, cached, and
 rebuilt when a write makes it stale. Views and trusted-set handles hold
 their registry; the registry holds neither, so no reference cycle keeps it.
 
-Rows are addressed by enrollment position (Participant.seq): the round
-engine selects, votes and settles on positions, and ids are spoken only
-where a caller asks for them (get, in, and the audit log, which reads
-ids()). So the id -> position index is built on the first id lookup, not
-at enrollment; a run that never looks an id up never builds it.
+Rows are addressed by enrollment position (Participant.seq) only: the
+round engine selects, votes and settles on positions, and a participant's
+id is its position spelled out ("v" and the zero-padded position), read
+where a caller asks for it (the audit log reads ids()). A label follows
+the stake: it changes only through set_stake, which classifies the stake.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ class Participant:
     """One registered validator: a view of one row of a registry's columns.
 
     reputation starts at 1.0 and never leaves [0, 1] (a write outside it raises
-    ValueError); label_index is 1-based and follows Registry.set_stake. Reads give Python floats, ints and bools;
-    writes reach the trusted sets. seq is the read-only enrollment position,
-    the key that settlement and the round engine use, and id the read-only id
-    that Registry.ids() holds there. Only a registry makes views (enroll, get,
+    ValueError); label_index is 1-based and read-only, set by the stake through
+    Registry.set_stake. Reads give Python floats, ints and bools; writes reach
+    the trusted sets. seq is the read-only enrollment position, the key that
+    settlement and the round engine use, and id the read-only id that
+    Registry.ids() holds there. Only a registry makes views (enroll_many,
     participants, the sets, members_at). A view holds its registry and a position
     only, so it keeps the registry alive; the registry holds no view.
     """
@@ -74,8 +75,7 @@ class Participant:
     id = property(lambda self: self._reg._ids[self._seq])
     stake = property(lambda self: self._reg._stake[self._seq])
     reputation = property(lambda self: self._reg._reputation[self._seq], _write_reputation)
-    label_index = property(lambda self: self._reg._label[self._seq],
-                           lambda self, value: self._reg._set_label(self._seq, value))
+    label_index = property(lambda self: self._reg._label[self._seq])
     excluded = property(lambda self: self._reg._excluded[self._seq],
                         lambda self, value: self._reg._set_excluded(self._seq, value))
 
@@ -88,7 +88,8 @@ class TrustedSet:
     """The active members of one trusted set T_i (i = k + 1), in enrollment order.
 
     A handle made by Registry.trusted_sets() over the registry's columns.
-    positions are the active rows labelled i, and draw_views() is the set's
+    positions are the active rows labelled i (a label follows its row's stake,
+    see Registry.set_stake), and draw_views() is the set's
     one selection entry built from them. Both are read-only memoryviews,
     cached in the registry and rebuilt from the columns after a write has
     dropped them (see Registry); indexing or iterating makes views.
@@ -198,12 +199,12 @@ def update_reputation(rep: float, successful: bool, params: ReputationParams) ->
 class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
-    Enrollment (of stakes, and by enroll and enroll_many) classifies each
-    stake and stores it as columns, building no per-participant object;
-    get, participants and the sets make views on demand. The active
-    members of each T_i are a TrustedSet derived from the columns (see
-    trusted_sets()). Settlement (apply_vote_outcome, set_stake) and
-    columns() address participants by position; only get and in take ids.
+    Enrollment (enroll_many) classifies each stake and stores it as columns,
+    building no per-participant object; participants and the sets make views
+    on demand. The active members of each T_i are a TrustedSet derived from
+    the columns (see trusted_sets()). Settlement (apply_vote_outcome,
+    set_stake), views and columns() address participants by position; ids()
+    spells each position out, and nothing looks an id up.
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
@@ -212,41 +213,26 @@ class Registry:
     to an active row only the entry, so it never rescans the population.
     """
 
-    def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None,
-                 stakes=()):
+    def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._ids, self._index, self._columns = (), None, None
+        self._ids, self._columns = (), None
         self._stake, self._label, self._reputation, self._excluded = (
             memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
         self._positions, self._selections = [None] * variable.n, [None] * variable.n
-        if len(stakes):
-            self._enroll(stakes)
 
-    @property
-    def _id_index(self) -> dict[str, int]:
-        """id -> position, built on first use, then kept up by _enroll."""
-        if self._index is None:
-            self._index = dict(zip(self._ids, range(len(self._ids))))
-        return self._index
-
-    def _enroll(self, stakes, ids=None, labels=None) -> range:
-        """Classify stakes in one batch and enroll them in order under ids (by
-        default _enrollment_ids); returns their positions. All or nothing: a NaN or
-        below-floor stake (OutOfUniverseError) or a taken id (ValueError) enrolls none.
-        labels, when given, must be the stakes' classify_batch labels: they and the
-        stakes are then taken unchecked, with no second classification."""
+    def _enroll(self, stakes, labels=None) -> range:
+        """Classify stakes in one batch and enroll them in order, each under its
+        position's _enrollment_ids id; returns their positions. All or nothing: a
+        NaN or below-floor stake (OutOfUniverseError) enrolls none. labels, when
+        given, must be the stakes' classify_batch labels: they and the stakes are
+        then taken unchecked, with no second classification. A later batch's ids
+        are never narrower than an earlier one's, so no two ids are equal."""
         stakes = np.asarray(stakes, dtype=float)
         if labels is None:
             labels, _ = classify_batch(self.variable, stakes)
         first, end = len(self._ids), len(self._ids) + len(stakes)
-        ids = _enrollment_ids(first, end) if ids is None else tuple(ids)
-        if first and not self._id_index.keys().isdisjoint(ids):  # an empty registry has no taken id
-            taken = next(pid for pid in ids if pid in self._index)
-            raise ValueError(f"participant {taken!r} already enrolled")
-        self._ids += ids
-        if self._index is not None:
-            self._index.update(zip(ids, range(first, end)))
+        self._ids += _enrollment_ids(first, end)
         self._stake, self._label, self._reputation, self._excluded = (
             memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
             zip((self._stake, self._label, self._reputation, self._excluded),
@@ -269,15 +255,6 @@ class Registry:
             self._selections[self._label[i] - 1] = None
         self._reputation[i] = value
 
-    def _set_label(self, i: int, value: int) -> None:
-        if not 1 <= value <= len(self._positions):  # before anything moves
-            raise ValueError(f"label index {value} outside 1..{len(self._positions)}")
-        if value != self._label[i]:
-            if not self._excluded[i]:
-                self._drop(self._label[i] - 1)
-                self._drop(value - 1)
-            self._label[i] = value
-
     def _set_excluded(self, i: int, value: bool) -> None:
         if bool(value) != self._excluded[i]:
             self._excluded[i] = value
@@ -295,9 +272,6 @@ class Registry:
     def _view(self, i: int) -> Participant:
         return self._views((i,))[0]
 
-    def enroll(self, pid: str, stake: float) -> Participant:
-        return self._view(self._enroll([stake], [pid])[0])
-
     def enroll_many(self, stakes) -> list[Participant]:
         """Enroll stakes in one pass (see _enroll) and return their views."""
         return self._views(self._enroll(stakes))
@@ -305,16 +279,9 @@ class Registry:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._id_index
-
-    def get(self, pid: str) -> Participant:
-        """The view of the participant enrolled as pid (KeyError if none). The
-        first id lookup builds the id -> position index; positions need none."""
-        return self._view(self._id_index[pid])
-
     def ids(self) -> tuple[str, ...]:
-        """Every enrolled id, excluded ones included, in enrollment order."""
+        """Every enrolled id, excluded ones included, in enrollment order: the
+        id at position i is "v" and i zero-padded (see _enrollment_ids)."""
         return self._ids
 
     def participants(self) -> list[Participant]:
@@ -354,9 +321,13 @@ class Registry:
         reclassify; a rejected stake (NaN, below the floor) leaves the participant
         as it was."""
         i = self._row(seq)
-        label_index = classify_stake(self.variable, stake).label_index
+        label = classify_stake(self.variable, stake).label_index
         self._stake[i] = stake
-        self._set_label(i, label_index)
+        if label != self._label[i]:
+            if not self._excluded[i]:
+                self._drop(self._label[i] - 1)
+                self._drop(label - 1)
+            self._label[i] = label
 
 
 def trusted_sets_required(n_labels: int) -> int:

@@ -40,15 +40,14 @@ LABELS = ("VL", "L", "M", "H", "VH")
 
 def make_groups(sizes, reps=None, n_labels=5):
     """The first len(sizes) trusted sets of one registry with n_labels labels:
-    set i holds sizes[i] members g<i+1>m<j>, enrolled at label i+1's peak, with
+    set i holds sizes[i] members, enrolled set by set at label i+1's peak, with
     reputations reps[i] (all 1.0 by default)."""
     var = make_uniform_partition("stake", tuple(f"S{i}" for i in range(n_labels)), 0.0, 10.0)
     reg = Registry(var)
-    for i, k in enumerate(sizes):
-        for j in range(k):
-            p = reg.enroll(f"g{i+1}m{j}", var.mfs[i].b)
-            if reps is not None:
-                p.reputation = reps[i][j]
+    members = reg.enroll_many([var.mfs[i].b for i, k in enumerate(sizes) for _ in range(k)])
+    if reps is not None:
+        for p, rep in zip(members, [r for group in reps for r in group], strict=True):
+            p.reputation = rep
     return reg.trusted_sets()[:len(sizes)]
 
 
@@ -107,7 +106,7 @@ class TestFirstRoundSelection:
     def test_single_validator_total(self):
         groups = make_groups([0, 0, 1, 0, 0])
         panel = select_first_round(groups, substream(3, "selection"))
-        assert [m.id for m in panel] == ["g3m0"]
+        assert [m.id for m in panel] == [groups[2][0].id]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(NoPanelError):
@@ -120,7 +119,7 @@ class TestSubsets:
     def test_mixed_reputations(self):
         group = make_groups([3], reps=[[1.0, 1.0, 0.9]])[0]
         b, a, _ = build_subsets(group)
-        assert [group[i].id for i in a] == ["g1m0", "g1m1"]
+        assert [group[i].id for i in a] == [group[0].id, group[1].id]
         assert b is group.positions and len(b) == 3
 
     def test_all_below_one(self):

@@ -619,14 +619,45 @@ class TestCli:
         assert err.startswith("config error: --rounds") and "fuzzychain_rounds" in err
         assert not out.exists()
 
+    def test_rounds_in_an_exp2_config_file_exit_one_and_write_nothing(self, tmp_path, capsys):
+        # exp2 runs fuzzychain_rounds: a config file's rounds would only be echoed
+        p = tmp_path / "exp2.json"
+        p.write_text(json.dumps({"population_per_label": TINY_POP, "rounds": [7],
+                                 "fuzzychain_rounds": 20, "repetitions": 1}))
+        out = tmp_path / "never"
+        assert main(["run", "exp2", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: rounds: exp2 runs fuzzychain_rounds rounds instead, so it takes"
+            " only the default [100], got [7]\n")
+        assert not out.exists()
+
     def test_workers_flag_is_refused(self, tmp_path, capsys):
         out = tmp_path / "never"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "exp1", "--rounds", "5", "--reps", "1", "--out", str(out),
-                  "--workers", "2"])
-        assert exc.value.code == 2
+        assert main(["run", "exp1", "--rounds", "5", "--reps", "1", "--out", str(out),
+                     "--workers", "2"]) == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["run", "exp1", "--granularity", "bad"],
+                     "argument --granularity: invalid choice: 'bad'", id="bad-choice"),
+        pytest.param(["run", "exp3"], "argument experiment: invalid choice: 'exp3'",
+                     id="unknown-experiment"),
+        pytest.param([], "the following arguments are required: command", id="no-command"),
+    ])
+    def test_usage_errors_exit_one_and_write_nothing(self, tmp_path, capsys, args, message):
+        out = tmp_path / "never"
+        assert main([*args, "--out", str(out)] if args else args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fuzzychain") and "\nconfig error: fuzzychain" in err
+        assert message in err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fuzzychain run")
 
     def test_a_fresh_run_never_imports_numpy_ma(self, tmp_path):
         # np.percentile loads numpy.ma on its first call in a process, about 15 ms of

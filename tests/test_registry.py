@@ -76,7 +76,6 @@ STAKES = st.floats(0.0, 12.0)
 CHANGES = st.one_of(
     st.tuples(st.just("reputation"), PICK, st.sampled_from([0.0, 0.3, 0.9, 1.0])),
     st.tuples(st.just("vote"), PICK, st.booleans()),
-    st.tuples(st.just("label_index"), PICK, st.integers(1, len(LABELS))),
     st.tuples(st.just("stake"), PICK, STAKES),
     st.tuples(st.just("excluded"), PICK, st.booleans()),
     st.tuples(st.just("enroll"), st.lists(STAKES, max_size=4)),
@@ -153,29 +152,22 @@ class TestThreshold:
 class TestEnrollment:
     def test_classifies_on_enroll(self):
         reg = make_registry()
-        p = reg.enroll("alice", 6.0)
+        p, = reg.enroll_many([6.0])
         assert p.label_index == 3
         assert p.reputation == 1.0 and not p.excluded
-
-    def test_duplicate_id_rejected(self):
-        reg = make_registry()
-        reg.enroll("alice", 6.0)
-        with pytest.raises(ValueError, match="already enrolled"):
-            reg.enroll("alice", 2.0)
 
     def test_stake_below_universe_rejected(self):
         reg = make_registry()
         with pytest.raises(ValueError, match="outside universe"):
-            reg.enroll("bob", -1.0)
+            reg.enroll_many([-1.0])
 
     def test_census_and_trusted_sets(self):
         reg = make_registry()
-        for pid, stake in [("a", 0.5), ("b", 1.0), ("c", 3.0), ("d", 9.9), ("e", 9.0)]:
-            reg.enroll(pid, stake)
+        a, b, _, d, e = reg.enroll_many([0.5, 1.0, 3.0, 9.9, 9.0])
         sets = reg.trusted_sets()
         assert [len(s) for s in sets] == [2, 1, 0, 0, 2]
-        assert [p.id for p in sets[0]] == ["a", "b"]
-        assert [p.id for p in sets[4]] == ["d", "e"]
+        assert [p.id for p in sets[0]] == [a.id, b.id]
+        assert [p.id for p in sets[4]] == [d.id, e.id]
 
     def test_a_built_registry_classifies_each_stake_once(self, monkeypatch):
         cfg = config_from_dict({
@@ -195,7 +187,8 @@ class TestEnrollment:
         built = build_registry(cfg, var, substream(3, "stakes"))
         assert sum(classified) == len(stakes)  # the sampler's check, and no more
         monkeypatch.undo()
-        enrolled = Registry(var, built.params, stakes)
+        enrolled = Registry(var, built.params)
+        enrolled.enroll_many(stakes)
         for got, want in zip(built.columns(), enrolled.columns()):
             assert np.array_equal(np.asarray(got), np.asarray(want))
             assert np.asarray(got).dtype == np.asarray(want).dtype
@@ -227,21 +220,13 @@ class TestEnrollment:
         assert len(reg) == 0
         assert [len(s) for s in reg.trusted_sets()] == [0, 0, 0, 0, 0]
 
-    def test_enroll_many_enrolls_nothing_on_a_taken_id(self):
-        reg = make_registry()
-        taken = reg.enroll("v0002", 5.0)
-        with pytest.raises(ValueError, match="already enrolled"):
-            reg.enroll_many([1.0, 2.0, 3.0])
-        assert [p.id for p in reg.participants()] == [taken.id]
-        assert_sets_match(reg)
-
     def test_enroll_many_after_enroll_keeps_enrollment_order(self):
         reg = make_registry()
-        reg.enroll("a", 1.0)
+        a, = reg.enroll_many([1.0])
         ps = reg.enroll_many([0.5, 9.0, 25.0])
         assert [(p.id, p.stake, p.label_index) for p in ps] == [
             ("v0001", 0.5, 1), ("v0002", 9.0, 5), ("v0003", 25.0, 5)]
-        assert [p.id for p in reg.trusted_sets()[0]] == ["a", "v0001"]
+        assert [p.id for p in reg.trusted_sets()[0]] == [a.id, "v0001"]
         assert_sets_match(reg)
 
     def test_enroll_many_twice_numbers_ids_by_enrollment_position(self):
@@ -255,57 +240,43 @@ class TestEnrollment:
 
     def test_set_stake_reclassifies(self):
         reg = make_registry()
-        seq = reg.enroll("a", 1.2).seq
-        assert reg.get("a").label_index == 1
+        a, = reg.enroll_many([1.2])
+        seq = a.seq
+        assert a.label_index == 1
         reg.set_stake(seq, 1.3)
-        assert reg.get("a").label_index == 2
+        assert a.label_index == 2
         for bad in (-0.5, float("nan")):
             with pytest.raises(ValueError):
                 reg.set_stake(seq, bad)
             # a rejected stake leaves the participant as it was
-            assert (reg.get("a").stake, reg.get("a").label_index) == (1.3, 2)
+            assert (a.stake, a.label_index) == (1.3, 2)
         with pytest.raises(ValueError):
-            reg.enroll("x", float("nan"))
-        assert "x" not in reg
+            reg.enroll_many([float("nan")])
+        assert len(reg) == 1
 
     def test_stake_above_universe_clamps_to_top_label(self):
         reg = make_registry()
-        reg.enroll("whale", 25.0)
-        assert reg.get("whale").label_index == 5
+        whale, = reg.enroll_many([25.0])
+        assert whale.label_index == 5
 
 
 class TestIdIndex:
-    """The id -> position index is built on the first id lookup, never by a round."""
+    """Positions are the only index: each id is its position spelled out."""
 
-    @pytest.mark.parametrize("hand_first", [True, False])
-    def test_a_taken_id_is_refused_in_either_order(self, hand_first):
+    def test_ids_stay_distinct_across_an_id_width_boundary(self):
         reg = make_registry()
-        if hand_first:
-            reg.enroll("v0002", 5.0)
-            with pytest.raises(ValueError, match="already enrolled"):
-                reg.enroll_many([1.0, 2.0, 3.0])
-            assert reg.ids() == ("v0002",)
-        else:
-            reg.enroll_many([1.0, 2.0, 3.0])
-            with pytest.raises(ValueError, match="already enrolled"):
-                reg.enroll("v0001", 5.0)
-            assert reg.ids() == ("v0000", "v0001", "v0002")
-        assert_sets_match(reg)
-
-    def test_lookups_on_a_registry_built_from_stakes(self):
-        var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-        reg = Registry(var, stakes=[0.5, 6.0, 9.5])
-        assert reg._index is None  # enrolling into an empty registry builds nothing
-        assert "v0001" in reg and "v0003" not in reg
-        assert reg.get("v0002").seq == 2 and reg.get("v0002").stake == 9.5
-        with pytest.raises(KeyError):
-            reg.get("a")
-        reg.enroll("a", 1.0)  # a later enrollment keeps the built index up to date
-        assert reg.get("a").seq == 3 and reg._id_index == {
-            "v0000": 0, "v0001": 1, "v0002": 2, "a": 3}
+        first = reg.enroll_many([1.0, 2.0, 3.0])
+        before = reg.ids()
+        reg.enroll_many(np.full(10_001 - 3, 5.0))  # up to position 10,000: ids widen to 5 digits
+        ids = reg.ids()
+        assert len(set(ids)) == len(ids) == 10_001
+        assert ids[:3] == before == ("v0000", "v0001", "v0002")
+        assert [p.id for p in first] == list(before)
+        assert (ids[3], ids[9_999], ids[10_000]) == ("v00003", "v09999", "v10000")
 
     def test_rounds_build_no_id_index(self):
         reg = build_population()
+        ids = reg.ids()
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.05, byzantine_rate=0.2)
         priv, pub = new_keypair(substream(10, "keys"))
@@ -313,8 +284,8 @@ class TestIdIndex:
         for r in range(1, 51):
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             engine.run_round(block, sel, vot)
-        assert reg._index is None
-        assert reg.get("v49499").seq == 49_499
+        assert reg.ids() is ids  # rounds leave the id tuple as enrollment built it
+        assert ids[49_499] == "v49499"
 
     def test_settlement_refuses_a_position_outside_the_registry(self):
         reg = make_registry()
@@ -334,37 +305,36 @@ class TestIdIndex:
 class TestExpulsion:
     def test_vote_outcomes_move_reputation(self):
         reg = make_registry()
-        seq = reg.enroll("a", 5.0).seq
-        reg.apply_vote_outcome(seq, successful=False)
-        assert reg.get("a").reputation == 0.9
-        assert not reg.get("a").excluded  # E = 0.1 <= 0.25
-        reg.apply_vote_outcome(seq, successful=True)
-        assert reg.get("a").reputation == 0.905
+        a, = reg.enroll_many([5.0])
+        reg.apply_vote_outcome(a.seq, successful=False)
+        assert a.reputation == 0.9
+        assert not a.excluded  # E = 0.1 <= 0.25
+        reg.apply_vote_outcome(a.seq, successful=True)
+        assert a.reputation == 0.905
 
     def test_expulsion_rate_definition(self):
         reg = make_registry()
-        p = reg.enroll("a", 5.0)
+        p, = reg.enroll_many([5.0])
         assert p.expulsion_rate() == 0.0
         p.reputation = 0.8
         assert p.expulsion_rate() == pytest.approx(0.2)
 
     def test_exclusion_threshold(self):
         reg = make_registry(epsilon=0.25)
-        seq = reg.enroll("a", 5.0).seq
-        reg.apply_vote_outcome(seq, False)  # 0.9, E=0.1
-        reg.apply_vote_outcome(seq, False)  # 0.8, E=0.2
-        assert not reg.get("a").excluded
-        reg.apply_vote_outcome(seq, False)  # 0.7, E=0.3 > 0.25
-        assert reg.get("a").excluded
+        a, = reg.enroll_many([5.0])
+        reg.apply_vote_outcome(a.seq, False)  # 0.9, E=0.1
+        reg.apply_vote_outcome(a.seq, False)  # 0.8, E=0.2
+        assert not a.excluded
+        reg.apply_vote_outcome(a.seq, False)  # 0.7, E=0.3 > 0.25
+        assert a.excluded
 
     def test_excluded_members_leave_active_views(self):
         reg = make_registry(epsilon=0.05)
-        a = reg.enroll("a", 5.0)
-        reg.enroll("b", 5.0)
+        a, b = reg.enroll_many([5.0, 5.0])
         reg.apply_vote_outcome(a.seq, False)
         sets = reg.trusted_sets()
-        assert [p.id for p in sets[2]] == ["b"]
-        assert [p.id for s in sets for p in s] == ["b"]
+        assert [p.id for p in sets[2]] == [b.id]
+        assert [p.id for s in sets for p in s] == [b.id]
         assert len(reg.participants()) == 2  # still enrolled, just inactive
         assert [len(s) for s in sets] == [0, 0, 1, 0, 0]
 
@@ -378,7 +348,7 @@ class TestTrustedSetIndex:
         assert [m.reputation for m in reg.trusted_sets()[0]] == [1.0, 0.7, 1.0]
         b.excluded = True
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, c.id]
-        c.label_index = 3
+        reg.set_stake(c.seq, 6.0)  # to label 3
         assert [m.id for m in reg.trusted_sets()[2]] == [c.id, d.id]
         b.excluded = False  # back into its place, with the reputation it left with
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id]
@@ -387,7 +357,7 @@ class TestTrustedSetIndex:
         # writes to an excluded member show up when it comes back
         e.excluded = True
         e.reputation = 0.3
-        e.label_index = 1
+        reg.set_stake(e.seq, 0.5)  # to label 1
         assert len(reg.trusted_sets()[4]) == 0
         e.excluded = False
         assert [m.id for m in reg.trusted_sets()[0]] == [a.id, b.id, e.id]
@@ -411,12 +381,17 @@ class TestTrustedSetIndex:
         assert_sets_match(reg)
 
     def test_unknown_label_is_refused_before_anything_moves(self):
+        # a label follows the stake: no label, known or not, is written directly
         reg = make_registry()
-        p = reg.enroll("a", 5.0)
-        for bad in (0, 6):
-            with pytest.raises(ValueError, match="label index"):
+        p, = reg.enroll_many([5.0])
+        entry = reg.trusted_sets()[2].draw_views()
+        for bad in (0, 6, 1):
+            with pytest.raises(AttributeError):
                 p.label_index = bad
         assert p.label_index == 3
+        assert reg.trusted_sets()[2].draw_views() is entry  # nothing reached the sets
+        reg.set_stake(p.seq, 0.5)
+        assert p.label_index == 1
         assert_sets_match(reg)
 
     def test_reputation_outside_zero_one_is_refused_before_anything_moves(self):
@@ -438,8 +413,8 @@ class TestTrustedSetIndex:
         gc.disable()  # so a reference cycle through the registry would keep it alive
         try:
             var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-            reg = Registry(var, ReputationParams(),
-                           sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(7, "stakes")))
+            reg = Registry(var, ReputationParams())
+            reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(7, "stakes")))
             views, sets = reg.participants(), reg.trusted_sets()
             chain = Chain()
             engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
@@ -529,10 +504,9 @@ def assert_views_match(reg):
     """Oracle: every view against its row of the registry's columns."""
     # the columns, as numpy arrays without a copy
     stake, label, rep, excluded = (np.asarray(col) for col in reg.columns())
-    for i, pid in enumerate(reg.ids()):
-        p = reg.get(pid)
-        assert (p.seq, p.stake, p.label_index, p.reputation, p.excluded) == (
-            i, stake[i], label[i], rep[i], excluded[i])
+    for i, (p, pid) in enumerate(zip(reg.participants(), reg.ids(), strict=True)):
+        assert (p.id, p.seq, p.stake, p.label_index, p.reputation, p.excluded) == (
+            pid, i, stake[i], label[i], rep[i], excluded[i])
         assert_python_scalars(p)
 
 
@@ -544,8 +518,8 @@ def assert_python_scalars(p):
 class TestColumns:
     def test_columns_match_the_sets_and_views_after_every_round(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-        reg = Registry(var, ReputationParams(),
-                       sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
+        reg = Registry(var, ReputationParams())
+        reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
         held = reg.participants()[::3]  # views kept alive across the run
         stake, label, rep, excluded = reg.columns()  # no enrollment below, so they stay current
         chain = Chain()
@@ -575,7 +549,7 @@ class TestColumns:
         reg = make_registry(epsilon=0.5)
         reg.enroll_many(stakes)
         numpy_type = {"reputation": np.float64, "stake": np.float64,
-                      "label_index": np.int64, "excluded": np.bool_, "vote": np.bool_}
+                      "excluded": np.bool_, "vote": np.bool_}
         for kind, *args in changes:
             if kind == "enroll":
                 reg.enroll_many(np.array(args[0]) if as_numpy else args[0])
@@ -597,19 +571,22 @@ class TestColumns:
 
     def test_a_view_holds_its_registry_and_position_only(self):
         reg = make_registry()
-        p = reg.enroll("a", 1.0)
+        p, = reg.enroll_many([1.0])
         assert Participant.__slots__ == ("_reg", "_seq")
         with pytest.raises(AttributeError):
             p.id = "x"  # the id is the registry's, read through the position
-        assert p.id == "a" and reg.ids() == ("a",) and "x" not in reg
+        assert p.id == "v0000" and reg.ids() == ("v0000",)
 
     def test_hand_built_participants_read_python_scalars(self):
-        p = make_registry().enroll("x", np.float64(2.5))
-        p.reputation, p.label_index, p.excluded = np.float64(0.5), np.int64(4), np.bool_(True)
+        reg = make_registry()
+        p, = reg.enroll_many([np.float64(2.5)])
+        p.reputation, p.excluded = np.float64(0.5), np.bool_(True)
+        reg.set_stake(p.seq, np.float64(7.5))  # to label 4
         assert_python_scalars(p)
-        p.reputation, p.label_index, p.excluded = 1, np.int64(2), np.bool_(False)
+        p.reputation, p.excluded = 1, np.bool_(False)
+        reg.set_stake(p.seq, np.float64(2.5))  # back to label 2
         assert_python_scalars(p)
-        assert repr(p) == ("Participant(id='x', stake=2.5, reputation=1.0, label_index=2, "
+        assert repr(p) == ("Participant(id='v0000', stake=2.5, reputation=1.0, label_index=2, "
                            "excluded=False)")
 
     def test_building_the_population_makes_no_participant(self):
@@ -619,7 +596,7 @@ class TestColumns:
         before = live_participants()
         reg = build_population()
         assert len(reg) == 49_500 and live_participants() == before
-        p = reg.get("v49499")
+        p = reg.participants()[49_499]
         assert live_participants() == before + 1 and p.seq == 49_499
         stake, label, _, _ = reg.columns()
         assert (p.stake, p.label_index) == (stake[49_499], label[49_499])

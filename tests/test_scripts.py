@@ -144,6 +144,24 @@ def test_bench_pairs_verdict_measures_regressions_against_the_bound():
     assert verdict(wide, [p - 1 for p in wide], bound=0.25)[0] == "ok"  # spread inside 25%
 
 
+def test_bench_pairs_sums_failed_runs_and_flags_a_larger_share():
+    bench_pairs = load_bench_pairs()
+    results = [({"attempted": 10, "failed": 0}, {"attempted": 12, "failed": 1}),
+               ({"attempted": 11, "failed": 1}, {"attempted": 9, "failed": 0}),
+               ({"attempted": 9, "failed": 0}, {"attempted": 10, "failed": 1})]
+    parent, change = bench_pairs.run_counts(results)
+    assert (parent, change) == ((30, 1), (31, 2))
+    assert bench_pairs.fails_more(parent, change)  # 2/31 > 1/30
+    assert bench_pairs.format_failures(parent, change) == (
+        "failed runs: parent 1/30, change 2/31"
+        "  FLAGGED: the change fails a larger share of runs than the parent")
+    assert not bench_pairs.fails_more((30, 0), (30, 0))
+    assert not bench_pairs.fails_more((40, 2), (20, 1))  # an equal share
+    assert not bench_pairs.fails_more((30, 2), (30, 1))
+    assert bench_pairs.fails_more((40, 0), (20, 1))
+    assert bench_pairs.format_failures((30, 0), (30, 0)) == "failed runs: parent 0/30, change 0/30"
+
+
 def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path, capsys):
     bench_pairs = load_bench_pairs()
     short, longer = tmp_path / "a", tmp_path / "bb"
