@@ -111,7 +111,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     engine = FuzzychainEngine(
         registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
-    ids = registry.ids()  # positions become ids only in the audit rows
+    id_of = registry.ids().speller()  # positions become ids only in the audit rows
     labels, invalid_block_rate = config.labels, config.invalid_block_rate
     winner_labels, winners = [], []  # label and enrollment positions
     audit_rows = []
@@ -151,17 +151,17 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             "rounds": rounds_value,
             "repetition": rep,
             "round": result.round_index,
-            "panel": [ids[i] for i in panel],
+            "panel": list(map(id_of, panel)),
             "panel_labels": [labels[i - 1] for i in panel_labels],
             "votes": "".join(["A" if v else "R" for v in result.votes]),
             "decision": "accepted" if result.accepted else "rejected",
             "block_valid": result.block_valid,
-            "winner": ids[winner],
+            "winner": id_of(winner),
             "winner_label": labels[winner_label],
             "reputation_deltas": {
-                ids[i]: [round(b, 9), round(a, 9)] for i, (b, a) in deltas.items()
+                id_of(i): [round(b, 9), round(a, 9)] for i, (b, a) in deltas.items()
             } if deltas else {},
-            "expulsions": [ids[i] for i in expulsions] if expulsions else [],
+            "expulsions": list(map(id_of, expulsions)) if expulsions else [],
             "appended": result.appended,
         })
 
@@ -169,7 +169,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         rounds=rounds_value,
         repetition=rep,
         label_table=FrequencyTable.tally(config.labels, winner_labels),
-        participant_table=FrequencyTable.tally(ids, winners),
+        participant_table=FrequencyTable.tally(registry.ids(), winners),
         audit_rows=audit_rows,
         chain_height=chain.height(),
         rejected_rounds=rejected,

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .ids import EnrollmentIds
+
 
 class DegenerateDistributionError(ValueError):
     """Raised when a statistic is undefined for the given values."""
@@ -93,9 +95,10 @@ def kurtosis(values) -> float:
 
 @lru_cache(maxsize=4)
 def _check_distinct(categories: tuple) -> None:
-    """Raise on duplicate categories. Cached per distinct tuple, because the
-    repetitions of a run tally over equal id tuples; a raise is not cached.
-    The cache keeps its last four tuples alive (exp2 tallies over three)."""
+    """Raise on duplicate categories. Cached per distinct tuple, because a
+    run's repetitions tally over equal tuples (the labels, each baseline's
+    ids); a raise is not cached. The cache keeps its last four tuples alive
+    (exp2's baselines tally over three)."""
     if len(set(categories)) != len(categories):
         raise ValueError("duplicate categories")
 
@@ -103,7 +106,8 @@ def _check_distinct(categories: tuple) -> None:
 class FrequencyTable:
     """Win counts over a fixed category order (validator ids, or linguistic labels).
 
-    Holds the categories, which must be distinct, and one read-only int64
+    Holds the categories, which must be distinct (a registry's EnrollmentIds,
+    kept as they are, or a tuple of anything else), and one read-only int64
     count vector in that order, so every read is reproducible whatever
     order the wins came in. tally() is the one way wins become counts:
     each win is given as its category's position. Tables over the same
@@ -115,8 +119,11 @@ class FrequencyTable:
 
         :raises ValueError: on duplicate categories or a count vector of the wrong shape.
         """
-        self.categories = tuple(categories)
-        _check_distinct(self.categories)
+        if isinstance(categories, EnrollmentIds):
+            self.categories = categories  # distinct by construction
+        else:
+            self.categories = tuple(categories)
+            _check_distinct(self.categories)
         counts = np.asarray(counts)
         if counts.size == 0:  # np.asarray([]) is float64, which the safe cast refuses
             counts = counts.astype(np.int64)

@@ -5,13 +5,16 @@ summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
 frequencies.csv holds the report's frequency_tables(): csv.writer
 writes the header, then each table one row per category, the bytes
-csv.writer writes for those rows. Each category's cell is built once
-per distinct category tuple (so once per emission for the repetitions'
-equal id tuples), quoted exactly as csv.writer quotes it. A table is
-written as runs of cells that end at its nonzero counts: the cells of a
-run are joined by ",0", the line end and the table's lead ("<rep>,",
-"<rounds>,<rep>," or "<algo>,<rep>,"), so every zero-count row is
-written by that join and only the nonzero counts are formatted.
+csv.writer writes for those rows. A table is written as runs of cells
+that end at its nonzero counts: the cells of a run are joined by ",0",
+the line end and the table's lead ("<rep>,", "<rounds>,<rep>," or
+"<algo>,<rep>,"), so every zero-count row is written by that join and
+only the nonzero counts are formatted. A participant table's categories
+are its registry's EnrollmentIds, which spell each run of ids themselves
+(EnrollmentIds.joined, a hundred ids at a time) and never need quoting,
+so no per-id str is built. Any other table's cells (labels, baseline
+ids) are built once per distinct category tuple, quoted exactly as
+csv.writer quotes them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import Exp2Report
+from .ids import EnrollmentIds
 from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
@@ -81,6 +85,18 @@ def _cells(categories) -> list[str]:
     return quoted
 
 
+def _runs_of(categories, made: dict):
+    """The function (start, stop, sep) giving the cells of
+    categories[start:stop] joined by sep; for a tuple, made once per distinct
+    tuple and kept in made."""
+    if isinstance(categories, EnrollmentIds):
+        return categories.joined
+    if categories not in made:
+        cells = _cells(categories)
+        made[categories] = lambda start, stop, sep: sep.join(cells[start:stop])
+    return made[categories]
+
+
 def write_frequencies(fh, header, tables) -> None:
     """Write frequencies.csv to the open text file fh: the header, then one
     row lead + (category, count) per category of each (lead, table), the
@@ -91,21 +107,19 @@ def write_frequencies(fh, header, tables) -> None:
     quoting. Text goes to fh one run of rows at a time.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
-    cells_of = {}
+    made = {}
     for lead, table in tables:
-        if table.categories not in cells_of:
-            cells_of[table.categories] = _cells(table.categories)
-        cells = cells_of[table.categories]
+        joined = _runs_of(table.categories, made)
         prefix = "".join(f"{v}," for v in lead)
         sep = ",0\n" + prefix  # ends a zero-count row and leads the next
         counts = table.counts()
         nonzero = np.flatnonzero(counts)
         start = 0
         for i, n in zip(nonzero.tolist(), counts[nonzero].tolist()):
-            fh.write(f"{prefix}{sep.join(cells[start:i + 1])},{n}\n")
+            fh.write(f"{prefix}{joined(start, i + 1, sep)},{n}\n")
             start = i + 1
-        if start < len(cells):
-            fh.write(f"{prefix}{sep.join(cells[start:])},0\n")
+        if start < len(counts):
+            fh.write(f"{prefix}{joined(start, len(counts), sep)},0\n")
 
 
 def format_report(run_dir) -> str:

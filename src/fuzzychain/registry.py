@@ -13,37 +13,24 @@ their registry; the registry holds neither, so no reference cycle keeps it.
 
 Rows are addressed by enrollment position (Participant.seq) only: the
 round engine selects, votes and settles on positions, and a participant's
-id is its position spelled out ("v" and the zero-padded position), read
-where a caller asks for it (the audit log reads ids()). A label follows
-the stake: it changes only through set_stake, which classifies the stake.
+id is its position spelled out ("v" and the zero-padded position), spelled
+only where a caller reads it through ids() (the audit log and
+frequencies.csv). A label follows the stake: it changes only through
+set_stake, which classifies the stake.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
 from operator import attrgetter
 
 import numpy as np
 
 from .fuzzy import LinguisticVariable, classify_batch, classify_stake
+from .ids import EnrollmentIds
 
 REPUTATION_SNAP_TOL = 1e-9
 _DTYPES = (float, np.int64, float, bool)  # of the stake, label, reputation and excluded columns
-
-
-@lru_cache(maxsize=1)
-def _enrollment_ids(first: int, end: int) -> tuple[str, ...]:
-    """v0000, v0001, ...: "v" and each zero-padded position; one census's repetitions share them.
-
-    Each id is the head of its hundred ("v" and i // 100 padded to two digits
-    fewer) joined with its two-digit tail, so only one str per hundred is formatted."""
-    width = max(4, len(str(end)))
-    heads = ["v" + str(h).zfill(width - 2) for h in range(first // 100, (end + 99) // 100)]
-    tails = [f"{t:02d}" for t in range(100)]
-    skip = first % 100
-    return tuple(islice((head + tail for head in heads for tail in tails), skip, skip + end - first))
 
 
 class Participant:
@@ -54,9 +41,10 @@ class Participant:
     Registry.set_stake. Reads give Python floats, ints and bools; writes reach
     the trusted sets. seq is the read-only enrollment position, the key that
     settlement and the round engine use, and id the read-only id that
-    Registry.ids() holds there. Only a registry makes views (enroll_many,
-    participants, the sets, members_at). A view holds its registry and a position
-    only, so it keeps the registry alive; the registry holds no view.
+    Registry.ids() spells there, a new str on each read. Only a registry
+    makes views (enroll_many, participants, the sets, members_at). A view
+    holds its registry and a position only, so it keeps the registry alive;
+    the registry holds no view.
     """
 
     __slots__ = ("_reg", "_seq")
@@ -216,23 +204,22 @@ class Registry:
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._ids, self._columns = (), None
+        self._ids, self._columns = EnrollmentIds(), None
         self._stake, self._label, self._reputation, self._excluded = (
             memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
         self._positions, self._selections = [None] * variable.n, [None] * variable.n
 
     def _enroll(self, stakes, labels=None) -> range:
         """Classify stakes in one batch and enroll them in order, each under its
-        position's _enrollment_ids id; returns their positions. All or nothing: a
+        position's id (see ids()); returns their positions. All or nothing: a
         NaN or below-floor stake (OutOfUniverseError) enrolls none. labels, when
         given, must be the stakes' classify_batch labels: they and the stakes are
-        then taken unchecked, with no second classification. A later batch's ids
-        are never narrower than an earlier one's, so no two ids are equal."""
+        then taken unchecked, with no second classification."""
         stakes = np.asarray(stakes, dtype=float)
         if labels is None:
             labels, _ = classify_batch(self.variable, stakes)
-        first, end = len(self._ids), len(self._ids) + len(stakes)
-        self._ids += _enrollment_ids(first, end)
+        first, end = len(self._stake), len(self._stake) + len(stakes)
+        self._ids = self._ids.extended(end)
         self._stake, self._label, self._reputation, self._excluded = (
             memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
             zip((self._stake, self._label, self._reputation, self._excluded),
@@ -243,7 +230,7 @@ class Registry:
 
     def _row(self, seq: int) -> int:
         """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
-        if not 0 <= seq < len(self._ids):
+        if not 0 <= seq < len(self._stake):
             raise IndexError(f"no participant at position {seq}")
         return seq
 
@@ -277,11 +264,13 @@ class Registry:
         return self._views(self._enroll(stakes))
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._stake)
 
-    def ids(self) -> tuple[str, ...]:
+    def ids(self) -> EnrollmentIds:
         """Every enrolled id, excluded ones included, in enrollment order: the
-        id at position i is "v" and i zero-padded (see _enrollment_ids)."""
+        id at position i is "v" and i zero-padded to its enrollment batch's
+        width (see fuzzychain.ids). A lazy sequence that spells each id when it
+        is read; an enrollment replaces it, and nothing else changes it."""
         return self._ids
 
     def participants(self) -> list[Participant]:

@@ -34,6 +34,7 @@ from fuzzychain.experiments import (
     sample_stakes_for_census,
     build_variable,
 )
+from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import FrequencyTable
 from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
 from fuzzychain.rng import substream
@@ -482,15 +483,43 @@ class TestFrequencyWriter:
         with open(paths["frequencies.csv"], "rb") as fh:
             assert fh.read() == reference_csv(*report.frequency_tables()).encode()
 
-    def test_cells_built_once_per_emission(self, monkeypatch, tmp_path):
-        report = run_experiment1(tiny(granularity="per-participant", repetitions=3))
+    def test_id_tables_never_go_through_cells(self, monkeypatch, tmp_path):
         calls = []
         original = outputs._cells
         monkeypatch.setattr(outputs, "_cells",
-                            lambda categories: calls.append(1) or original(categories))
-        emit_outputs(report, tmp_path / "out")
-        # each repetition has its own registry, with equal id tuples
-        assert len(calls) == 1
+                            lambda categories: calls.append(categories) or original(categories))
+        for granularity in ("per-participant", "per-label"):
+            report = run_experiment1(tiny(granularity=granularity, repetitions=3))
+            emit_outputs(report, tmp_path / granularity)
+        # the ids spell their own runs; the repetitions' equal label tuples share one build
+        assert calls == [tuple(report.config.labels)]
+
+    @given(ends=st.lists(st.one_of(st.integers(0, 450), st.integers(9_890, 10_120)),
+                         min_size=1, max_size=3).map(sorted),
+           data=st.data())
+    def test_id_tables_equal_csv_writer(self, ends, data):
+        ids = EnrollmentIds()
+        for end in ends:  # enrollment batches, across the 9,999 -> 10,000 id width change
+            ids = ids.extended(end)
+        n = len(ids)
+        a = data.draw(st.integers(0, n))
+        ids = ids[a:data.draw(st.one_of(st.just(min(a + 1, n)), st.integers(a, n)))]
+        n = len(ids)  # a one-row table, or one that starts mid-hundred
+        edges = [i for e in (0, n, *(e - a for e in ends)) for i in (e - 1, e)]
+        edges += [i for h in range(-a % 100, n + 1, 100) for i in (h - 1, h)]
+        edges = [i for i in edges if 0 <= i < n]
+        tables = []
+        for rep in range(data.draw(st.integers(1, 3))):
+            counts = [0] * n
+            if n:  # nonzero counts at span ends and hundred edges, or none at all
+                for i in data.draw(st.sets(st.one_of(st.sampled_from(edges),
+                                                     st.integers(0, n - 1)), max_size=6)):
+                    counts[i] = data.draw(st.integers(1, 10**6))
+            tables.append(((250, rep), FrequencyTable(ids, counts)))
+        header = ("rounds", "repetition", "participant", "count")
+        buf = io.StringIO()
+        write_frequencies(buf, header, tables)
+        assert buf.getvalue() == reference_csv(header, tables)
 
     def test_table_without_categories_writes_no_row(self):
         tables = [((0,), FrequencyTable((), [])), ((1,), FrequencyTable(("a",), [2]))]

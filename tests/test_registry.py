@@ -13,6 +13,7 @@ from fuzzychain.config import config_from_dict
 from fuzzychain.consensus import FuzzychainEngine, NoPanelError
 from fuzzychain.experiments import build_registry, build_variable, sample_stakes_for_census
 from fuzzychain.fuzzy import OutOfUniverseError, make_uniform_partition
+from fuzzychain.ids import EnrollmentIds
 from fuzzychain.ledger import Chain, build_block, new_keypair, sign_transaction
 from fuzzychain.registry import (
     Participant,
@@ -207,10 +208,12 @@ class TestEnrollment:
         (999_950, 1_000_050), (999_999, 1_000_000), (1_234_567, 1_234_601),  # width 7
     ])
     def test_enrollment_ids_are_v_and_the_zero_padded_position(self, first, end):
-        registry._enrollment_ids.cache_clear()
-        want = tuple("v" + str(i).zfill(max(4, len(str(end)))) for i in range(first, end))
-        assert registry._enrollment_ids(first, end) == want
-        registry._enrollment_ids.cache_clear()
+        # a batch from position first to end, after one that filled the positions before it
+        ids = EnrollmentIds().extended(first).extended(end)
+        want = ["v" + str(i).zfill(max(4, len(str(end)))) for i in range(first, end)]
+        assert list(ids[first:]) == want
+        assert [ids[i] for i in range(first, end)] == want
+        assert ids.joined(first, end, ",") == ",".join(want)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.5])
     def test_enroll_many_enrolls_nothing_on_a_bad_stake(self, bad):
@@ -270,8 +273,8 @@ class TestIdIndex:
         reg.enroll_many(np.full(10_001 - 3, 5.0))  # up to position 10,000: ids widen to 5 digits
         ids = reg.ids()
         assert len(set(ids)) == len(ids) == 10_001
-        assert ids[:3] == before == ("v0000", "v0001", "v0002")
-        assert [p.id for p in first] == list(before)
+        assert ids[:3] == before
+        assert [p.id for p in first] == list(before) == ["v0000", "v0001", "v0002"]
         assert (ids[3], ids[9_999], ids[10_000]) == ("v00003", "v09999", "v10000")
 
     def test_rounds_build_no_id_index(self):
@@ -284,7 +287,7 @@ class TestIdIndex:
         for r in range(1, 51):
             block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
             engine.run_round(block, sel, vot)
-        assert reg.ids() is ids  # rounds leave the id tuple as enrollment built it
+        assert reg.ids() is ids  # rounds leave the ids as enrollment built them
         assert ids[49_499] == "v49499"
 
     def test_settlement_refuses_a_position_outside_the_registry(self):
@@ -575,7 +578,7 @@ class TestColumns:
         assert Participant.__slots__ == ("_reg", "_seq")
         with pytest.raises(AttributeError):
             p.id = "x"  # the id is the registry's, read through the position
-        assert p.id == "v0000" and reg.ids() == ("v0000",)
+        assert p.id == "v0000" and list(reg.ids()) == ["v0000"]
 
     def test_hand_built_participants_read_python_scalars(self):
         reg = make_registry()
@@ -591,6 +594,7 @@ class TestColumns:
 
     def test_building_the_population_makes_no_participant(self):
         def live_participants():
+            gc.collect()  # views that earlier tests dropped in reference cycles
             return sum(isinstance(o, Participant) for o in gc.get_objects())
 
         before = live_participants()
