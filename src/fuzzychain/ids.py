@@ -1,17 +1,15 @@
 """Participant ids, spelled from enrollment positions on demand.
 
-A participant's id is its enrollment position spelled out: "v" and the
-position zero-padded to its enrollment batch's width, max(4, the digits of
-the batch's end). So a first batch of three gives v0000..v0002, and a batch
-that takes the registry from 3 to 10,001 gives v00003..v10000. A width never
-shrinks from one batch to the next, so no two positions share an id.
+A registry enrolls its participants once, and a participant's id is its
+enrollment position spelled out: "v" and the position zero-padded to one
+width for the whole registry, max(4, the digits of its size). So three
+participants are v0000..v0002, and 10,001 are v00000..v10000.
 
-EnrollmentIds is the immutable sequence of a registry's ids. It holds one
-(first, end, width) span per run of positions of one width and spells an id
-only when it is read, so a population of any size costs a few tuples, not
-one str per participant. This module is the only place that knows the
-format: the audit rows spell ids through speller(), and the CSV writer
-asks joined() for a run of ids.
+EnrollmentIds is the immutable sequence of the ids of n participants. It
+holds n only and spells an id only when it is read, so a population of any
+size costs one int, not one str per participant. This module is the only
+place that knows the format: the audit rows spell ids through speller(),
+and the CSV writer asks joined() for a run of ids.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ def _hundred(width: int, sep: bytes) -> bytes:
 
 
 def _run(a: int, b: int, width: int, sep: bytes) -> str:
-    """The ids of positions a..b (a < b, all of one width) joined by sep.
+    """The ids of positions a..b (a < b) at width, joined by sep.
 
     The hundreds that hold them are copies of _hundred's template, and each
     digit of their heads (the position // 100) is written into every id of a
@@ -56,95 +54,65 @@ def _run(a: int, b: int, width: int, sep: bytes) -> str:
 
 
 @lru_cache(maxsize=1)
-def _speller(ids: EnrollmentIds):
-    """EnrollmentIds.speller's memo, made once per equal ids."""
-    spans = ids._spans
-    if len(spans) == 1 and spans[0][0] == 0:
-        return lru_cache(maxsize=None)(_formatter(spans[0][2]))
-    return lru_cache(maxsize=None)(ids.__getitem__)
+def _speller(width: int):
+    """EnrollmentIds.speller's memo, made once per width."""
+    return lru_cache(maxsize=None)(_formatter(width))
 
 
 class EnrollmentIds(Sequence):
-    """The ids of a run of enrollment positions, in position order.
+    """The ids of enrollment positions 0..n, in position order.
 
-    Supports len, int and slice indexing (a unit-step slice is again an
-    EnrollmentIds; another step gives a tuple), iteration, and equality and
-    hashing by value between EnrollmentIds. Its ids are distinct by
-    construction, and none needs quoting in a CSV cell.
+    Supports len, int indexing, iteration, and equality and hashing by n
+    between EnrollmentIds. Its ids are distinct by construction, and none
+    needs quoting in a CSV cell.
     """
 
-    __slots__ = ("_spans",)
+    __slots__ = ("_n",)
 
-    def __init__(self, spans=()):
-        """spans: (first, end, width) runs of consecutive positions, each run
-        starting where the last ended. Empty runs are dropped and neighbours of
-        one width merged, so equal sequences hold equal spans."""
-        merged = []
-        for first, end, width in spans:
-            if first >= end:
-                continue
-            if merged and merged[-1][2] == width:
-                first = merged.pop()[0]
-            merged.append((first, end, width))
-        self._spans = tuple(merged)
+    def __init__(self, n: int):
+        self._n = operator.index(n)
 
-    def extended(self, end: int) -> EnrollmentIds:
-        """These ids and those of the next batch, the positions up to end."""
-        start = self._spans[-1][1] if self._spans else 0
-        return EnrollmentIds(self._spans + ((start, end, max(4, len(str(end)))),))
+    @property
+    def _width(self) -> int:
+        return max(4, len(str(self._n)))
 
     def __len__(self) -> int:
-        spans = self._spans
-        return spans[-1][1] - spans[0][0] if spans else 0
+        return self._n
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
-            if step != 1:
-                return tuple(map(self.__getitem__, range(start, stop, step)))
-            base = self._spans[0][0] if self._spans else 0
-            return EnrollmentIds((max(first, base + start), min(end, base + stop), width)
-                                 for first, end, width in self._spans)
-        i = operator.index(key)
-        n = len(self)
+    def __getitem__(self, i):
+        i = operator.index(i)
         if i < 0:
-            i += n
-        if not 0 <= i < n:
+            i += self._n
+        if not 0 <= i < self._n:
             raise IndexError("id index out of range")
-        position = self._spans[0][0] + i
-        for _, end, width in self._spans:
-            if position < end:
-                return _formatter(width)(position)
+        return _formatter(self._width)(i)
 
     def __iter__(self):
-        for first, end, width in self._spans:
-            yield from map(_formatter(width), range(first, end))
+        return map(_formatter(self._width), range(self._n))
 
     def __eq__(self, other):
         if not isinstance(other, EnrollmentIds):
             return NotImplemented
-        return self._spans == other._spans
+        return self._n == other._n
 
     def __hash__(self) -> int:
-        return hash(self._spans)
+        return hash(self._n)
 
     def __repr__(self) -> str:
-        return f"EnrollmentIds({list(self._spans)!r})"
+        return f"EnrollmentIds({self._n})"
 
     def speller(self):
         """A memoised function from index to id, self[i] for 0 <= i < len(self),
-        with no bounds check. Equal ids get one memo (the last one asked for is
-        kept), so the repetitions of one census share each id's str. For a
-        registry's ids (one span from position 0) it is a C-level formatter
-        under a C-level cache, so a read runs no Python frame."""
-        return _speller(self)
+        with no bounds check: a C-level formatter under a C-level cache, so a
+        read runs no Python frame. Ids of one width share one memo (the last
+        one asked for is kept), so the repetitions of one census share each
+        id's str."""
+        return _speller(self._width)
 
     def joined(self, start: int, stop: int, sep: str) -> str:
-        """sep.join(self[start:stop]) for 0 <= start <= stop <= len(self),
-        spelled a hundred ids at a time from a template (see _run), with no
-        str per id."""
-        base = self._spans[0][0] if self._spans else 0
-        lo, hi = base + start, base + stop
-        sep_bytes = sep.encode("utf-8", "surrogatepass")
-        return sep.join([_run(max(first, lo), min(end, hi), width, sep_bytes)
-                         for first, end, width in self._spans if max(first, lo) < min(end, hi)])
+        """sep.join(self[i] for i in range(start, stop)) for
+        0 <= start <= stop <= len(self), spelled a hundred ids at a time from a
+        template (see _run), with no str per id."""
+        if start == stop:
+            return ""
+        return _run(start, stop, self._width, sep.encode("utf-8", "surrogatepass"))

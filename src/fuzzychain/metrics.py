@@ -115,10 +115,27 @@ class FrequencyTable:
     """
 
     def __init__(self, categories, counts):
-        """counts: integer vector of shape (len(categories),), in category order.
+        """counts: integer vector of shape (len(categories),), in category order,
+        of which the table keeps its own copy.
 
         :raises ValueError: on duplicate categories or a count vector of the wrong shape.
         """
+        self._take(categories, counts, copy=True)
+
+    @classmethod
+    def tally(cls, categories, positions) -> "FrequencyTable":
+        """Count wins given as positions in categories, one per win.
+
+        :raises ValueError: on a negative position, or (naming the count
+            vector's shape) a position past the last category.
+        """
+        table = cls.__new__(cls)
+        table._take(categories, np.bincount(positions, minlength=len(categories)), copy=False)
+        return table
+
+    def _take(self, categories, counts, copy: bool) -> None:
+        """Hold categories and counts as int64, copied only when copy is set or
+        the dtype differs, and made read-only."""
         if isinstance(categories, EnrollmentIds):
             self.categories = categories  # distinct by construction
         else:
@@ -129,17 +146,8 @@ class FrequencyTable:
             counts = counts.astype(np.int64)
         if counts.shape != (len(self.categories),):
             raise ValueError(f"counts of shape {counts.shape} for {len(self.categories)} categories")
-        self._counts = counts.astype(np.int64, casting="safe")
+        self._counts = counts.astype(np.int64, casting="safe", copy=copy)
         self._counts.flags.writeable = False
-
-    @classmethod
-    def tally(cls, categories, positions) -> "FrequencyTable":
-        """Count wins given as positions in categories, one per win.
-
-        :raises ValueError: on a negative position, or (naming the count
-            vector's shape) a position past the last category.
-        """
-        return cls(categories, np.bincount(positions, minlength=len(categories)))
 
     def counts(self) -> np.ndarray:
         return self._counts

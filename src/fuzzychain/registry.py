@@ -30,7 +30,6 @@ from .fuzzy import LinguisticVariable, classify_batch, classify_stake
 from .ids import EnrollmentIds
 
 REPUTATION_SNAP_TOL = 1e-9
-_DTYPES = (float, np.int64, float, bool)  # of the stake, label, reputation and excluded columns
 
 
 class Participant:
@@ -187,8 +186,8 @@ def update_reputation(rep: float, successful: bool, params: ReputationParams) ->
 class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
-    Enrollment (enroll_many) classifies each stake and stores it as columns,
-    building no per-participant object; participants and the sets make views
+    A registry enrolls once: enroll_many classifies each stake and builds the
+    columns, with no per-participant object; participants and the sets make views
     on demand. The active members of each T_i are a TrustedSet derived from
     the columns (see trusted_sets()). Settlement (apply_vote_outcome,
     set_stake), views and columns() address participants by position; ids()
@@ -196,7 +195,7 @@ class Registry:
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
-    (positions, A, cdf) entry of read-only memoryviews: an enrollment,
+    (positions, A, cdf) entry of read-only memoryviews: the enrollment, an
     exclusion, readmission or label move drops both, and a reputation write
     to an active row only the entry, so it never rescans the population.
     """
@@ -204,29 +203,32 @@ class Registry:
     def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
         self.variable = variable
         self.params = params or ReputationParams()
-        self._ids, self._columns = EnrollmentIds(), None
-        self._stake, self._label, self._reputation, self._excluded = (
-            memoryview(np.zeros(0, dtype)) for dtype in _DTYPES)
-        self._positions, self._selections = [None] * variable.n, [None] * variable.n
+        self._ids = EnrollmentIds(0)  # so len(self) is 0
+        self._enroll((), labels=())  # the empty columns, in their dtypes
 
     def _enroll(self, stakes, labels=None) -> range:
-        """Classify stakes in one batch and enroll them in order, each under its
-        position's id (see ids()); returns their positions. All or nothing: a
-        NaN or below-floor stake (OutOfUniverseError) enrolls none. labels, when
-        given, must be the stakes' classify_batch labels: they and the stakes are
-        then taken unchecked, with no second classification."""
-        stakes = np.asarray(stakes, dtype=float)
+        """Classify a one-dimensional batch of stakes and enroll it in order, each
+        under its position's id (see ids()); returns their positions. A registry
+        enrolls once: one that holds participants raises ValueError, and an
+        empty batch enrolls nothing. All or nothing: a batch of another shape
+        (ValueError) or with a NaN or below-floor stake (OutOfUniverseError)
+        enrolls none. labels, when given, must be the stakes' classify_batch
+        labels: they and the stakes are then taken unchecked, with no second
+        classification."""
+        if len(self):
+            raise ValueError(f"the registry already holds {len(self)} participants;"
+                             " a registry enrolls once")
+        stakes = np.array(stakes, dtype=float)  # a copy: no caller's array is a column
+        if stakes.ndim != 1:
+            raise ValueError(f"stakes of shape {stakes.shape}: need a one-dimensional batch")
         if labels is None:
             labels, _ = classify_batch(self.variable, stakes)
-        first, end = len(self._stake), len(self._stake) + len(stakes)
-        self._ids = self._ids.extended(end)
-        self._stake, self._label, self._reputation, self._excluded = (
-            memoryview(np.concatenate([old, np.asarray(col, dtype)])) for old, col, dtype in
-            zip((self._stake, self._label, self._reputation, self._excluded),
-                (stakes, labels, np.ones(len(stakes)), np.zeros(len(stakes))), _DTYPES))
-        self._columns = None
+        n = len(stakes)
+        self._ids, self._columns = EnrollmentIds(n), None
+        self._stake, self._label, self._reputation, self._excluded = map(memoryview, (
+            stakes, np.asarray(labels, np.int64), np.ones(n), np.zeros(n, bool)))
         self._positions, self._selections = [None] * self.variable.n, [None] * self.variable.n
-        return range(first, end)
+        return range(n)
 
     def _row(self, seq: int) -> int:
         """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
@@ -264,13 +266,13 @@ class Registry:
         return self._views(self._enroll(stakes))
 
     def __len__(self) -> int:
-        return len(self._stake)
+        return len(self._ids)
 
     def ids(self) -> EnrollmentIds:
         """Every enrolled id, excluded ones included, in enrollment order: the
-        id at position i is "v" and i zero-padded to its enrollment batch's
-        width (see fuzzychain.ids). A lazy sequence that spells each id when it
-        is read; an enrollment replaces it, and nothing else changes it."""
+        id at position i is "v" and i zero-padded to one width, max(4, the
+        digits of len(self)) (see fuzzychain.ids). A lazy sequence that spells
+        each id when it is read, made by the enrollment and never changed."""
         return self._ids
 
     def participants(self) -> list[Participant]:
@@ -286,8 +288,8 @@ class Registry:
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
         """Read-only (stake, label, reputation, excluded) columns, indexed by
-        position, made once per set of columns. Settlement writes show through
-        them; an enrollment replaces the columns, so take them again after one."""
+        position, made once after the registry's one enrollment. Settlement
+        writes show through them."""
         if self._columns is None:
             self._columns = tuple(col.toreadonly() for col in
                                    (self._stake, self._label, self._reputation, self._excluded))

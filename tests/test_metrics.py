@@ -1,12 +1,14 @@
 """Inequality and moment statistics against independent brute-force oracles."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import (
     DegenerateDistributionError,
     FrequencyTable,
@@ -285,6 +287,23 @@ class TestFrequencyTable:
         assert not t.counts().flags.writeable
         with pytest.raises(TypeError):
             FrequencyTable(["a"], [1.5])
+
+    def test_a_given_vector_is_copied_and_left_writable(self):
+        counts = np.array([0, 3, 1], dtype=np.int64)  # already the table's dtype
+        t = FrequencyTable(["b", "a", "c"], counts)
+        assert counts.flags.writeable and not t.counts().flags.writeable
+        assert not np.shares_memory(counts, t.counts())
+
+    def test_tally_keeps_the_one_count_vector_it_makes(self):
+        n = 10**6
+        tracemalloc.start()
+        try:
+            t = FrequencyTable.tally(EnrollmentIds(n), [0, 7, n - 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.counts().tolist()[-1] == 1 and t.total() == 3
+        assert peak < 1.25 * 8 * n  # one int64 count vector, not a second copy of it
 
     def test_empty_table(self):
         for counts in ([], (), np.zeros(0)):

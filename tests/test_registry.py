@@ -79,7 +79,6 @@ CHANGES = st.one_of(
     st.tuples(st.just("vote"), PICK, st.booleans()),
     st.tuples(st.just("stake"), PICK, STAKES),
     st.tuples(st.just("excluded"), PICK, st.booleans()),
-    st.tuples(st.just("enroll"), st.lists(STAKES, max_size=4)),
 )
 
 
@@ -208,11 +207,12 @@ class TestEnrollment:
         (999_950, 1_000_050), (999_999, 1_000_000), (1_234_567, 1_234_601),  # width 7
     ])
     def test_enrollment_ids_are_v_and_the_zero_padded_position(self, first, end):
-        # a batch from position first to end, after one that filled the positions before it
-        ids = EnrollmentIds().extended(first).extended(end)
+        # the ids of a registry of end participants, read at positions first..end
+        ids = EnrollmentIds(end)
         want = ["v" + str(i).zfill(max(4, len(str(end)))) for i in range(first, end)]
-        assert list(ids[first:]) == want
         assert [ids[i] for i in range(first, end)] == want
+        spell = ids.speller()
+        assert [spell(i) for i in range(first, end)] == want
         assert ids.joined(first, end, ",") == ",".join(want)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.5])
@@ -223,23 +223,39 @@ class TestEnrollment:
         assert len(reg) == 0
         assert [len(s) for s in reg.trusted_sets()] == [0, 0, 0, 0, 0]
 
-    def test_enroll_many_after_enroll_keeps_enrollment_order(self):
+    def test_a_registry_enrolls_once(self):
         reg = make_registry()
-        a, = reg.enroll_many([1.0])
-        ps = reg.enroll_many([0.5, 9.0, 25.0])
-        assert [(p.id, p.stake, p.label_index) for p in ps] == [
-            ("v0001", 0.5, 1), ("v0002", 9.0, 5), ("v0003", 25.0, 5)]
-        assert [p.id for p in reg.trusted_sets()[0]] == [a.id, "v0001"]
+        assert reg.enroll_many([]) == []  # an empty batch enrolls nothing, so the next is the first
+        stakes = np.array([1.0, 9.0, 0.5])
+        ps = reg.enroll_many(stakes)
+        assert [p.id for p in ps] == ["v0000", "v0001", "v0002"]
+        stakes[0] = 5.0
+        assert ps[0].stake == 1.0  # the stake column is a copy of the caller's array
+        reg.set_stake(1, 2.0)
+        for s in reg.trusted_sets():
+            s.draw_views()  # every set's caches filled
+        columns, ids = reg.columns(), reg.ids()
+        before = [col.tolist() for col in columns]
+        positions, selections = list(reg._positions), list(reg._selections)
+        for more in ([3.0], np.array([3.0, 4.0]), [float("nan")], []):
+            with pytest.raises(ValueError, match="enrolls once"):
+                reg.enroll_many(more)
+            assert reg.columns() is columns and reg.ids() is ids
+            assert [col.tolist() for col in columns] == before
+            assert reg._positions == positions and reg._selections == selections
+        assert len(reg) == 3
         assert_sets_match(reg)
 
-    def test_enroll_many_twice_numbers_ids_by_enrollment_position(self):
+    @pytest.mark.parametrize("stakes, shape", [
+        (5.0, r"\(\)"), ([[1.0, 2.0]], r"\(1, 2\)"), (np.ones((2, 3)), r"\(2, 3\)"),
+        (np.ones((0, 2)), r"\(0, 2\)"),
+    ])
+    def test_stakes_must_be_one_dimensional(self, stakes, shape):
         reg = make_registry()
-        first = reg.enroll_many([1.0, 2.0])
-        second = reg.enroll_many([3.0, 9.0, 0.5])
-        assert [p.id for p in first + second] == ["v0000", "v0001", "v0002", "v0003", "v0004"]
-        assert [p.seq for p in reg.participants()] == [0, 1, 2, 3, 4]
-        assert [p.id for p in reg.trusted_sets()[0]] == ["v0000", "v0004"]
-        assert_sets_match(reg)
+        with pytest.raises(ValueError, match=f"shape {shape}"):
+            reg.enroll_many(stakes)
+        assert len(reg) == 0 and len(reg.ids()) == 0
+        assert reg.enroll_many([1.0])[0].id == "v0000"  # nothing moved: the next batch is the first
 
     def test_set_stake_reclassifies(self):
         reg = make_registry()
@@ -265,17 +281,6 @@ class TestEnrollment:
 
 class TestIdIndex:
     """Positions are the only index: each id is its position spelled out."""
-
-    def test_ids_stay_distinct_across_an_id_width_boundary(self):
-        reg = make_registry()
-        first = reg.enroll_many([1.0, 2.0, 3.0])
-        before = reg.ids()
-        reg.enroll_many(np.full(10_001 - 3, 5.0))  # up to position 10,000: ids widen to 5 digits
-        ids = reg.ids()
-        assert len(set(ids)) == len(ids) == 10_001
-        assert ids[:3] == before
-        assert [p.id for p in first] == list(before) == ["v0000", "v0001", "v0002"]
-        assert (ids[3], ids[9_999], ids[10_000]) == ("v00003", "v09999", "v10000")
 
     def test_rounds_build_no_id_index(self):
         reg = build_population()
@@ -463,18 +468,14 @@ class TestTrustedSetIndex:
         reg = make_registry(epsilon=0.5)
         reg.enroll_many(stakes)
         assert_sets_match(reg)
-        for kind, *args in changes:
-            if kind == "enroll":
-                reg.enroll_many(args[0])
+        for kind, pick, value in changes:
+            p = reg.participants()[pick % len(reg)]
+            if kind == "vote":
+                reg.apply_vote_outcome(p.seq, value)
+            elif kind == "stake":
+                reg.set_stake(p.seq, value)
             else:
-                pick, value = args
-                p = reg.participants()[pick % len(reg)]
-                if kind == "vote":
-                    reg.apply_vote_outcome(p.seq, value)
-                elif kind == "stake":
-                    reg.set_stake(p.seq, value)
-                else:
-                    setattr(p, kind, value)
+                setattr(p, kind, value)
             assert_sets_match(reg)
 
     def test_index_matches_a_regroup_after_every_round(self):
@@ -553,20 +554,16 @@ class TestColumns:
         reg.enroll_many(stakes)
         numpy_type = {"reputation": np.float64, "stake": np.float64,
                       "excluded": np.bool_, "vote": np.bool_}
-        for kind, *args in changes:
-            if kind == "enroll":
-                reg.enroll_many(np.array(args[0]) if as_numpy else args[0])
+        for kind, pick, value in changes:
+            p = reg.participants()[pick % len(reg)]
+            if as_numpy:
+                value = numpy_type[kind](value)
+            if kind == "vote":
+                reg.apply_vote_outcome(p.seq, value)
+            elif kind == "stake":
+                reg.set_stake(p.seq, value)
             else:
-                pick, value = args
-                p = reg.participants()[pick % len(reg)]
-                if as_numpy:
-                    value = numpy_type[kind](value)
-                if kind == "vote":
-                    reg.apply_vote_outcome(p.seq, value)
-                elif kind == "stake":
-                    reg.set_stake(p.seq, value)
-                else:
-                    setattr(p, kind, value)
+                setattr(p, kind, value)
             for p in reg.participants():
                 assert_python_scalars(p)
         assert_sets_match(reg)
