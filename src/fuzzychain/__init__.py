@@ -17,7 +17,7 @@ from .fuzzy import (
     scale_stakes,
 )
 from .metrics import FrequencyTable, gini, kurtosis, skewness
-from .registry import Participant, Registry
+from .registry import Registry
 from .consensus import FuzzychainEngine, RoundResult
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "gini",
     "kurtosis",
     "skewness",
-    "Participant",
     "Registry",
     "FuzzychainEngine",
     "RoundResult",

@@ -6,9 +6,9 @@ rewards one uniformly chosen member of the majority bloc, and walks
 every panelist's reputation. Round 1 ignores reputation (everyone
 starts equal); later rounds prefer full-reputation members.
 
-The engine works on enrollment positions (Participant.seq) throughout:
-panels, votes, settlement and RoundResult. Ids appear only in the audit
-rows that experiments writes from a RoundResult.
+The engine works on registry (enrollment) positions throughout: panels,
+votes, settlement and RoundResult. Ids appear only in the audit rows that
+experiments writes from a RoundResult.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ledger import Block, Chain, validate_block
-from .registry import Participant, Registry, TrustedSet, members_at
+from .registry import Registry, TrustedSet
 
 
 class NoPanelError(RuntimeError):
@@ -83,21 +83,26 @@ def _parity_repair(picks: list[list[int]], groups, rng) -> None:
             return
 
 
-def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[Participant]:
+def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[int]:
     """draw(set, quota, rng) -> positions in the set ([] for an empty set) on
-    every set, then parity repair, then the picks' views."""
+    every set, then parity repair; returns the picks' registry positions, set
+    by set."""
     picks = [draw(g, quota, rng) for g, quota in zip(groups, quotas(len(groups)))]
     if not any(picks):  # a draw from a non-empty set picks someone
         raise NoPanelError("every trusted set is empty")
     _parity_repair(picks, groups, rng)
-    return members_at(groups, picks)
+    panel = []
+    for group, at in zip(groups, picks):
+        if at:
+            panel += map(group.positions.__getitem__, at)
+    return panel
 
 
 def _draw_uniform(group: TrustedSet, quota: int, rng) -> list[int]:
     return _draw(range(len(group)), quota, rng)
 
 
-def select_first_round(groups: list[TrustedSet], rng) -> list[Participant]:
+def select_first_round(groups: list[TrustedSet], rng) -> list[int]:
     """Round-1 panel: uniform draws only, since reputations are all equal."""
     return _assemble_panel(groups, rng, _draw_uniform)
 
@@ -143,7 +148,7 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     return _draw(pool, quota, rng)
 
 
-def select_round_j(groups: list[TrustedSet], rng) -> list[Participant]:
+def select_round_j(groups: list[TrustedSet], rng) -> list[int]:
     """Panel for rounds >= 2: per-set reputation-aware pools, then parity repair."""
     return _assemble_panel(groups, rng, _select_from_group)
 
@@ -191,10 +196,10 @@ def pick_winner(successful: Sequence, rng):
 class RoundResult:
     """Everything the audit log wants to know about one round.
 
-    Participants are enrollment positions (Participant.seq); the audit log
-    turns them into ids through Registry.ids(). panel_labels are the labels
-    the panel held when it was drawn, so the winner keeps its label even
-    when the commission moves its stake across a label edge.
+    Participants are registry positions; the audit log turns them into ids
+    through Registry.ids(). panel_labels are the labels the panel held when
+    it was drawn, so the winner keeps its label even when the commission
+    moves its stake across a label edge.
     """
 
     round_index: int
@@ -247,7 +252,7 @@ class FuzzychainEngine:
         j = self.rounds_completed + 1
         registry = self.registry
         select = select_first_round if j == 1 else select_round_j
-        panel = [m.seq for m in select(self._groups, selection_rng)]
+        panel = select(self._groups, selection_rng)
         stake, label, reputation, excluded = registry.columns()
         labels = [label[i] for i in panel]
 

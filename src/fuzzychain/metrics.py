@@ -9,8 +9,6 @@ are the whole population of interest.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .ids import EnrollmentIds
@@ -50,9 +48,16 @@ def gini(values) -> float:
     srt = np.sort(arr)
     n = srt.size
     # sum_i (2i - n - 1) x_(i) equals the double sum over |x_i - x_j|; summed by
-    # numpy's own reduction, not BLAS, so the bits do not depend on its thread count
-    coef = 2.0 * np.arange(1, n + 1) - n - 1
-    return float((coef * srt).sum() / (n * total))
+    # numpy's own reduction, not BLAS, so the bits do not depend on its thread count.
+    # The terms are built in place, in one float vector; each step is exact for
+    # counts (integers below 2**53)
+    terms = np.arange(1, n + 1, dtype=float)
+    terms *= 2.0
+    terms -= n
+    terms -= 1
+    terms *= srt
+    del srt
+    return float(terms.sum() / (n * total))
 
 
 def _shape_statistics(values, statistic: str) -> tuple[float, float]:
@@ -71,7 +76,9 @@ def _shape_statistics(values, statistic: str) -> tuple[float, float]:
     # numpy.ma import on the first call (np.unique's plain path)
     srt = np.sort(dev)
     u = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+    del srt
     inv = u.searchsorted(dev)
+    del dev
     m3, m4 = np.mean((u**3)[inv]), np.mean((u**4)[inv])
     return float(m3 / m2**1.5), float(m4 / m2**2 - 3.0)
 
@@ -91,16 +98,6 @@ def kurtosis(values) -> float:
     :raises DegenerateDistributionError: when variance is zero.
     """
     return _shape_statistics(values, "kurtosis")[1]
-
-
-@lru_cache(maxsize=4)
-def _check_distinct(categories: tuple) -> None:
-    """Raise on duplicate categories. Cached per distinct tuple, because a
-    run's repetitions tally over equal tuples (the labels, each baseline's
-    ids); a raise is not cached. The cache keeps its last four tuples alive
-    (exp2's baselines tally over three)."""
-    if len(set(categories)) != len(categories):
-        raise ValueError("duplicate categories")
 
 
 class FrequencyTable:
@@ -140,7 +137,8 @@ class FrequencyTable:
             self.categories = categories  # distinct by construction
         else:
             self.categories = tuple(categories)
-            _check_distinct(self.categories)
+            if len(set(self.categories)) != len(self.categories):
+                raise ValueError("duplicate categories")
         counts = np.asarray(counts)
         if counts.size == 0:  # np.asarray([]) is float64, which the safe cast refuses
             counts = counts.astype(np.int64)

@@ -13,8 +13,7 @@ only the nonzero counts are formatted. A participant table's categories
 are its registry's EnrollmentIds, which spell each run of ids themselves
 (EnrollmentIds.joined, a hundred ids at a time) and never need quoting,
 so no per-id str is built. Any other table's cells (labels, baseline
-ids) are built once per distinct category tuple, quoted exactly as
-csv.writer quotes them.
+ids) are built for each table, quoted exactly as csv.writer quotes them.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .ids import EnrollmentIds
 from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
+_BLOCK = 1 << 20  # bytes read at a time when counting a file's rows
 # json.dumps(row, sort_keys=True) makes this encoder anew for each row; one serves them all
 _AUDIT_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -85,16 +85,13 @@ def _cells(categories) -> list[str]:
     return quoted
 
 
-def _runs_of(categories, made: dict):
+def _runs_of(categories):
     """The function (start, stop, sep) giving the cells of
-    categories[start:stop] joined by sep; for a tuple, made once per distinct
-    tuple and kept in made."""
+    categories[start:stop] joined by sep."""
     if isinstance(categories, EnrollmentIds):
         return categories.joined
-    if categories not in made:
-        cells = _cells(categories)
-        made[categories] = lambda start, stop, sep: sep.join(cells[start:stop])
-    return made[categories]
+    cells = _cells(categories)
+    return lambda start, stop, sep: sep.join(cells[start:stop])
 
 
 def write_frequencies(fh, header, tables) -> None:
@@ -107,9 +104,8 @@ def write_frequencies(fh, header, tables) -> None:
     quoting. Text goes to fh one run of rows at a time.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
-    made = {}
     for lead, table in tables:
-        joined = _runs_of(table.categories, made)
+        joined = _runs_of(table.categories)
         prefix = "".join(f"{v}," for v in lead)
         sep = ",0\n" + prefix  # ends a zero-count row and leads the next
         counts = table.counts()
@@ -166,10 +162,30 @@ def format_report(run_dir) -> str:
                 parts.append(f"{name}={v:.4f}" if v is not None else f"{name}=n/a")
             lines.append(f"  pooled ({block['metrics']['granularity']}): " + "  ".join(parts))
     if (run / "frequencies.csv").exists():
-        with open(run / "frequencies.csv", newline="") as fh:
-            records = csv.reader(fh)
-            next(records, None)  # header
-            n = sum(1 for row in records if row)
         lines.append("")
-        lines.append(f"frequencies.csv: {n} rows")
+        lines.append(f"frequencies.csv: {_count_rows(run / 'frequencies.csv')} rows")
     return "\n".join(lines) + "\n"
+
+
+def _count_rows(path) -> int:
+    """The non-empty records after the header, as csv.reader counts them.
+
+    A file written here holds one record per line (labels are printable and
+    ids are never quoted), so its line ends are counted in binary blocks. A
+    file holding a quote or a CR, where a record may span lines, or an empty
+    line, which is no record, is read through csv.reader instead.
+    """
+    n, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK):
+            blank = b"\n\n" in block or last + block[:1] == b"\n\n"
+            if blank or b'"' in block or b"\r" in block:
+                break
+            n += block.count(b"\n")
+            last = block[-1:]
+        else:
+            return max(0, n + (last != b"\n") - 1)  # an unended last line is a record too
+    with open(path, newline="") as fh:
+        records = csv.reader(fh)
+        next(records, None)  # header
+        return sum(1 for row in records if row)

@@ -6,23 +6,21 @@ that moves with their voting record. Reputation near-misses caused by
 float accumulation are snapped back to exactly 1.0, because "reputation
 equals 1" is a membership test for the preferred selection pool.
 
-The registry stores its participants as columns. A participant is a view
-of one row, and each trusted set is derived from the columns, cached, and
-rebuilt when a write makes it stale. Views and trusted-set handles hold
-their registry; the registry holds neither, so no reference cycle keeps it.
+The registry stores its participants as columns, one row each, and each
+trusted set is derived from the columns, cached, and rebuilt when a write
+makes it stale. Trusted-set handles hold their registry; the registry holds
+none, so no reference cycle keeps it.
 
-Rows are addressed by enrollment position (Participant.seq) only: the
-round engine selects, votes and settles on positions, and a participant's
-id is its position spelled out ("v" and the zero-padded position), spelled
-only where a caller reads it through ids() (the audit log and
-frequencies.csv). A label follows the stake: it changes only through
-set_stake, which classifies the stake.
+A participant is its enrollment position: the round engine selects, votes
+and settles on positions, and a participant's id is its position spelled
+out ("v" and the zero-padded position), spelled only where a caller reads
+it through ids() (the audit log and frequencies.csv). A label follows the
+stake: it changes only through set_stake, which classifies the stake.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -30,45 +28,6 @@ from .fuzzy import LinguisticVariable, classify_batch, classify_stake
 from .ids import EnrollmentIds
 
 REPUTATION_SNAP_TOL = 1e-9
-
-
-class Participant:
-    """One registered validator: a view of one row of a registry's columns.
-
-    reputation starts at 1.0 and never leaves [0, 1] (a write outside it raises
-    ValueError); label_index is 1-based and read-only, set by the stake through
-    Registry.set_stake. Reads give Python floats, ints and bools; writes reach
-    the trusted sets. seq is the read-only enrollment position, the key that
-    settlement and the round engine use, and id the read-only id that
-    Registry.ids() spells there, a new str on each read. Only a registry
-    makes views (enroll_many, participants, the sets, members_at). A view
-    holds its registry and a position only, so it keeps the registry alive;
-    the registry holds no view.
-    """
-
-    __slots__ = ("_reg", "_seq")
-
-    def __repr__(self) -> str:
-        return (f"Participant(id={self.id!r}, stake={self.stake!r}, "
-                f"reputation={self.reputation!r}, label_index={self.label_index!r}, "
-                f"excluded={self.excluded!r})")
-
-    def _write_reputation(self, value: float) -> None:
-        if not 0.0 <= value <= 1.0:  # before anything moves; NaN fails too
-            raise ValueError(f"reputation {value!r} outside [0, 1]")
-        self._reg._set_reputation(self._seq, value)
-
-    seq = property(attrgetter("_seq"))
-    id = property(lambda self: self._reg._ids[self._seq])
-    stake = property(lambda self: self._reg._stake[self._seq])
-    reputation = property(lambda self: self._reg._reputation[self._seq], _write_reputation)
-    label_index = property(lambda self: self._reg._label[self._seq])
-    excluded = property(lambda self: self._reg._excluded[self._seq],
-                        lambda self, value: self._reg._set_excluded(self._seq, value))
-
-    def expulsion_rate(self) -> float:
-        """E = 1 - reputation, so a perfect record has no expulsion risk."""
-        return 1.0 - self.reputation
 
 
 class TrustedSet:
@@ -79,7 +38,7 @@ class TrustedSet:
     see Registry.set_stake), and draw_views() is the set's
     one selection entry built from them. Both are read-only memoryviews,
     cached in the registry and rebuilt from the columns after a write has
-    dropped them (see Registry); indexing or iterating makes views.
+    dropped them (see Registry).
     """
 
     __slots__ = ("_reg", "_k")
@@ -98,12 +57,6 @@ class TrustedSet:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __iter__(self):
-        return iter(self._reg._views(self.positions))
-
-    def __getitem__(self, i: int) -> Participant:
-        return self._reg._view(self.positions[i])
-
     def draw_views(self) -> tuple[memoryview, memoryview, memoryview | None]:
         """(positions, A, cdf): A the positions in this set of the reputation-1
         members and cdf reputation_cdf of the members' reputations (None when
@@ -117,16 +70,6 @@ class TrustedSet:
             reg._selections[k] = (positions, memoryview(np.flatnonzero(reps == 1.0)).toreadonly(),
                                   None if cdf is None else memoryview(cdf).toreadonly())
         return reg._selections[k]
-
-
-def members_at(groups: list[TrustedSet], picks: list[list[int]]) -> list[Participant]:
-    """Views of the members at positions picks[k] in groups[k], set by set, for
-    sets of one registry: made straight from the sets' positions, in one pass."""
-    rows = []
-    for group, at in zip(groups, picks):
-        if at:
-            rows += map(group.positions.__getitem__, at)
-    return groups[0]._reg._views(rows) if rows else []
 
 
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -187,11 +130,11 @@ class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
     A registry enrolls once: enroll_many classifies each stake and builds the
-    columns, with no per-participant object; participants and the sets make views
-    on demand. The active members of each T_i are a TrustedSet derived from
-    the columns (see trusted_sets()). Settlement (apply_vote_outcome,
-    set_stake), views and columns() address participants by position; ids()
-    spells each position out, and nothing looks an id up.
+    columns, with no per-participant object. The active members of each T_i
+    are a TrustedSet derived from the columns (see trusted_sets()). Reads
+    (columns()), settlement (apply_vote_outcome, set_stake) and the two direct
+    writes (set_reputation, set_excluded) address participants by position;
+    ids() spells each position out, and nothing looks an id up.
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
@@ -244,26 +187,9 @@ class Registry:
             self._selections[self._label[i] - 1] = None
         self._reputation[i] = value
 
-    def _set_excluded(self, i: int, value: bool) -> None:
-        if bool(value) != self._excluded[i]:
-            self._excluded[i] = value
-            self._drop(self._label[i] - 1)
-
-    def _views(self, rows) -> list[Participant]:
-        """New views of rows, in order: two views of one row are two objects, so compare ids."""
-        new, views = Participant.__new__, []
-        for i in rows:
-            p = new(Participant)
-            p._reg, p._seq = self, i
-            views.append(p)
-        return views
-
-    def _view(self, i: int) -> Participant:
-        return self._views((i,))[0]
-
-    def enroll_many(self, stakes) -> list[Participant]:
-        """Enroll stakes in one pass (see _enroll) and return their views."""
-        return self._views(self._enroll(stakes))
+    def enroll_many(self, stakes) -> range:
+        """Enroll stakes in one pass (see _enroll) and return their positions."""
+        return self._enroll(stakes)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -275,9 +201,9 @@ class Registry:
         each id when it is read, made by the enrollment and never changed."""
         return self._ids
 
-    def participants(self) -> list[Participant]:
-        """Every enrolled participant, excluded ones included, in enrollment order."""
-        return self._views(range(len(self)))
+    def participants(self) -> range:
+        """Every enrolled position, excluded ones included, in enrollment order."""
+        return range(len(self))
 
     def trusted_sets(self) -> list[TrustedSet]:
         """Active members of T_1..T_n, each in enrollment order: new handles over
@@ -296,8 +222,8 @@ class Registry:
         return self._columns
 
     def apply_vote_outcome(self, seq: int, successful: bool) -> None:
-        """Update the reputation of the voter at position seq (Participant.seq)
-        and re-check their expulsion status."""
+        """Update the reputation of the voter at position seq and re-check
+        their expulsion status."""
         i = self._row(seq)
         rep = self._reputation[i]
         if successful and rep == 1.0:
@@ -305,7 +231,23 @@ class Registry:
         rep = update_reputation(rep, successful, self.params)
         self._set_reputation(i, rep)
         if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
-            self._set_excluded(i, True)
+            self.set_excluded(i, True)
+
+    def set_reputation(self, seq: int, value: float) -> None:
+        """Write the reputation at position seq; a value outside [0, 1], NaN
+        included, raises ValueError before anything moves."""
+        i = self._row(seq)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"reputation {value!r} outside [0, 1]")
+        self._set_reputation(i, value)
+
+    def set_excluded(self, seq: int, flag: bool) -> None:
+        """Exclude (flag true) or readmit the participant at position seq; a
+        readmitted one rejoins its set with the reputation it left with."""
+        i = self._row(seq)
+        if bool(flag) != self._excluded[i]:
+            self._excluded[i] = flag
+            self._drop(self._label[i] - 1)
 
     def set_stake(self, seq: int, stake: float) -> None:
         """Change the stake at position seq (e.g. after a commission payout) and

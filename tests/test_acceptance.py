@@ -91,14 +91,12 @@ def test_c04_panel_parity_fuzz():
         sizes = rng.integers(0, 7, size=5)
         registry = Registry(var, ReputationParams())
         stakes = sample_stakes_for_census(var, sizes, rng)
-        registry.enroll_many(stakes)
-        members = registry.participants()
-        for p in members:
+        for seq in registry.enroll_many(stakes):
             u = rng.random()
             if u < 0.2:
-                p.reputation = float(rng.uniform(0.0, 1.0))
+                registry.set_reputation(seq, float(rng.uniform(0.0, 1.0)))
             if u > 0.85:
-                p.excluded = True
+                registry.set_excluded(seq, True)
         groups = registry.trusted_sets()
         select = select_first_round if trial % 2 == 0 else select_round_j
         if not any(groups):
@@ -106,10 +104,11 @@ def test_c04_panel_parity_fuzz():
                 select(groups, rng)
             continue
         panel = select(groups, rng)
-        ids = [p.id for p in panel]
+        ids = [registry.ids()[seq] for seq in panel]
+        excluded = registry.columns()[3]
         assert len(panel) % 2 == 1
         assert len(set(ids)) == len(ids)
-        assert not any(p.excluded for p in panel)
+        assert not any(excluded[seq] for seq in panel)
         checked += 1
     assert checked > 5_000  # the fuzz must mostly exercise real panels
     assert time.perf_counter() - t0 < 30.0

@@ -38,17 +38,22 @@ from fuzzychain.rng import Stream, substream
 LABELS = ("VL", "L", "M", "H", "VH")
 
 
-def make_groups(sizes, reps=None, n_labels=5):
-    """The first len(sizes) trusted sets of one registry with n_labels labels:
-    set i holds sizes[i] members, enrolled set by set at label i+1's peak, with
-    reputations reps[i] (all 1.0 by default)."""
+def make_set_registry(sizes, reps=None, n_labels=5):
+    """A registry with n_labels labels whose trusted set i holds sizes[i]
+    members, enrolled set by set at label i+1's peak, with reputations reps[i]
+    (all 1.0 by default)."""
     var = make_uniform_partition("stake", tuple(f"S{i}" for i in range(n_labels)), 0.0, 10.0)
     reg = Registry(var)
     members = reg.enroll_many([var.mfs[i].b for i, k in enumerate(sizes) for _ in range(k)])
     if reps is not None:
-        for p, rep in zip(members, [r for group in reps for r in group], strict=True):
-            p.reputation = rep
-    return reg.trusted_sets()[:len(sizes)]
+        for seq, rep in zip(members, [r for group in reps for r in group], strict=True):
+            reg.set_reputation(seq, rep)
+    return reg
+
+
+def make_groups(sizes, reps=None, n_labels=5):
+    """The first len(sizes) trusted sets of make_set_registry(sizes, reps, n_labels)."""
+    return make_set_registry(sizes, reps, n_labels).trusted_sets()[:len(sizes)]
 
 
 def empty_groups(n=5):
@@ -84,29 +89,30 @@ class TestQuotas:
 
 class TestFirstRoundSelection:
     def test_full_groups_give_seven(self):
-        groups = make_groups([3, 3, 3, 3, 3])
-        panel = select_first_round(groups, substream(0, "selection"))
+        reg = make_set_registry([3, 3, 3, 3, 3])
+        panel = select_first_round(reg.trusted_sets(), substream(0, "selection"))
         assert len(panel) == 7
         # 1 from each low set, 2 from each of the top two
-        assert sorted(m.label_index for m in panel) == [1, 2, 3, 4, 4, 5, 5]
+        label = reg.columns()[1]
+        assert sorted(label[seq] for seq in panel) == [1, 2, 3, 4, 4, 5, 5]
 
     def test_singleton_top_set_repairs_parity(self):
         groups = make_groups([3, 3, 3, 3, 1])
         panel = select_first_round(groups, substream(1, "selection"))
         assert len(panel) % 2 == 1
         assert len(panel) == 7  # extra pick comes from a lower set with spares
-        assert len({m.id for m in panel}) == len(panel)
+        assert len(set(panel)) == len(panel)
 
     def test_all_singletons_cap_quotas(self):
         groups = make_groups([1, 1, 1, 1, 1])
         panel = select_first_round(groups, substream(2, "selection"))
-        assert sorted(m.id for m in panel) == sorted(m.id for g in groups for m in g)
+        assert sorted(panel) == sorted(seq for g in groups for seq in g.positions)
         assert len(panel) == 5
 
     def test_single_validator_total(self):
         groups = make_groups([0, 0, 1, 0, 0])
         panel = select_first_round(groups, substream(3, "selection"))
-        assert [m.id for m in panel] == [groups[2][0].id]
+        assert panel == [groups[2].positions[0]]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(NoPanelError):
@@ -119,7 +125,7 @@ class TestSubsets:
     def test_mixed_reputations(self):
         group = make_groups([3], reps=[[1.0, 1.0, 0.9]])[0]
         b, a, _ = build_subsets(group)
-        assert [group[i].id for i in a] == [group[0].id, group[1].id]
+        assert [b[i] for i in a] == group.positions[:2].tolist()
         assert b is group.positions and len(b) == 3
 
     def test_all_below_one(self):
@@ -141,13 +147,14 @@ class TestReputationBias:
         # 1.7/4.7) and the final uniform draw then hits it (1/3):
         #   P(rep=1) = 1 - (1.7/4.7) * (1/3) = 12.4/14.1
         expect = 12.4 / 14.1
-        group = make_groups([5], reps=[[1.0, 1.0, 1.0, 0.9, 0.8]])[0]
+        reg = make_set_registry([5], reps=[[1.0, 1.0, 1.0, 0.9, 0.8]])
+        group, reputation = reg.trusted_sets()[0], reg.columns()[2]
         rng = substream(42, "selection")
         n = 60_000
         hits = 0
         for _ in range(n):
             (pos,) = _select_from_group(group, 1, rng)
-            hits += group[pos].reputation == 1.0
+            hits += reputation[group.positions[pos]] == 1.0
         assert hits / n == pytest.approx(expect, abs=0.01)
         assert expect >= 2 / 3
 
@@ -156,23 +163,23 @@ class TestReputationBias:
         group = make_groups([3], reps=[reps])[0]
         rng = substream(43, "selection")
         n = 60_000
-        counts = {m.id: 0 for m in group}
+        counts = dict.fromkeys(group.positions.tolist(), 0)
         for _ in range(n):
             (pos,) = _select_from_group(group, 1, rng)
-            counts[group[pos].id] += 1
+            counts[group.positions[pos]] += 1
         total = sum(reps)
-        for m, rep in zip(group, reps):
-            assert counts[m.id] / n == pytest.approx(rep / total, abs=0.02)
+        for seq, rep in zip(group.positions, reps, strict=True):
+            assert counts[seq] / n == pytest.approx(rep / total, abs=0.02)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
     def test_round_j_panel_shape_on_full_groups(self, seed):
-        groups = make_groups([4, 4, 4, 4, 4],
-                             reps=[[1.0, 1.0, 0.9, 0.7]] * 5)
-        panel = select_round_j(groups, substream(seed, "selection"))
+        reg = make_set_registry([4, 4, 4, 4, 4], reps=[[1.0, 1.0, 0.9, 0.7]] * 5)
+        panel = select_round_j(reg.trusted_sets(), substream(seed, "selection"))
         assert len(panel) == 7
-        assert len({m.id for m in panel}) == 7
-        assert sorted(m.label_index for m in panel) == [1, 2, 3, 4, 4, 5, 5]
+        assert len(set(panel)) == 7
+        label = reg.columns()[1]
+        assert sorted(label[seq] for seq in panel) == [1, 2, 3, 4, 4, 5, 5]
 
 
 class TestPanelParity:
@@ -194,9 +201,9 @@ class TestPanelParity:
             return
         panel = select(groups, substream(seed, "selection"))
         assert len(panel) % 2 == 1
-        assert len({m.id for m in panel}) == len(panel)
-        allowed = {m.id for g in groups for m in g}
-        assert {m.id for m in panel} <= allowed
+        assert len(set(panel)) == len(panel)
+        allowed = {seq for g in groups for seq in g.positions}
+        assert set(panel) <= allowed
 
 
 def draw_with_choice(members, k, rng):
@@ -215,25 +222,27 @@ def weighted_pick_with_choice(weights, rng):
     return int(rng.choice(len(weights)))
 
 
-def select_from_group_with_choice(group, quota, rng):
-    """_select_from_group as written with Generator.choice, pooled by id."""
-    members = list(group)
-    reps = np.array([m.reputation for m in members])
+def select_from_group_with_choice(group, reputation, quota, rng):
+    """_select_from_group as written with Generator.choice, pooled by registry
+    position; reputation is the registry's column."""
+    members = group.positions.tolist()
+    reps = np.array([reputation[seq] for seq in members])
     pool = {}
     for i in draw_with_choice(np.flatnonzero(reps == 1.0), 2, rng):
-        pool[members[i].id] = int(i)
+        pool[members[i]] = int(i)
     j = weighted_pick_with_choice(reps, rng)
-    pool[members[j].id] = j
+    pool[members[j]] = j
     return draw_with_choice(list(pool.values()), quota, rng)
 
 
 def parity_repair_with_spare_list(picks, groups, rng):
-    """_parity_repair as written over member lists, building the spare list."""
+    """_parity_repair as written over lists of registry positions, building
+    the spare list."""
     if sum(len(p) for p in picks) % 2 == 1:
         return
-    picked_ids = {m.id for p in picks for m in p}
+    picked = {seq for p in picks for seq in p}
     for i in range(len(groups) - 1, -1, -1):
-        spare = [m for m in groups[i] if m.id not in picked_ids]
+        spare = [seq for seq in groups[i].positions if seq not in picked]
         if spare:
             picks[i].extend(draw_with_choice(spare, 1, rng))
             return
@@ -321,10 +330,11 @@ class TestStreamExactDraws:
     @given(st.lists(st.sampled_from([0.0, 0.3, 0.9, 0.95, 1.0]), min_size=1, max_size=12),
            st.sampled_from([1, 2]), SEEDS)
     def test_select_from_group_matches_choice(self, reps, quota, seed):
-        group = make_groups([len(reps)], reps=[reps])[0]
+        reg = make_set_registry([len(reps)], reps=[reps])
+        group, reputation = reg.trusted_sets()[0], reg.columns()[2]
         ref, new = twin_streams(seed)
         for _ in range(3):
-            expect = select_from_group_with_choice(group, quota, ref)
+            expect = select_from_group_with_choice(group, reputation, quota, ref)
             assert _select_from_group(group, quota, new) == expect
             assert new.bit_generator.state == ref.bit_generator.state
 
@@ -337,27 +347,27 @@ class TestStreamExactDraws:
         picks = [data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=min(k, 2)))
                  if k else [] for k in sizes]
         ref, new = twin_streams(data.draw(SEEDS))
-        expect = [[groups[i][pos] for pos in p] for i, p in enumerate(picks)]
+        expect = [[groups[i].positions[pos] for pos in p] for i, p in enumerate(picks)]
         parity_repair_with_spare_list(expect, groups, ref)
         _parity_repair(picks, groups, new)
-        got = [[groups[i][pos].id for pos in p] for i, p in enumerate(picks)]
-        assert got == [[m.id for m in p] for p in expect]
+        got = [[groups[i].positions[pos] for pos in p] for i, p in enumerate(picks)]
+        assert got == expect
         assert new.bit_generator.state == ref.bit_generator.state
 
 
 class TestVoting:
     def test_honest_unanimity_on_valid_block(self):
-        panel = make_groups([7])[0]
+        panel = make_groups([7])[0].positions
         votes = cast_votes(panel, True, 0.0, substream(0, "votes"))
         assert votes == [True] * 7
 
     def test_honest_unanimity_on_invalid_block(self):
-        panel = make_groups([7])[0]
+        panel = make_groups([7])[0].positions
         votes = cast_votes(panel, False, 0.0, substream(0, "votes"))
         assert votes == [False] * 7
 
     def test_full_inversion(self):
-        panel = make_groups([5])[0]
+        panel = make_groups([5])[0].positions
         votes = cast_votes(panel, True, 1.0, substream(0, "votes"))
         assert votes == [False] * 5
 
@@ -392,20 +402,20 @@ class TestVoting:
             tally([True, False])
 
     def test_winner_uniform_over_successful(self):
-        members = make_groups([4])[0]
+        members = make_groups([4])[0].positions
         rng = substream(77, "selection")
         n = 100_000
-        counts = {m.id: 0 for m in members}
+        counts = dict.fromkeys(members.tolist(), 0)
         for _ in range(n):
-            counts[pick_winner(members, rng).id] += 1
+            counts[pick_winner(members, rng)] += 1
         for c in counts.values():
             assert c / n == pytest.approx(0.25, abs=0.01)
 
     def test_winner_deterministic_for_same_stream(self):
-        members = make_groups([4])[0]
+        members = make_groups([4])[0].positions
         w1 = pick_winner(members, substream(5, "selection"))
         w2 = pick_winner(members, substream(5, "selection"))
-        assert w1.id == w2.id
+        assert w1 == w2
 
     def test_winner_requires_candidates(self):
         with pytest.raises(ValueError):
@@ -417,19 +427,18 @@ class TestEngineRounds:
         reg = small_registry()
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.05)
-        stakes_before = [p.stake for p in reg.participants()]
+        stake, _, reputation, _ = reg.columns()
+        stakes_before = stake.tolist()
         result = engine.run_round(signed_block(chain, 1),
                                   substream(1, "selection"), substream(1, "votes"))
         assert result.accepted and result.appended and result.block_valid
         assert len(result.panel) == 7
         assert chain.height() == 1
-        assert all(p.reputation == 1.0 for p in reg.participants())
+        assert all(rep == 1.0 for rep in reputation)
         assert result.reputation_deltas == {} and result.expulsions == []
-        assert reg.participants()[result.winner].stake == pytest.approx(
-            stakes_before[result.winner] + 0.05
-        )
-        others = [p for p in reg.participants() if p.seq != result.winner]
-        assert all(p.stake == stakes_before[p.seq] for p in others)
+        assert stake[result.winner] == pytest.approx(stakes_before[result.winner] + 0.05)
+        others = [seq for seq in reg.participants() if seq != result.winner]
+        assert all(stake[seq] == stakes_before[seq] for seq in others)
 
     def test_invalid_block_is_rejected_and_chain_untouched(self):
         reg = small_registry()
@@ -464,7 +473,7 @@ class TestEngineRounds:
         assert result.winner != seq
 
         # next round: the penalized member is out of its group's A subset
-        group = reg.trusted_sets()[reg.participants()[seq].label_index - 1]
+        group = reg.trusted_sets()[reg.columns()[1][seq] - 1]
         b, a, _ = build_subsets(group)
         assert seq not in {b[i] for i in a}
         assert seq in set(b)
@@ -474,14 +483,15 @@ class TestEngineRounds:
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, byzantine_rate=0.4)
         sel, vot = substream(9, "selection"), substream(9, "votes")
+        reputation = reg.columns()[2]
         for r in range(1, 11):
-            before = [p.reputation for p in reg.participants()]
+            before = reputation.tolist()
             result = engine.run_round(signed_block(chain, r), sel, vot)
             panel = set(result.panel)
-            for p in reg.participants():
-                if p.seq in panel:
+            for seq in reg.participants():
+                if seq in panel:
                     continue
-                assert p.reputation == before[p.seq], "non-member reputation moved"
+                assert reputation[seq] == before[seq], "non-member reputation moved"
             assert set(result.reputation_deltas) <= panel
 
     def test_expelled_members_never_reappear(self):

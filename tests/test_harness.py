@@ -7,13 +7,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzychain import experiments, outputs
 from fuzzychain.cli import main
@@ -491,8 +493,8 @@ class TestFrequencyWriter:
         for granularity in ("per-participant", "per-label"):
             report = run_experiment1(tiny(granularity=granularity, repetitions=3))
             emit_outputs(report, tmp_path / granularity)
-        # the ids spell their own runs; the repetitions' equal label tuples share one build
-        assert calls == [tuple(report.config.labels)]
+        # the ids spell their own runs: only label tables are built as cells
+        assert calls and set(calls) == {tuple(report.config.labels)}
 
     @given(n=st.one_of(st.integers(0, 450), st.integers(9_890, 10_120)), data=st.data())
     def test_id_tables_equal_csv_writer(self, n, data):
@@ -586,6 +588,46 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         assert "frequencies.csv: 6 rows" in capsys.readouterr().out
+
+    def test_report_row_count_matches_csv_reader_on_quoted_labels(self, tmp_path, capsys):
+        labels = ["a,b", 'say "hi"', "m", 'x",y', "top"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "experiment": "custom",
+            "seed": 9,
+            "labels": labels,
+            "population_per_label": dict(zip(labels, (7, 5, 4, 3, 2))),
+            "rounds": [12, 30],
+            "repetitions": 3,
+        }))
+        for granularity in ("per-label", "per-participant"):
+            out = tmp_path / granularity
+            assert main(["run", "custom", "--config", str(p), "--out", str(out),
+                         "--granularity", granularity]) == 0
+            # per label the cells are quoted; per participant the ids never are
+            assert (b'"' in (out / "frequencies.csv").read_bytes()) == (granularity == "per-label")
+            with open(out / "frequencies.csv", newline="") as fh:
+                records = list(csv.reader(fh))
+            n = sum(1 for row in records[1:] if row)
+            capsys.readouterr()
+            assert main(["report", str(out)]) == 0
+            assert f"frequencies.csv: {n} rows" in capsys.readouterr().out
+
+    @given(st.text(st.sampled_from('a,"\r\n'), max_size=40), st.sampled_from([1, 2, 3, 1 << 20]))
+    @example("h\na\n\nb\n", 4)  # a blank line whose two line ends fall in two blocks
+    @example("\nh\na\n", 1 << 20)  # a blank first line
+    @example("h\na\nb", 2)  # an unended last line
+    def test_row_count_equals_csv_readers(self, text, block):
+        # line ends counted in blocks of any size, blank lines and an unended last line included
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frequencies.csv"
+            path.write_bytes(text.encode())
+            with open(path, newline="") as fh:
+                records = csv.reader(fh)
+                next(records, None)  # header
+                want = sum(1 for row in records if row)
+            with mock.patch.object(outputs, "_BLOCK", block):
+                assert outputs._count_rows(path) == want
 
     def test_label_with_cr_exits_one_and_writes_nothing(self, tmp_path, capsys):
         # csv.writer would leave the CR unquoted, and the report would count 12 rows for these 10

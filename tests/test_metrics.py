@@ -377,6 +377,20 @@ class TestSummarize:
         except DegenerateDistributionError:
             assert out["skewness"] is None and out["kurtosis"] is None
 
+    def test_peak_memory_within_four_float_vectors_at_495000_counts(self):
+        # a 495,000-validator run's per-participant count vector
+        counts = np.random.default_rng(0).poisson(2.0, 495_000)
+        tracemalloc.start()
+        try:
+            out = summarize_counts(counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out["gini"] is not None and out["kurtosis"] is not None
+        # the float copy, gini's sort and terms, the shape statistics' deviations
+        # and their sort: each temporary is dropped once the next is made
+        assert peak <= 4 * 8 * len(counts)
+
     def test_regular_counts_report_everything(self):
         out = summarize_counts([46, 45, 35, 83, 91])
         assert out["gini"] == pytest.approx(gini_double_sum([46, 45, 35, 83, 91]))

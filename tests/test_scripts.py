@@ -169,3 +169,14 @@ def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path, capsys):
         bench_pairs.main([str(short), str(longer), "--workload", "exp1_paper"])
     assert exc.value.code == 2
     assert "checkout paths differ in length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run_mb, code", [(60, 0), (-1, 1)])
+def test_memory_check_exits_one_past_its_run_bound(tmp_path, run_mb, code):
+    # scale 1 is exp1's own 990 validators, which stay far inside 60 MB
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_check.py"), "1", str(run_mb)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith("990 validators, peak RSS:")
+    assert f"bound {run_mb})" in proc.stdout and "bound 5)" in proc.stdout
