@@ -169,11 +169,14 @@ class ExperimentConfig:
                 errors.append(f"labels: odd count >= 3 required, got {n}")
             if len(set(self.labels)) != n:
                 errors.append("labels: duplicates not allowed")
-            # labels go into frequencies.csv and plots.svg: csv.writer leaves a CR
-            # unquoted, an LF spreads a record over two lines, a NUL makes the SVG malformed
+            # labels go into frequencies.csv and plots.svg, and a label may hold no
+            # character that CSV quotes (',', '"', CR, LF), so every cell is written as
+            # itself; a NUL makes the SVG malformed
             for lab in self.labels:
                 if not lab or not lab.isprintable():
                     errors.append(f"labels: {lab!r} must be non-empty and printable")
+                elif "," in lab or '"' in lab:
+                    errors.append(f"labels: {lab!r} must not hold ',' or '\"'")
         pop = self.population_per_label
         if not isinstance(pop, dict):
             errors.append(f"population_per_label: expected a key-value object, got {pop!r}")

@@ -68,10 +68,9 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:
     census = [config.population_per_label[lab] for lab in config.labels]
     stakes = sample_stakes_for_census(var, census, stakes_rng)
-    registry = Registry(var, ReputationParams(config.eta, config.l_divisor, config.epsilon))
     # the sampler redraws until each stake classifies into its census label: no second pass
-    registry._enroll(stakes, labels=np.repeat(np.arange(1, var.n + 1), census))
-    return registry
+    return Registry(var, stakes, ReputationParams(config.eta, config.l_divisor, config.epsilon),
+                    labels=np.repeat(np.arange(1, var.n + 1), census))
 
 
 @dataclass

@@ -130,9 +130,9 @@ class Transaction:
 
     @cached_property
     def signed_bytes(self) -> bytes:
-        """serialize_transaction's bytes, built once per transaction (and seeded
-        by sign_transaction), as signing_bytes is: the block hash and its
-        recomputation both read them."""
+        """The signed canonical form, signing_bytes plus the length-prefixed
+        signature, built once per transaction (and seeded by sign_transaction),
+        as signing_bytes is: the block hash and its recomputation both read them."""
         return self.signing_bytes + _bytes_field(self.signature)
 
 
@@ -143,11 +143,6 @@ def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, no
             _amount_units(amount), nonce)
     except struct.error:  # the other fields are checked before they are packed
         raise _u64_error(nonce=nonce) from None
-
-
-def serialize_transaction(tx: Transaction) -> bytes:
-    """Signed canonical form: unsigned bytes plus the length-prefixed signature."""
-    return tx.signed_bytes
 
 
 def sign_transaction(private_key, recipient: bytes, amount: float, nonce: int) -> Transaction:
@@ -216,7 +211,7 @@ def block_payload(index: int, timestamp: int, prev_hash: bytes, transactions) ->
     except struct.error:
         raise _u64_error(index=index, timestamp=timestamp) from None
     return b"".join([head, prev_hash, _pack_u32(len(transactions)),
-                     *map(serialize_transaction, transactions)])
+                     *(tx.signed_bytes for tx in transactions)])
 
 
 def block_hash(index: int, timestamp: int, prev_hash: bytes, transactions) -> bytes:

@@ -3,23 +3,23 @@
 A run directory holds exactly four files — frequencies.csv,
 summary.json, audit.jsonl, plots.svg — written with sorted keys and
 fixed float formatting so identical runs produce identical bytes.
-frequencies.csv holds the report's frequency_tables(): csv.writer
-writes the header, then each table one row per category, the bytes
-csv.writer writes for those rows. A table is written as runs of cells
-that end at its nonzero counts: the cells of a run are joined by ",0",
-the line end and the table's lead ("<rep>,", "<rounds>,<rep>," or
-"<algo>,<rep>,"), so every zero-count row is written by that join and
-only the nonzero counts are formatted. A participant table's categories
-are its registry's EnrollmentIds, which spell each run of ids themselves
-(EnrollmentIds.joined, a hundred ids at a time) and never need quoting,
-so no per-id str is built. Any other table's cells (labels, baseline
-ids) are built for each table, quoted exactly as csv.writer quotes them.
+frequencies.csv holds the report's frequency_tables(): the header, then
+each table one row per category, its cells joined by "," and every row
+ended by a line end. No cell is ever quoted: labels hold no character
+that CSV quotes (see ExperimentConfig.validate), and ids and lead values
+never do, so these are the bytes csv.writer writes for those rows. A
+table is written as runs of cells that end at its nonzero counts: the
+cells of a run are joined by ",0", the line end and the table's lead
+("<rep>,", "<rounds>,<rep>," or "<algo>,<rep>,"), so every zero-count
+row is written by that join and only the nonzero counts are formatted.
+A participant table's categories are its registry's EnrollmentIds, which
+spell each run of ids themselves (EnrollmentIds.joined, a hundred ids at
+a time), so no per-id str is built; any other table (labels, baseline
+ids) joins its own cells.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
@@ -67,43 +67,21 @@ def emit_outputs(report, out_dir) -> dict:
     return {name: str(p) for name, p in paths.items()}
 
 
-def _cells(categories) -> list[str]:
-    """Each category's cell, quoted as csv.writer quotes it."""
-    cells = [str(c) for c in categories]
-    joined = "".join(cells)
-    # a cell holding none of these is written unquoted by csv.writer
-    if not any(ch in joined for ch in ',"\r\n'):
-        return cells
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    quoted = []
-    for c in cells:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((c, 0))
-        quoted.append(buf.getvalue()[:-3])  # the row less its ",0\n"
-    return quoted
-
-
 def _runs_of(categories):
     """The function (start, stop, sep) giving the cells of
     categories[start:stop] joined by sep."""
     if isinstance(categories, EnrollmentIds):
         return categories.joined
-    cells = _cells(categories)
-    return lambda start, stop, sep: sep.join(cells[start:stop])
+    return lambda start, stop, sep: sep.join(categories[start:stop])
 
 
 def write_frequencies(fh, header, tables) -> None:
     """Write frequencies.csv to the open text file fh: the header, then one
-    row lead + (category, count) per category of each (lead, table), the
-    bytes csv.writer writes for those rows. A table with no categories
-    writes no row.
-
-    Lead values (repetitions, round counts, algorithm names) never need
-    quoting. Text goes to fh one run of rows at a time.
+    row lead + (category, count) per category of each (lead, table), each
+    cell written as itself (see the module docstring). A table with no
+    categories writes no row. Text goes to fh one run of rows at a time.
     """
-    csv.writer(fh, lineterminator="\n").writerow(header)
+    fh.write(",".join(header) + "\n")
     for lead, table in tables:
         joined = _runs_of(table.categories)
         prefix = "".join(f"{v}," for v in lead)
@@ -168,24 +146,11 @@ def format_report(run_dir) -> str:
 
 
 def _count_rows(path) -> int:
-    """The non-empty records after the header, as csv.reader counts them.
-
-    A file written here holds one record per line (labels are printable and
-    ids are never quoted), so its line ends are counted in binary blocks. A
-    file holding a quote or a CR, where a record may span lines, or an empty
-    line, which is no record, is read through csv.reader instead.
-    """
-    n, last = 0, b"\n"
+    """The rows after the header: a file written here holds one row per line,
+    every line ended (no cell is quoted), so its line ends are counted in
+    binary blocks."""
+    n = 0
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK):
-            blank = b"\n\n" in block or last + block[:1] == b"\n\n"
-            if blank or b'"' in block or b"\r" in block:
-                break
             n += block.count(b"\n")
-            last = block[-1:]
-        else:
-            return max(0, n + (last != b"\n") - 1)  # an unended last line is a record too
-    with open(path, newline="") as fh:
-        records = csv.reader(fh)
-        next(records, None)  # header
-        return sum(1 for row in records if row)
+    return max(0, n - 1)

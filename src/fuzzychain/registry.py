@@ -1,10 +1,11 @@
 """Validator registry: stakes, linguistic labels, reputation, expulsion.
 
-Participants are enrolled with a stake, classified into trusted sets
-T_1..T_n by the linguistic variable, and carry a reputation in [0, 1]
-that moves with their voting record. Reputation near-misses caused by
-float accumulation are snapped back to exactly 1.0, because "reputation
-equals 1" is a membership test for the preferred selection pool.
+A registry is built whole from its participants' stakes: each stake is
+classified into a trusted set T_1..T_n by the linguistic variable, and each
+participant carries a reputation in [0, 1] that moves with their voting
+record. Reputation near-misses caused by float accumulation are snapped
+back to exactly 1.0, because "reputation equals 1" is a membership test for
+the preferred selection pool.
 
 The registry stores its participants as columns, one row each, and each
 trusted set is derived from the columns, cached, and rebuilt when a write
@@ -129,49 +130,43 @@ def update_reputation(rep: float, successful: bool, params: ReputationParams) ->
 class Registry:
     """All enrolled participants, grouped into trusted sets by label.
 
-    A registry enrolls once: enroll_many classifies each stake and builds the
-    columns, with no per-participant object. The active members of each T_i
-    are a TrustedSet derived from the columns (see trusted_sets()). Reads
-    (columns()), settlement (apply_vote_outcome, set_stake) and the two direct
-    writes (set_reputation, set_excluded) address participants by position;
-    ids() spells each position out, and nothing looks an id up.
+    The constructor classifies each stake and builds the columns, with no
+    per-participant object; no participant joins later. The active members of
+    each T_i are a TrustedSet derived from the columns (see trusted_sets()).
+    Reads (columns()), settlement (apply_vote_outcome, set_stake) and the two
+    direct writes (set_reputation, set_excluded) address participants by
+    position; ids() spells each position out, and nothing looks an id up.
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
-    (positions, A, cdf) entry of read-only memoryviews: the enrollment, an
-    exclusion, readmission or label move drops both, and a reputation write
-    to an active row only the entry, so it never rescans the population.
+    (positions, A, cdf) entry of read-only memoryviews: an exclusion,
+    readmission or label move drops both, and a reputation write to an
+    active row only the entry, so it never rescans the population.
     """
 
-    def __init__(self, variable: LinguisticVariable, params: ReputationParams | None = None):
-        self.variable = variable
-        self.params = params or ReputationParams()
-        self._ids = EnrollmentIds(0)  # so len(self) is 0
-        self._enroll((), labels=())  # the empty columns, in their dtypes
-
-    def _enroll(self, stakes, labels=None) -> range:
-        """Classify a one-dimensional batch of stakes and enroll it in order, each
-        under its position's id (see ids()); returns their positions. A registry
-        enrolls once: one that holds participants raises ValueError, and an
-        empty batch enrolls nothing. All or nothing: a batch of another shape
-        (ValueError) or with a NaN or below-floor stake (OutOfUniverseError)
-        enrolls none. labels, when given, must be the stakes' classify_batch
+    def __init__(self, variable: LinguisticVariable, stakes, params: ReputationParams | None = None,
+                 *, labels=None):
+        """Build the registry of a one-dimensional batch of stakes, enrolled in
+        order, each under its position's id (see ids()) and classified into its
+        label. All or nothing: stakes of another shape (ValueError, naming it)
+        or with a NaN or below-floor stake (OutOfUniverseError) build no
+        registry. labels, when given, must be the stakes' classify_batch
         labels: they and the stakes are then taken unchecked, with no second
         classification."""
-        if len(self):
-            raise ValueError(f"the registry already holds {len(self)} participants;"
-                             " a registry enrolls once")
         stakes = np.array(stakes, dtype=float)  # a copy: no caller's array is a column
         if stakes.ndim != 1:
             raise ValueError(f"stakes of shape {stakes.shape}: need a one-dimensional batch")
         if labels is None:
-            labels, _ = classify_batch(self.variable, stakes)
+            labels, _ = classify_batch(variable, stakes)
         n = len(stakes)
-        self._ids, self._columns = EnrollmentIds(n), None
+        self.variable = variable
+        self.params = params or ReputationParams()
+        self._ids = EnrollmentIds(n)
         self._stake, self._label, self._reputation, self._excluded = map(memoryview, (
             stakes, np.asarray(labels, np.int64), np.ones(n), np.zeros(n, bool)))
-        self._positions, self._selections = [None] * self.variable.n, [None] * self.variable.n
-        return range(n)
+        self._columns = tuple(col.toreadonly() for col in
+                              (self._stake, self._label, self._reputation, self._excluded))
+        self._positions, self._selections = [None] * variable.n, [None] * variable.n
 
     def _row(self, seq: int) -> int:
         """seq itself, once checked to be an enrolled position (no negative wrap-around)."""
@@ -187,10 +182,6 @@ class Registry:
             self._selections[self._label[i] - 1] = None
         self._reputation[i] = value
 
-    def enroll_many(self, stakes) -> range:
-        """Enroll stakes in one pass (see _enroll) and return their positions."""
-        return self._enroll(stakes)
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -198,7 +189,7 @@ class Registry:
         """Every enrolled id, excluded ones included, in enrollment order: the
         id at position i is "v" and i zero-padded to one width, max(4, the
         digits of len(self)) (see fuzzychain.ids). A lazy sequence that spells
-        each id when it is read, made by the enrollment and never changed."""
+        each id when it is read, made by the constructor and never changed."""
         return self._ids
 
     def participants(self) -> range:
@@ -214,11 +205,7 @@ class Registry:
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
         """Read-only (stake, label, reputation, excluded) columns, indexed by
-        position, made once after the registry's one enrollment. Settlement
-        writes show through them."""
-        if self._columns is None:
-            self._columns = tuple(col.toreadonly() for col in
-                                   (self._stake, self._label, self._reputation, self._excluded))
+        position, made by the constructor. Settlement writes show through them."""
         return self._columns
 
     def apply_vote_outcome(self, seq: int, successful: bool) -> None:

@@ -89,9 +89,9 @@ def test_c04_panel_parity_fuzz():
     checked = 0
     for trial in range(10_000):
         sizes = rng.integers(0, 7, size=5)
-        registry = Registry(var, ReputationParams())
         stakes = sample_stakes_for_census(var, sizes, rng)
-        for seq in registry.enroll_many(stakes):
+        registry = Registry(var, stakes, ReputationParams())
+        for seq in registry.participants():
             u = rng.random()
             if u < 0.2:
                 registry.set_reputation(seq, float(rng.uniform(0.0, 1.0)))
@@ -262,9 +262,9 @@ def test_c09_ledger_integrity():
     # Round outcomes: a rejected round never extends the chain, an
     # accepted one extends it by exactly one block.
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-    registry = Registry(var, ReputationParams())
-    registry.enroll_many(sample_stakes_for_census(var, [4, 3, 3, 2, 2],
-                                                  substream(97, "stakes")))
+    registry = Registry(var, sample_stakes_for_census(var, [4, 3, 3, 2, 2],
+                                                      substream(97, "stakes")),
+                        ReputationParams())
     engine_chain = Chain()
     engine = FuzzychainEngine(registry, engine_chain, commission=0.05, byzantine_rate=0.0)
     selection_rng = substream(97, "selection")

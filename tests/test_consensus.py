@@ -43,10 +43,10 @@ def make_set_registry(sizes, reps=None, n_labels=5):
     members, enrolled set by set at label i+1's peak, with reputations reps[i]
     (all 1.0 by default)."""
     var = make_uniform_partition("stake", tuple(f"S{i}" for i in range(n_labels)), 0.0, 10.0)
-    reg = Registry(var)
-    members = reg.enroll_many([var.mfs[i].b for i, k in enumerate(sizes) for _ in range(k)])
+    reg = Registry(var, [var.mfs[i].b for i, k in enumerate(sizes) for _ in range(k)])
     if reps is not None:
-        for seq, rep in zip(members, [r for group in reps for r in group], strict=True):
+        reps = [r for group in reps for r in group]
+        for seq, rep in zip(reg.participants(), reps, strict=True):
             reg.set_reputation(seq, rep)
     return reg
 
@@ -62,12 +62,10 @@ def empty_groups(n=5):
 
 def small_registry(census=(4, 3, 3, 2, 2), seed=5, **rep_params):
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-    reg = Registry(var, ReputationParams(**rep_params))
     from fuzzychain.experiments import sample_stakes_for_census
 
     stakes = sample_stakes_for_census(var, census, substream(seed, "stakes"))
-    reg.enroll_many(stakes)
-    return reg
+    return Registry(var, stakes, ReputationParams(**rep_params))
 
 
 def signed_block(chain, nonce, seed=77):

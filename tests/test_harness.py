@@ -132,6 +132,15 @@ class TestConfigValidation:
                               "population_per_label": dict.fromkeys(labels, 2)})
         assert exc.value.errors == [f"labels: {bad!r} must be non-empty and printable"]
 
+    @pytest.mark.parametrize("bad", ["a,b", 'say "hi"'], ids=["comma", "quote"])
+    def test_label_that_csv_quotes_rejected(self, bad):
+        # frequencies.csv writes every label as itself, unquoted
+        labels = [bad, "L", "M", "H", "VH"]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"labels": labels,
+                              "population_per_label": dict.fromkeys(labels, 2)})
+        assert exc.value.errors == [f"labels: {bad!r} must not hold ',' or '\"'"]
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"sead": 42})
@@ -426,9 +435,11 @@ def reference_csv(header, tables) -> str:
     return buf.getvalue()
 
 
-# printable cells, biased towards the characters csv.writer quotes or keeps
-cells = st.one_of(st.text(alphabet=',"\' ab', min_size=1, max_size=5),
-                  st.text(min_size=1, max_size=5).filter(str.isprintable))
+# printable cells that hold no ',' or '"' (a valid label holds neither), biased
+# towards the characters csv.writer keeps unquoted
+cells = st.one_of(st.text(alphabet="' ab", min_size=1, max_size=5),
+                  st.text(min_size=1, max_size=5).filter(
+                      lambda c: c.isprintable() and "," not in c and '"' not in c))
 
 
 @st.composite
@@ -476,7 +487,7 @@ class TestFrequencyWriter:
 
     @pytest.mark.parametrize("granularity", ["per-label", "per-participant"])
     def test_emitted_file_equals_csv_writer(self, granularity, tmp_path):
-        labels = ["low,est", 'say "hi"', " lead", "M", "x'y"]
+        labels = ["low est", "say 'hi'", " lead", "M", "x'y"]
         cfg = tiny(labels=tuple(labels), rounds=(15, 30), repetitions=2,
                    granularity=granularity,
                    population_per_label=dict(zip(labels, TINY_POP.values())))
@@ -484,17 +495,6 @@ class TestFrequencyWriter:
         paths = emit_outputs(report, tmp_path / "out")
         with open(paths["frequencies.csv"], "rb") as fh:
             assert fh.read() == reference_csv(*report.frequency_tables()).encode()
-
-    def test_id_tables_never_go_through_cells(self, monkeypatch, tmp_path):
-        calls = []
-        original = outputs._cells
-        monkeypatch.setattr(outputs, "_cells",
-                            lambda categories: calls.append(categories) or original(categories))
-        for granularity in ("per-participant", "per-label"):
-            report = run_experiment1(tiny(granularity=granularity, repetitions=3))
-            emit_outputs(report, tmp_path / granularity)
-        # the ids spell their own runs: only label tables are built as cells
-        assert calls and set(calls) == {tuple(report.config.labels)}
 
     @given(n=st.one_of(st.integers(0, 450), st.integers(9_890, 10_120)), data=st.data())
     def test_id_tables_equal_csv_writer(self, n, data):
@@ -567,29 +567,8 @@ class TestCli:
         assert "trusted sets required: 2" in text
         assert "frequencies.csv: 10 rows" in text
 
-    def test_report_counts_csv_records_not_lines(self, tmp_path, capsys):
-        labels = ["low,est", "mid", "top"]
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({
-            "experiment": "custom",
-            "seed": 5,
-            "labels": labels,
-            "population_per_label": dict(zip(labels, (6, 4, 3))),
-            "rounds": [10],
-            "repetitions": 2,
-        }))
-        out = tmp_path / "q"
-        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0
-        # a label cannot hold an LF, so a quoted two-line field is written in by hand;
-        # it spans two lines in each repetition
-        freq = out / "frequencies.csv"
-        freq.write_text(freq.read_text().replace(",mid,", ',"mid\ndle",'))
-        assert len(freq.read_text().splitlines()) == 9
-        capsys.readouterr()
-        assert main(["report", str(out)]) == 0
-        assert "frequencies.csv: 6 rows" in capsys.readouterr().out
-
-    def test_report_row_count_matches_csv_reader_on_quoted_labels(self, tmp_path, capsys):
+    def test_label_with_comma_or_quote_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # frequencies.csv writes every cell as itself, so no label may be one CSV quotes
         labels = ["a,b", 'say "hi"', "m", 'x",y', "top"]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
@@ -603,25 +582,22 @@ class TestCli:
         for granularity in ("per-label", "per-participant"):
             out = tmp_path / granularity
             assert main(["run", "custom", "--config", str(p), "--out", str(out),
-                         "--granularity", granularity]) == 0
-            # per label the cells are quoted; per participant the ids never are
-            assert (b'"' in (out / "frequencies.csv").read_bytes()) == (granularity == "per-label")
-            with open(out / "frequencies.csv", newline="") as fh:
-                records = list(csv.reader(fh))
-            n = sum(1 for row in records[1:] if row)
-            capsys.readouterr()
-            assert main(["report", str(out)]) == 0
-            assert f"frequencies.csv: {n} rows" in capsys.readouterr().out
+                         "--granularity", granularity]) == 1
+            assert capsys.readouterr().err == "config error: " + "; ".join(
+                f"labels: {lab!r} must not hold ',' or '\"'"
+                for lab in ("a,b", 'say "hi"', 'x",y')) + "\n"
+            assert not out.exists()
 
-    @given(st.text(st.sampled_from('a,"\r\n'), max_size=40), st.sampled_from([1, 2, 3, 1 << 20]))
-    @example("h\na\n\nb\n", 4)  # a blank line whose two line ends fall in two blocks
-    @example("\nh\na\n", 1 << 20)  # a blank first line
-    @example("h\na\nb", 2)  # an unended last line
-    def test_row_count_equals_csv_readers(self, text, block):
-        # line ends counted in blocks of any size, blank lines and an unended last line included
+    @given(st.lists(st.text(st.sampled_from("a,"), min_size=1, max_size=8), max_size=8),
+           st.sampled_from([1, 2, 3, 1 << 20]))
+    @example([], 1)  # an empty file
+    @example(["h"], 2)  # a header alone
+    def test_row_count_equals_csv_readers(self, lines, block):
+        # line ends counted in blocks of any size, over files of the shape written here:
+        # no quote or CR, and every line ended
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "frequencies.csv"
-            path.write_bytes(text.encode())
+            path.write_bytes("".join(line + "\n" for line in lines).encode())
             with open(path, newline="") as fh:
                 records = csv.reader(fh)
                 next(records, None)  # header
@@ -724,7 +700,8 @@ class TestCli:
 
     def test_a_fresh_run_never_imports_numpy_ma(self, tmp_path):
         # np.percentile loads numpy.ma on its first call in a process, about 15 ms of
-        # every fresh run; the box plots take their quartiles without it
+        # every fresh run; the box plots take their quartiles without it. No csv either:
+        # the result files' bytes follow no csv-module quoting rule
         (tmp_path / "exp2.json").write_text(json.dumps({
             "population_per_label": TINY_POP, "fuzzychain_rounds": 40, "repetitions": 2,
             "baselines": {"participants": 20, "rounds": 50}}))
@@ -733,10 +710,11 @@ class TestCli:
             "from fuzzychain.cli import main\n"
             "for args in (['run', 'exp1', '--rounds', '5', '--reps', '2', '--out', 'exp1'],\n"
             "             ['run', 'exp2', '--config', 'exp2.json', '--out', 'exp2']):\n"
-            "    if main(args) != 0:\n"
+            "    if main(args) != 0 or main(['report', args[-1]]) != 0:\n"
             "        sys.exit(f'{args} failed')\n"
-            "    if 'numpy.ma' in sys.modules:\n"
-            "        sys.exit(f'{args} imported numpy.ma')\n"
+            "    for module in ('numpy.ma', 'csv'):\n"
+            "        if module in sys.modules:\n"
+            "            sys.exit(f'{args} imported {module}')\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,

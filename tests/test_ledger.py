@@ -20,7 +20,6 @@ from fuzzychain.ledger import (
     genesis_block,
     make_block,
     new_keypair,
-    serialize_transaction,
     sign_transaction,
     transaction_signing_bytes,
     validate_block,
@@ -78,7 +77,7 @@ class TestCanonicalBytes:
 
     def test_signed_form_appends_signature_field(self):
         tx = Transaction(b"AB", b"CD", 1.5, 7, signature=b"\xde\xad")
-        assert serialize_transaction(tx) == (
+        assert tx.signed_bytes == (
             transaction_signing_bytes(b"AB", b"CD", 1.5, 7) + b"\x00\x02\xde\xad"
         )
 
@@ -209,7 +208,7 @@ class TestSigningBytesCache:
         expect = transaction_signing_bytes(pub, recipient, 12.25, 3)
         assert tx.signing_bytes == expect
         assert Transaction(pub, recipient, 12.25, 3).signing_bytes == expect
-        assert serialize_transaction(tx) == expect + len(tx.signature).to_bytes(2, "big") + (
+        assert tx.signed_bytes == expect + len(tx.signature).to_bytes(2, "big") + (
             tx.signature)
 
     def test_replaced_transaction_builds_its_own_and_fails(self, wallet):
@@ -236,7 +235,7 @@ class TestSigningBytesCache:
             for _ in range(2):  # an error is not cached
                 assert not verify_transaction(bad)
                 with pytest.raises(LedgerError, match="nonce"):
-                    serialize_transaction(bad)
+                    bad.signed_bytes
             blk = Block(1, 1, Chain().tip().hash, (bad,), bytes(32))
             assert block_rejection_reason(Chain(), blk).startswith("unserializable block")
 

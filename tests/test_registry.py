@@ -25,9 +25,9 @@ from fuzzychain.rng import substream
 LABELS = ("VL", "L", "M", "H", "VH")
 
 
-def make_registry(**params):
+def make_registry(stakes, **params):
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-    return Registry(var, ReputationParams(**params))
+    return Registry(var, stakes, ReputationParams(**params))
 
 
 def scratch_cdf(reps):
@@ -147,20 +147,19 @@ class TestThreshold:
 
 class TestEnrollment:
     def test_classifies_on_enroll(self):
-        reg = make_registry()
-        seq, = reg.enroll_many([6.0])
+        reg = make_registry([6.0])
+        seq, = reg.participants()
         _, label, rep, excluded = reg.columns()
         assert label[seq] == 3
         assert rep[seq] == 1.0 and not excluded[seq]
 
     def test_stake_below_universe_rejected(self):
-        reg = make_registry()
         with pytest.raises(ValueError, match="outside universe"):
-            reg.enroll_many([-1.0])
+            make_registry([-1.0])
 
     def test_census_and_trusted_sets(self):
-        reg = make_registry()
-        a, b, _, d, e = reg.enroll_many([0.5, 1.0, 3.0, 9.9, 9.0])
+        reg = make_registry([0.5, 1.0, 3.0, 9.9, 9.0])
+        a, b, _, d, e = reg.participants()
         sets = reg.trusted_sets()
         assert [len(s) for s in sets] == [2, 1, 0, 0, 2]
         assert sets[0].positions.tolist() == [a, b]
@@ -184,17 +183,16 @@ class TestEnrollment:
         built = build_registry(cfg, var, substream(3, "stakes"))
         assert sum(classified) == len(stakes)  # the sampler's check, and no more
         monkeypatch.undo()
-        enrolled = Registry(var, built.params)
-        enrolled.enroll_many(stakes)
+        enrolled = Registry(var, stakes, built.params)
         for got, want in zip(built.columns(), enrolled.columns()):
             assert np.array_equal(np.asarray(got), np.asarray(want))
             assert np.asarray(got).dtype == np.asarray(want).dtype
         assert built.ids() == enrolled.ids()
 
     def test_enroll_many_ids_are_stable(self):
-        reg = make_registry()
-        ps = reg.enroll_many([1.0, 2.0, 3.0])
-        assert ps == range(3) == reg.participants()
+        reg = make_registry([1.0, 2.0, 3.0])
+        ps = reg.participants()
+        assert ps == range(3)
         assert [reg.ids()[seq] for seq in ps] == ["v0000", "v0001", "v0002"]
 
     @pytest.mark.parametrize("first, end", [
@@ -215,33 +213,23 @@ class TestEnrollment:
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.5])
     def test_enroll_many_enrolls_nothing_on_a_bad_stake(self, bad):
-        reg = make_registry()
         with pytest.raises(OutOfUniverseError):
-            reg.enroll_many([1.0, 2.0, bad, 3.0])
-        assert len(reg) == 0
-        assert [len(s) for s in reg.trusted_sets()] == [0, 0, 0, 0, 0]
+            make_registry([1.0, 2.0, bad, 3.0])
 
     def test_a_registry_enrolls_once(self):
-        reg = make_registry()
-        # an empty batch enrolls nothing, so the next is the first
-        assert reg.enroll_many([]) == range(0)
+        # empty stakes give an empty registry
+        empty = make_registry([])
+        assert len(empty) == 0 and len(empty.ids()) == 0 and empty.participants() == range(0)
+        assert [len(s) for s in empty.trusted_sets()] == [0, 0, 0, 0, 0]
+        assert [np.asarray(col).dtype for col in empty.columns()] == [
+            np.float64, np.int64, np.float64, np.bool_]
         stakes = np.array([1.0, 9.0, 0.5])
-        ps = reg.enroll_many(stakes)
+        reg = make_registry(stakes)
+        ps = reg.participants()
         assert [reg.ids()[seq] for seq in ps] == ["v0000", "v0001", "v0002"]
         stakes[0] = 5.0
         assert reg.columns()[0][ps[0]] == 1.0  # the stake column is a copy of the caller's array
         reg.set_stake(1, 2.0)
-        for s in reg.trusted_sets():
-            s.draw_views()  # every set's caches filled
-        columns, ids = reg.columns(), reg.ids()
-        before = [col.tolist() for col in columns]
-        positions, selections = list(reg._positions), list(reg._selections)
-        for more in ([3.0], np.array([3.0, 4.0]), [float("nan")], []):
-            with pytest.raises(ValueError, match="enrolls once"):
-                reg.enroll_many(more)
-            assert reg.columns() is columns and reg.ids() is ids
-            assert [col.tolist() for col in columns] == before
-            assert reg._positions == positions and reg._selections == selections
         assert len(reg) == 3
         assert_sets_match(reg)
 
@@ -250,16 +238,12 @@ class TestEnrollment:
         (np.ones((0, 2)), r"\(0, 2\)"),
     ])
     def test_stakes_must_be_one_dimensional(self, stakes, shape):
-        reg = make_registry()
         with pytest.raises(ValueError, match=f"shape {shape}"):
-            reg.enroll_many(stakes)
-        assert len(reg) == 0 and len(reg.ids()) == 0
-        seq, = reg.enroll_many([1.0])
-        assert reg.ids()[seq] == "v0000"  # nothing moved: the next batch is the first
+            make_registry(stakes)
 
     def test_set_stake_reclassifies(self):
-        reg = make_registry()
-        seq, = reg.enroll_many([1.2])
+        reg = make_registry([1.2])
+        seq, = reg.participants()
         stake, label, _, _ = reg.columns()
         assert label[seq] == 1
         reg.set_stake(seq, 1.3)
@@ -270,12 +254,12 @@ class TestEnrollment:
             # a rejected stake leaves the participant as it was
             assert (stake[seq], label[seq]) == (1.3, 2)
         with pytest.raises(ValueError):
-            reg.enroll_many([float("nan")])
+            make_registry([float("nan")])
         assert len(reg) == 1
 
     def test_stake_above_universe_clamps_to_top_label(self):
-        reg = make_registry()
-        whale, = reg.enroll_many([25.0])
+        reg = make_registry([25.0])
+        whale, = reg.participants()
         assert reg.columns()[1][whale] == 5
 
 
@@ -296,8 +280,7 @@ class TestIdIndex:
         assert ids[49_499] == "v49499"
 
     def test_settlement_refuses_a_position_outside_the_registry(self):
-        reg = make_registry()
-        reg.enroll_many([1.0, 6.0])
+        reg = make_registry([1.0, 6.0])
         for seq in (-1, 2):
             with pytest.raises(IndexError):
                 reg.apply_vote_outcome(seq, False)
@@ -316,8 +299,8 @@ class TestIdIndex:
 
 class TestExpulsion:
     def test_vote_outcomes_move_reputation(self):
-        reg = make_registry()
-        a, = reg.enroll_many([5.0])
+        reg = make_registry([5.0])
+        a, = reg.participants()
         _, _, rep, excluded = reg.columns()
         reg.apply_vote_outcome(a, successful=False)
         assert rep[a] == 0.9
@@ -327,8 +310,8 @@ class TestExpulsion:
 
     def test_expulsion_rate_definition(self):
         # E = 1 - reputation: a member is expelled once E exceeds epsilon
-        reg = make_registry(epsilon=0.25)
-        p, = reg.enroll_many([5.0])
+        reg = make_registry([5.0], epsilon=0.25)
+        p, = reg.participants()
         _, _, rep, excluded = reg.columns()
         assert 1.0 - rep[p] == 0.0
         reg.set_reputation(p, 0.8)
@@ -340,8 +323,8 @@ class TestExpulsion:
         assert excluded[p]
 
     def test_exclusion_threshold(self):
-        reg = make_registry(epsilon=0.25)
-        a, = reg.enroll_many([5.0])
+        reg = make_registry([5.0], epsilon=0.25)
+        a, = reg.participants()
         excluded = reg.columns()[3]
         reg.apply_vote_outcome(a, False)  # 0.9, E=0.1
         reg.apply_vote_outcome(a, False)  # 0.8, E=0.2
@@ -350,8 +333,8 @@ class TestExpulsion:
         assert excluded[a]
 
     def test_excluded_members_leave_active_views(self):
-        reg = make_registry(epsilon=0.05)
-        a, b = reg.enroll_many([5.0, 5.0])
+        reg = make_registry([5.0, 5.0], epsilon=0.05)
+        a, b = reg.participants()
         reg.apply_vote_outcome(a, False)
         sets = reg.trusted_sets()
         assert sets[2].positions.tolist() == [b]
@@ -368,8 +351,8 @@ def reputations(reg, group):
 
 class TestTrustedSetIndex:
     def test_direct_writes_reach_the_sets(self):
-        reg = make_registry()
-        a, b, c, d, e = reg.enroll_many([0.5, 1.0, 0.2, 6.0, 9.5])
+        reg = make_registry([0.5, 1.0, 0.2, 6.0, 9.5])
+        a, b, c, d, e = reg.participants()
         assert reg.columns()[1].tolist() == [1, 1, 1, 3, 5]
         reg.set_reputation(b, 0.7)
         assert reputations(reg, reg.trusted_sets()[0]) == [1.0, 0.7, 1.0]
@@ -392,8 +375,8 @@ class TestTrustedSetIndex:
         assert_sets_match(reg)
 
     def test_set_stake_leaves_a_same_label_member_in_place(self):
-        reg = make_registry()
-        ps = reg.enroll_many([0.2, 0.4, 0.6])
+        reg = make_registry([0.2, 0.4, 0.6])
+        ps = reg.participants()
         group = reg.trusted_sets()[0]
         positions, entry = group.positions, group.draw_views()
         reg.set_stake(ps[1], 0.45)
@@ -409,8 +392,8 @@ class TestTrustedSetIndex:
 
     def test_unknown_label_is_refused_before_anything_moves(self):
         # a label follows the stake: no label, known or not, is written directly
-        reg = make_registry()
-        p, = reg.enroll_many([5.0])
+        reg = make_registry([5.0])
+        p, = reg.participants()
         label = reg.columns()[1]
         entry = reg.trusted_sets()[2].draw_views()
         for bad in (0, 6, 1):
@@ -423,8 +406,8 @@ class TestTrustedSetIndex:
         assert_sets_match(reg)
 
     def test_reputation_outside_zero_one_is_refused_before_anything_moves(self):
-        reg = make_registry()
-        p, _ = reg.enroll_many([5.0, 5.5])
+        reg = make_registry([5.0, 5.5])
+        p, _ = reg.participants()
         rep = reg.columns()[2]
         group = reg.trusted_sets()[2]
         entry = group.draw_views()
@@ -442,8 +425,9 @@ class TestTrustedSetIndex:
         gc.disable()  # so a reference cycle through the registry would keep it alive
         try:
             var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-            reg = Registry(var, ReputationParams())
-            reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(7, "stakes")))
+            reg = Registry(var, sample_stakes_for_census(var, (12, 9, 7, 5, 4),
+                                                         substream(7, "stakes")),
+                           ReputationParams())
             columns, sets = reg.columns(), reg.trusted_sets()
             chain = Chain()
             engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
@@ -464,8 +448,8 @@ class TestTrustedSetIndex:
             gc.enable()
 
     def test_handed_out_arrays_are_read_only(self):
-        reg = make_registry()
-        a, b, _ = reg.enroll_many([0.5, 1.0, 6.0])
+        reg = make_registry([0.5, 1.0, 6.0])
+        a, b, _ = reg.participants()
         group = reg.trusted_sets()[0]
 
         def assert_read_only():
@@ -487,8 +471,7 @@ class TestTrustedSetIndex:
 
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=40))
     def test_cached_selection_follows_every_change(self, stakes, changes):
-        reg = make_registry(epsilon=0.5)
-        reg.enroll_many(stakes)
+        reg = make_registry(stakes, epsilon=0.5)
         assert_sets_match(reg)
         for kind, pick, value in changes:
             apply_change(reg, kind, reg.participants()[pick % len(reg)], value)
@@ -496,8 +479,8 @@ class TestTrustedSetIndex:
 
     def test_index_matches_a_regroup_after_every_round(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-        reg = Registry(var, ReputationParams())
-        reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(8, "stakes")))
+        reg = Registry(var, sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(8, "stakes")),
+                       ReputationParams())
         label = reg.columns()[1]
         chain = Chain()
         # a commission of 0.8 moves a winner across a label edge every few wins
@@ -549,9 +532,9 @@ def assert_python_scalars(reg, seq):
 class TestColumns:
     def test_columns_match_the_sets_and_views_after_every_round(self):
         var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
-        reg = Registry(var, ReputationParams())
-        reg.enroll_many(sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")))
-        columns = reg.columns()  # no enrollment below, so they stay current
+        reg = Registry(var, sample_stakes_for_census(var, (12, 9, 7, 5, 4), substream(9, "stakes")),
+                       ReputationParams())
+        columns = reg.columns()  # made once, by the constructor
         label = columns[1]
         chain = Chain()
         engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
@@ -576,8 +559,7 @@ class TestColumns:
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=30),
            st.booleans())
     def test_view_reads_are_python_scalars(self, stakes, changes, as_numpy):
-        reg = make_registry(epsilon=0.5)
-        reg.enroll_many(stakes)
+        reg = make_registry(stakes, epsilon=0.5)
         numpy_type = {"reputation": np.float64, "stake": np.float64,
                       "excluded": np.bool_, "vote": np.bool_}
         for kind, pick, value in changes:
@@ -588,8 +570,8 @@ class TestColumns:
         assert_sets_match(reg)
 
     def test_hand_built_participants_read_python_scalars(self):
-        reg = make_registry()
-        p, = reg.enroll_many([np.float64(2.5)])
+        reg = make_registry([np.float64(2.5)])
+        p, = reg.participants()
         reg.set_reputation(p, np.float64(0.5))
         reg.set_excluded(p, np.bool_(True))
         reg.set_stake(p, np.float64(7.5))  # to label 4
