@@ -5,6 +5,7 @@
     fuzzychain run custom --config my.json --out runs/custom
     fuzzychain report runs/exp1
 
+The positional experiment replaces a --config file's "experiment" key.
 exp2 runs fuzzychain_rounds rounds, so it refuses --rounds and a config
 file's rounds other than the default.
 
@@ -64,13 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.experiment == "custom":
-        if not args.config:
-            raise ConfigError(["custom runs need --config <path>"])
-        cfg = load_config(args.config)
-    elif args.config:
-        cfg = load_config(args.config)
-        cfg = replace(cfg, experiment=args.experiment)
+    if args.config:
+        cfg = replace(load_config(args.config), experiment=args.experiment)
+    elif args.experiment == "custom":
+        raise ConfigError(["custom runs need --config <path>"])
     else:
         cfg = ExperimentConfig(experiment=args.experiment)
     overrides = {}

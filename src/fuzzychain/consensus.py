@@ -7,8 +7,9 @@ every panelist's reputation. Round 1 ignores reputation (everyone
 starts equal); later rounds prefer full-reputation members.
 
 The engine works on registry (enrollment) positions throughout: panels,
-votes, settlement and RoundResult. Ids appear only in the audit rows that
-experiments writes from a RoundResult.
+votes, settlement and RoundResult. Selection draws set by set from the
+registry, addressing trusted set T_{k+1} by its index k. Ids appear only in
+the audit rows that experiments writes from a RoundResult.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ledger import Block, Chain, validate_block
-from .registry import Registry, TrustedSet
+from .registry import Registry
 
 
 class NoPanelError(RuntimeError):
@@ -57,62 +58,64 @@ def _draw(members: Sequence, k: int, rng) -> list:
     return [members[i], members[j]] if i < j else [members[j], members[i]]
 
 
-def _parity_repair(picks: list[list[int]], groups, rng) -> None:
-    """Force an odd panel in place; picks[i] holds positions in groups[i].
+def _parity_repair(picks: list[list[int]], registry: Registry, rng) -> None:
+    """Force an odd panel in place; picks[k] holds positions in
+    registry.trusted_set(k).
 
     Preferred fix: one extra draw from the highest-index set that still
     has unpicked members. If every active validator is already on the
     panel, drop the most recent pick of the lowest-index set instead.
     The draw is an index into the set's unpicked members, in set order;
-    trusted sets are disjoint, so only picks[i] can sit in groups[i].
+    trusted sets are disjoint, so only picks[k] can sit in set k.
     """
     if sum(map(len, picks)) % 2 == 1:
         return
-    for i in range(len(groups) - 1, -1, -1):
-        n_spare = len(groups[i]) - len(picks[i])
+    for k in range(len(picks) - 1, -1, -1):
+        n_spare = len(registry.trusted_set(k)) - len(picks[k])
         if n_spare:
             (pos,) = _draw(range(n_spare), 1, rng)
-            for picked in sorted(picks[i]):
+            for picked in sorted(picks[k]):
                 if picked <= pos:
                     pos += 1
-            picks[i].append(pos)
+            picks[k].append(pos)
             return
-    for i in range(len(groups)):
-        if picks[i]:
-            picks[i].pop()
+    for k in range(len(picks)):
+        if picks[k]:
+            picks[k].pop()
             return
 
 
-def _assemble_panel(groups: list[TrustedSet], rng, draw) -> list[int]:
-    """draw(set, quota, rng) -> positions in the set ([] for an empty set) on
-    every set, then parity repair; returns the picks' registry positions, set
-    by set."""
-    picks = [draw(g, quota, rng) for g, quota in zip(groups, quotas(len(groups)))]
+def _assemble_panel(registry: Registry, rng, draw) -> list[int]:
+    """draw(registry, k, quota, rng) -> positions in set k ([] for an empty
+    set) on every set, then parity repair; returns the picks' registry
+    positions, set by set."""
+    picks = [draw(registry, k, quota, rng)
+             for k, quota in enumerate(quotas(registry.variable.n))]
     if not any(picks):  # a draw from a non-empty set picks someone
         raise NoPanelError("every trusted set is empty")
-    _parity_repair(picks, groups, rng)
+    _parity_repair(picks, registry, rng)
     panel = []
-    for group, at in zip(groups, picks):
+    for k, at in enumerate(picks):
         if at:
-            panel += map(group.positions.__getitem__, at)
+            panel += map(registry.trusted_set(k).__getitem__, at)
     return panel
 
 
-def _draw_uniform(group: TrustedSet, quota: int, rng) -> list[int]:
-    return _draw(range(len(group)), quota, rng)
+def _draw_uniform(registry: Registry, k: int, quota: int, rng) -> list[int]:
+    return _draw(range(len(registry.trusted_set(k))), quota, rng)
 
 
-def select_first_round(groups: list[TrustedSet], rng) -> list[int]:
+def select_first_round(registry: Registry, rng) -> list[int]:
     """Round-1 panel: uniform draws only, since reputations are all equal."""
-    return _assemble_panel(groups, rng, _draw_uniform)
+    return _assemble_panel(registry, rng, _draw_uniform)
 
 
-def build_subsets(group: TrustedSet) -> tuple[memoryview, memoryview, memoryview | None]:
-    """Split a trusted set into (B, A, cdf): B is the set's positions, A the
+def build_subsets(registry: Registry, k: int) -> tuple[memoryview, memoryview, memoryview | None]:
+    """Split trusted set k into (B, A, cdf): B is the set's positions, A the
     indices into B of its reputation-1 members, so A is always a subset of B,
     and cdf the reputation_cdf over B (None when every reputation is 0). All
-    three are the set's cached, read-only memoryviews (TrustedSet.draw_views)."""
-    return group.draw_views()
+    three are the set's cached, read-only memoryviews (Registry.draw_views)."""
+    return registry.draw_views(k)
 
 
 def _weighted_pick(cdf, n: int, rng) -> int:
@@ -128,8 +131,8 @@ def _weighted_pick(cdf, n: int, rng) -> int:
     return int(rng.integers(0, n))
 
 
-def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
-    """Reputation-aware draw for one trusted set (rounds after the first);
+def _select_from_group(registry: Registry, k: int, quota: int, rng) -> list[int]:
+    """Reputation-aware draw for trusted set k (rounds after the first);
     returns positions in the set.
 
     Pool = up to 2 uniform picks from A (full reputation) plus 1
@@ -138,7 +141,7 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     therefore dominate the pool without ever monopolizing it. The draws
     index the set's cached memoryviews, so they get Python ints.
     """
-    b, a, cdf = build_subsets(group)
+    b, a, cdf = build_subsets(registry, k)
     if not b:
         return []
     pool = _draw(a, 2, rng)
@@ -148,9 +151,9 @@ def _select_from_group(group: TrustedSet, quota: int, rng) -> list[int]:
     return _draw(pool, quota, rng)
 
 
-def select_round_j(groups: list[TrustedSet], rng) -> list[int]:
+def select_round_j(registry: Registry, rng) -> list[int]:
     """Panel for rounds >= 2: per-set reputation-aware pools, then parity repair."""
-    return _assemble_panel(groups, rng, _select_from_group)
+    return _assemble_panel(registry, rng, _select_from_group)
 
 
 def cast_votes(panel, block_is_valid: bool, byzantine_rate: float, rng) -> list[bool]:
@@ -234,8 +237,6 @@ class FuzzychainEngine:
         if not 0.0 <= byzantine_rate <= 1.0:
             raise ValueError(f"byzantine rate must lie in [0, 1], got {byzantine_rate}")
         self.registry = registry
-        # handles over the registry's own sets: they follow every change, so one list serves
-        self._groups = registry.trusted_sets()
         self.chain = chain
         self.commission = commission
         self.byzantine_rate = byzantine_rate
@@ -252,7 +253,7 @@ class FuzzychainEngine:
         j = self.rounds_completed + 1
         registry = self.registry
         select = select_first_round if j == 1 else select_round_j
-        panel = select(self._groups, selection_rng)
+        panel = select(registry, selection_rng)
         stake, label, reputation, excluded = registry.columns()
         labels = [label[i] for i in panel]
 

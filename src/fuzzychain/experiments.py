@@ -201,7 +201,6 @@ def _metrics_block(tables: list[FrequencyTable]) -> dict:
 class Exp1Report:
     config: ExperimentConfig
     runs: list  # SingleRun, ordered by (rounds position, repetition)
-    trusted_sets: int
 
     def runs_at(self, rounds_value: int) -> list:
         return [r for r in self.runs if r.rounds == rounds_value]
@@ -226,7 +225,7 @@ class Exp1Report:
         return {
             "experiment": self.config.experiment,
             "config": self.config.to_dict(),
-            "trusted_sets_required": self.trusted_sets,
+            "trusted_sets_required": trusted_sets_required(len(self.config.labels)),
             "results": results,
         }
 
@@ -253,7 +252,6 @@ def run_experiment1(config: ExperimentConfig) -> Exp1Report:
             for rv in config.rounds
             for rep in range(config.repetitions)
         ],
-        trusted_sets=trusted_sets_required(len(config.labels)),
     )
 
 
@@ -280,7 +278,6 @@ class Exp2Report:
     config: ExperimentConfig
     fuzzy_runs: list  # SingleRun per repetition
     baseline_tables: dict  # algo -> list[FrequencyTable] per repetition
-    trusted_sets: int
 
     @cached_property
     def algorithm_metrics(self) -> dict:
@@ -322,7 +319,7 @@ class Exp2Report:
         return {
             "experiment": "exp2",
             "config": self.config.to_dict(),
-            "trusted_sets_required": self.trusted_sets,
+            "trusted_sets_required": trusted_sets_required(len(self.config.labels)),
             "fuzzychain_label_aggregates": _aggregate_counts(
                 self.config.labels, np.array([r.label_table.counts() for r in self.fuzzy_runs])
             ),
@@ -368,7 +365,6 @@ def run_experiment2(config: ExperimentConfig) -> Exp2Report:
         config=config,
         fuzzy_runs=fuzzy_runs,
         baseline_tables=baseline_tables,
-        trusted_sets=trusted_sets_required(len(config.labels)),
     )
 
 

@@ -7,10 +7,11 @@ record. Reputation near-misses caused by float accumulation are snapped
 back to exactly 1.0, because "reputation equals 1" is a membership test for
 the preferred selection pool.
 
-The registry stores its participants as columns, one row each, and each
-trusted set is derived from the columns, cached, and rebuilt when a write
-makes it stale. Trusted-set handles hold their registry; the registry holds
-none, so no reference cycle keeps it.
+The registry stores its participants as columns, one row each. Trusted set
+T_i (i = k + 1) is addressed by its index k: trusted_set(k) and draw_views(k)
+derive it from the columns, cache it, and rebuild it when a write makes it
+stale. Expulsion is one-way: an expelled participant sits out every later
+round.
 
 A participant is its enrollment position: the round engine selects, votes
 and settles on positions, and a participant's id is its position spelled
@@ -29,48 +30,6 @@ from .fuzzy import LinguisticVariable, classify_batch, classify_stake
 from .ids import EnrollmentIds
 
 REPUTATION_SNAP_TOL = 1e-9
-
-
-class TrustedSet:
-    """The active members of one trusted set T_i (i = k + 1), in enrollment order.
-
-    A handle made by Registry.trusted_sets() over the registry's columns.
-    positions are the active rows labelled i (a label follows its row's stake,
-    see Registry.set_stake), and draw_views() is the set's
-    one selection entry built from them. Both are read-only memoryviews,
-    cached in the registry and rebuilt from the columns after a write has
-    dropped them (see Registry).
-    """
-
-    __slots__ = ("_reg", "_k")
-
-    def __init__(self, registry: Registry, k: int):
-        self._reg, self._k = registry, k
-
-    @property
-    def positions(self) -> memoryview:
-        reg, k = self._reg, self._k
-        if reg._positions[k] is None:
-            active = (np.asarray(reg._label) == k + 1) & ~np.asarray(reg._excluded)
-            reg._positions[k] = memoryview(np.flatnonzero(active)).toreadonly()
-        return reg._positions[k]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def draw_views(self) -> tuple[memoryview, memoryview, memoryview | None]:
-        """(positions, A, cdf): A the positions in this set of the reputation-1
-        members and cdf reputation_cdf of the members' reputations (None when
-        all are 0), cached until the set changes. Indexing these read-only
-        memoryviews gives Python ints and floats, as the round's draws want."""
-        reg, k = self._reg, self._k
-        if reg._selections[k] is None:
-            positions = self.positions
-            reps = np.asarray(reg._reputation)[np.asarray(positions)]
-            cdf = reputation_cdf(reps)
-            reg._selections[k] = (positions, memoryview(np.flatnonzero(reps == 1.0)).toreadonly(),
-                                  None if cdf is None else memoryview(cdf).toreadonly())
-        return reg._selections[k]
 
 
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
@@ -132,16 +91,17 @@ class Registry:
 
     The constructor classifies each stake and builds the columns, with no
     per-participant object; no participant joins later. The active members of
-    each T_i are a TrustedSet derived from the columns (see trusted_sets()).
-    Reads (columns()), settlement (apply_vote_outcome, set_stake) and the two
-    direct writes (set_reputation, set_excluded) address participants by
-    position; ids() spells each position out, and nothing looks an id up.
+    each T_i are derived from the columns by set index (trusted_set(k),
+    draw_views(k)). Reads (columns()), settlement (apply_vote_outcome,
+    set_stake) and the two direct writes (set_reputation, expel) address
+    participants by position; ids() spells each position out, and nothing
+    looks an id up.
 
     The columns are memoryviews of numpy arrays, so a scalar read gives a
     Python float, int or bool. Each set caches its positions and one
-    (positions, A, cdf) entry of read-only memoryviews: an exclusion,
-    readmission or label move drops both, and a reputation write to an
-    active row only the entry, so it never rescans the population.
+    (positions, A, cdf) entry of read-only memoryviews: an expulsion or a
+    label move drops both, and a reputation write to an active row only the
+    entry, so it never rescans the population.
     """
 
     def __init__(self, variable: LinguisticVariable, stakes, params: ReputationParams | None = None,
@@ -196,12 +156,32 @@ class Registry:
         """Every enrolled position, excluded ones included, in enrollment order."""
         return range(len(self))
 
-    def trusted_sets(self) -> list[TrustedSet]:
-        """Active members of T_1..T_n, each in enrollment order: new handles over
-        the registry's own sets, not copies, so they follow later changes (and are
-        read-only). The registry keeps no handle, so it is in no reference cycle."""
-        n = len(self._positions)
-        return list(map(TrustedSet, [self] * n, range(n)))
+    def trusted_set(self, k: int) -> memoryview:
+        """Positions of the active members of T_{k+1} (the rows labelled k + 1
+        and not excluded), in enrollment order: a read-only memoryview, cached
+        until a write drops it."""
+        if self._positions[k] is None:
+            active = (np.asarray(self._label) == k + 1) & ~np.asarray(self._excluded)
+            self._positions[k] = memoryview(np.flatnonzero(active)).toreadonly()
+        return self._positions[k]
+
+    def draw_views(self, k: int) -> tuple[memoryview, memoryview, memoryview | None]:
+        """(positions, A, cdf) of T_{k+1}: positions is trusted_set(k), A the
+        indices into it of the reputation-1 members and cdf reputation_cdf of
+        the members' reputations (None when all are 0), cached until the set
+        changes. Indexing these read-only memoryviews gives Python ints and
+        floats, as the round's draws want."""
+        if self._selections[k] is None:
+            positions = self.trusted_set(k)
+            reps = np.asarray(self._reputation)[np.asarray(positions)]
+            cdf = reputation_cdf(reps)
+            self._selections[k] = (positions, memoryview(np.flatnonzero(reps == 1.0)).toreadonly(),
+                                   None if cdf is None else memoryview(cdf).toreadonly())
+        return self._selections[k]
+
+    def trusted_sets(self) -> list[memoryview]:
+        """trusted_set(k) of every set, T_1..T_n in order."""
+        return [self.trusted_set(k) for k in range(self.variable.n)]
 
     def columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
         """Read-only (stake, label, reputation, excluded) columns, indexed by
@@ -218,7 +198,7 @@ class Registry:
         rep = update_reputation(rep, successful, self.params)
         self._set_reputation(i, rep)
         if 1.0 - rep > self.params.epsilon:  # the expulsion rate E = 1 - reputation
-            self.set_excluded(i, True)
+            self.expel(i)
 
     def set_reputation(self, seq: int, value: float) -> None:
         """Write the reputation at position seq; a value outside [0, 1], NaN
@@ -228,12 +208,12 @@ class Registry:
             raise ValueError(f"reputation {value!r} outside [0, 1]")
         self._set_reputation(i, value)
 
-    def set_excluded(self, seq: int, flag: bool) -> None:
-        """Exclude (flag true) or readmit the participant at position seq; a
-        readmitted one rejoins its set with the reputation it left with."""
+    def expel(self, seq: int) -> None:
+        """Exclude the participant at position seq from every later round; one
+        already excluded stays so, and nothing moves."""
         i = self._row(seq)
-        if bool(flag) != self._excluded[i]:
-            self._excluded[i] = flag
+        if not self._excluded[i]:
+            self._excluded[i] = True
             self._drop(self._label[i] - 1)
 
     def set_stake(self, seq: int, stake: float) -> None:

@@ -96,14 +96,13 @@ def test_c04_panel_parity_fuzz():
             if u < 0.2:
                 registry.set_reputation(seq, float(rng.uniform(0.0, 1.0)))
             if u > 0.85:
-                registry.set_excluded(seq, True)
-        groups = registry.trusted_sets()
+                registry.expel(seq)
         select = select_first_round if trial % 2 == 0 else select_round_j
-        if not any(groups):
+        if not any(registry.trusted_sets()):
             with pytest.raises(NoPanelError):
-                select(groups, rng)
+                select(registry, rng)
             continue
-        panel = select(groups, rng)
+        panel = select(registry, rng)
         ids = [registry.ids()[seq] for seq in panel]
         excluded = registry.columns()[3]
         assert len(panel) % 2 == 1

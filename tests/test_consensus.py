@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzychain import ledger
+from fuzzychain import consensus, ledger
 from fuzzychain.config import ExperimentConfig
 from fuzzychain.consensus import (
     FuzzychainEngine,
@@ -51,15 +51,6 @@ def make_set_registry(sizes, reps=None, n_labels=5):
     return reg
 
 
-def make_groups(sizes, reps=None, n_labels=5):
-    """The first len(sizes) trusted sets of make_set_registry(sizes, reps, n_labels)."""
-    return make_set_registry(sizes, reps, n_labels).trusted_sets()[:len(sizes)]
-
-
-def empty_groups(n=5):
-    return make_groups([0] * n, n_labels=n)
-
-
 def small_registry(census=(4, 3, 3, 2, 2), seed=5, **rep_params):
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
     from fuzzychain.experiments import sample_stakes_for_census
@@ -88,53 +79,70 @@ class TestQuotas:
 class TestFirstRoundSelection:
     def test_full_groups_give_seven(self):
         reg = make_set_registry([3, 3, 3, 3, 3])
-        panel = select_first_round(reg.trusted_sets(), substream(0, "selection"))
+        panel = select_first_round(reg, substream(0, "selection"))
         assert len(panel) == 7
         # 1 from each low set, 2 from each of the top two
         label = reg.columns()[1]
         assert sorted(label[seq] for seq in panel) == [1, 2, 3, 4, 4, 5, 5]
 
     def test_singleton_top_set_repairs_parity(self):
-        groups = make_groups([3, 3, 3, 3, 1])
-        panel = select_first_round(groups, substream(1, "selection"))
+        reg = make_set_registry([3, 3, 3, 3, 1])
+        panel = select_first_round(reg, substream(1, "selection"))
         assert len(panel) % 2 == 1
         assert len(panel) == 7  # extra pick comes from a lower set with spares
         assert len(set(panel)) == len(panel)
 
     def test_all_singletons_cap_quotas(self):
-        groups = make_groups([1, 1, 1, 1, 1])
-        panel = select_first_round(groups, substream(2, "selection"))
-        assert sorted(panel) == sorted(seq for g in groups for seq in g.positions)
+        reg = make_set_registry([1, 1, 1, 1, 1])
+        panel = select_first_round(reg, substream(2, "selection"))
+        assert sorted(panel) == sorted(seq for s in reg.trusted_sets() for seq in s)
         assert len(panel) == 5
 
     def test_single_validator_total(self):
-        groups = make_groups([0, 0, 1, 0, 0])
-        panel = select_first_round(groups, substream(3, "selection"))
-        assert panel == [groups[2].positions[0]]
+        reg = make_set_registry([0, 0, 1, 0, 0])
+        panel = select_first_round(reg, substream(3, "selection"))
+        assert panel == [reg.trusted_set(2)[0]]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(NoPanelError):
-            select_first_round(empty_groups(), substream(4, "selection"))
+            select_first_round(make_set_registry([0] * 5), substream(4, "selection"))
         with pytest.raises(NoPanelError):
-            select_round_j(empty_groups(), substream(4, "selection"))
+            select_round_j(make_set_registry([0] * 5), substream(4, "selection"))
 
 
 class TestSubsets:
     def test_mixed_reputations(self):
-        group = make_groups([3], reps=[[1.0, 1.0, 0.9]])[0]
-        b, a, _ = build_subsets(group)
-        assert [b[i] for i in a] == group.positions[:2].tolist()
-        assert b is group.positions and len(b) == 3
+        reg = make_set_registry([3], reps=[[1.0, 1.0, 0.9]])
+        b, a, _ = build_subsets(reg, 0)
+        assert [b[i] for i in a] == reg.trusted_set(0)[:2].tolist()
+        assert b is reg.trusted_set(0) and len(b) == 3
 
     def test_all_below_one(self):
-        group = make_groups([2], reps=[[0.8, 0.7]])[0]
-        b, a, _ = build_subsets(group)
+        reg = make_set_registry([2], reps=[[0.8, 0.7]])
+        b, a, _ = build_subsets(reg, 0)
         assert len(a) == 0 and len(b) == 2
 
     def test_single_perfect_member(self):
-        group = make_groups([1])[0]
-        b, a, _ = build_subsets(group)
-        assert a.tolist() == [0] and b is group.positions
+        reg = make_set_registry([1])
+        b, a, _ = build_subsets(reg, 0)
+        assert a.tolist() == [0] and b is reg.trusted_set(0)
+
+    def test_round_j_looks_subsets_up_once_per_set(self, monkeypatch):
+        # through the module global, so a wrapper set on consensus.build_subsets sees every set
+        reg = make_set_registry([3, 0, 2, 4, 1], reps=[[1.0, 0.9, 0.8], [], [0.7, 1.0],
+                                                       [1.0] * 4, [0.5]])
+        looked_up = []
+
+        def counted(registry, k):
+            looked_up.append(k)
+            return build_subsets(registry, k)
+
+        monkeypatch.setattr(consensus, "build_subsets", counted)
+        rng = substream(6, "selection")
+        for _ in range(3):
+            select_round_j(reg, rng)
+            assert looked_up == [0, 1, 2, 3, 4]
+            looked_up.clear()
 
 
 class TestReputationBias:
@@ -146,34 +154,35 @@ class TestReputationBias:
         #   P(rep=1) = 1 - (1.7/4.7) * (1/3) = 12.4/14.1
         expect = 12.4 / 14.1
         reg = make_set_registry([5], reps=[[1.0, 1.0, 1.0, 0.9, 0.8]])
-        group, reputation = reg.trusted_sets()[0], reg.columns()[2]
+        members, reputation = reg.trusted_set(0), reg.columns()[2]
         rng = substream(42, "selection")
         n = 60_000
         hits = 0
         for _ in range(n):
-            (pos,) = _select_from_group(group, 1, rng)
-            hits += reputation[group.positions[pos]] == 1.0
+            (pos,) = _select_from_group(reg, 0, 1, rng)
+            hits += reputation[members[pos]] == 1.0
         assert hits / n == pytest.approx(expect, abs=0.01)
         assert expect >= 2 / 3
 
     def test_empty_a_falls_back_to_reputation_proportional(self):
         reps = [0.9, 0.6, 0.3]
-        group = make_groups([3], reps=[reps])[0]
+        reg = make_set_registry([3], reps=[reps])
+        members = reg.trusted_set(0)
         rng = substream(43, "selection")
         n = 60_000
-        counts = dict.fromkeys(group.positions.tolist(), 0)
+        counts = dict.fromkeys(members.tolist(), 0)
         for _ in range(n):
-            (pos,) = _select_from_group(group, 1, rng)
-            counts[group.positions[pos]] += 1
+            (pos,) = _select_from_group(reg, 0, 1, rng)
+            counts[members[pos]] += 1
         total = sum(reps)
-        for seq, rep in zip(group.positions, reps, strict=True):
+        for seq, rep in zip(members, reps, strict=True):
             assert counts[seq] / n == pytest.approx(rep / total, abs=0.02)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
     def test_round_j_panel_shape_on_full_groups(self, seed):
         reg = make_set_registry([4, 4, 4, 4, 4], reps=[[1.0, 1.0, 0.9, 0.7]] * 5)
-        panel = select_round_j(reg.trusted_sets(), substream(seed, "selection"))
+        panel = select_round_j(reg, substream(seed, "selection"))
         assert len(panel) == 7
         assert len(set(panel)) == 7
         label = reg.columns()[1]
@@ -191,16 +200,16 @@ class TestPanelParity:
         rng = np.random.default_rng(seed)
         rep_pool = [1.0, 1.0, 0.9, 0.8, 0.6, 0.3]
         reps = [[rep_pool[int(rng.integers(len(rep_pool)))] for _ in range(k)] for k in sizes]
-        groups = make_groups(sizes, reps=reps)
+        reg = make_set_registry(sizes, reps=reps)
         select = select_round_j if later_round else select_first_round
-        if not any(groups):
+        if not any(reg.trusted_sets()):
             with pytest.raises(NoPanelError):
-                select(groups, substream(seed, "selection"))
+                select(reg, substream(seed, "selection"))
             return
-        panel = select(groups, substream(seed, "selection"))
+        panel = select(reg, substream(seed, "selection"))
         assert len(panel) % 2 == 1
         assert len(set(panel)) == len(panel)
-        allowed = {seq for g in groups for seq in g.positions}
+        allowed = {seq for s in reg.trusted_sets() for seq in s}
         assert set(panel) <= allowed
 
 
@@ -220,10 +229,10 @@ def weighted_pick_with_choice(weights, rng):
     return int(rng.choice(len(weights)))
 
 
-def select_from_group_with_choice(group, reputation, quota, rng):
+def select_from_group_with_choice(registry, k, quota, rng):
     """_select_from_group as written with Generator.choice, pooled by registry
-    position; reputation is the registry's column."""
-    members = group.positions.tolist()
+    position."""
+    members, reputation = registry.trusted_set(k).tolist(), registry.columns()[2]
     reps = np.array([reputation[seq] for seq in members])
     pool = {}
     for i in draw_with_choice(np.flatnonzero(reps == 1.0), 2, rng):
@@ -233,18 +242,18 @@ def select_from_group_with_choice(group, reputation, quota, rng):
     return draw_with_choice(list(pool.values()), quota, rng)
 
 
-def parity_repair_with_spare_list(picks, groups, rng):
+def parity_repair_with_spare_list(picks, registry, rng):
     """_parity_repair as written over lists of registry positions, building
     the spare list."""
     if sum(len(p) for p in picks) % 2 == 1:
         return
     picked = {seq for p in picks for seq in p}
-    for i in range(len(groups) - 1, -1, -1):
-        spare = [seq for seq in groups[i].positions if seq not in picked]
+    for k in range(len(picks) - 1, -1, -1):
+        spare = [seq for seq in registry.trusted_set(k) if seq not in picked]
         if spare:
-            picks[i].extend(draw_with_choice(spare, 1, rng))
+            picks[k].extend(draw_with_choice(spare, 1, rng))
             return
-    for i in range(len(groups)):
+    for i in range(len(picks)):
         if picks[i]:
             picks[i].pop()
             return
@@ -329,11 +338,10 @@ class TestStreamExactDraws:
            st.sampled_from([1, 2]), SEEDS)
     def test_select_from_group_matches_choice(self, reps, quota, seed):
         reg = make_set_registry([len(reps)], reps=[reps])
-        group, reputation = reg.trusted_sets()[0], reg.columns()[2]
         ref, new = twin_streams(seed)
         for _ in range(3):
-            expect = select_from_group_with_choice(group, reputation, quota, ref)
-            assert _select_from_group(group, quota, new) == expect
+            expect = select_from_group_with_choice(reg, 0, quota, ref)
+            assert _select_from_group(reg, 0, quota, new) == expect
             assert new.bit_generator.state == ref.bit_generator.state
 
     @given(st.data())
@@ -341,31 +349,31 @@ class TestStreamExactDraws:
     def test_parity_repair_matches_the_spare_list(self, data):
         sizes = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 40)),
                                    min_size=3, max_size=7))
-        groups = make_groups(sizes, n_labels=7)
+        reg = make_set_registry(sizes, n_labels=7)
         picks = [data.draw(st.lists(st.integers(0, k - 1), unique=True, max_size=min(k, 2)))
                  if k else [] for k in sizes]
         ref, new = twin_streams(data.draw(SEEDS))
-        expect = [[groups[i].positions[pos] for pos in p] for i, p in enumerate(picks)]
-        parity_repair_with_spare_list(expect, groups, ref)
-        _parity_repair(picks, groups, new)
-        got = [[groups[i].positions[pos] for pos in p] for i, p in enumerate(picks)]
+        expect = [[reg.trusted_set(k)[pos] for pos in p] for k, p in enumerate(picks)]
+        parity_repair_with_spare_list(expect, reg, ref)
+        _parity_repair(picks, reg, new)
+        got = [[reg.trusted_set(k)[pos] for pos in p] for k, p in enumerate(picks)]
         assert got == expect
         assert new.bit_generator.state == ref.bit_generator.state
 
 
 class TestVoting:
     def test_honest_unanimity_on_valid_block(self):
-        panel = make_groups([7])[0].positions
+        panel = make_set_registry([7]).trusted_set(0)
         votes = cast_votes(panel, True, 0.0, substream(0, "votes"))
         assert votes == [True] * 7
 
     def test_honest_unanimity_on_invalid_block(self):
-        panel = make_groups([7])[0].positions
+        panel = make_set_registry([7]).trusted_set(0)
         votes = cast_votes(panel, False, 0.0, substream(0, "votes"))
         assert votes == [False] * 7
 
     def test_full_inversion(self):
-        panel = make_groups([5])[0].positions
+        panel = make_set_registry([5]).trusted_set(0)
         votes = cast_votes(panel, True, 1.0, substream(0, "votes"))
         assert votes == [False] * 5
 
@@ -400,7 +408,7 @@ class TestVoting:
             tally([True, False])
 
     def test_winner_uniform_over_successful(self):
-        members = make_groups([4])[0].positions
+        members = make_set_registry([4]).trusted_set(0)
         rng = substream(77, "selection")
         n = 100_000
         counts = dict.fromkeys(members.tolist(), 0)
@@ -410,7 +418,7 @@ class TestVoting:
             assert c / n == pytest.approx(0.25, abs=0.01)
 
     def test_winner_deterministic_for_same_stream(self):
-        members = make_groups([4])[0].positions
+        members = make_set_registry([4]).trusted_set(0)
         w1 = pick_winner(members, substream(5, "selection"))
         w2 = pick_winner(members, substream(5, "selection"))
         assert w1 == w2
@@ -471,8 +479,7 @@ class TestEngineRounds:
         assert result.winner != seq
 
         # next round: the penalized member is out of its group's A subset
-        group = reg.trusted_sets()[reg.columns()[1][seq] - 1]
-        b, a, _ = build_subsets(group)
+        b, a, _ = build_subsets(reg, reg.columns()[1][seq] - 1)
         assert seq not in {b[i] for i in a}
         assert seq in set(b)
 

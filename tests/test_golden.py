@@ -7,10 +7,10 @@ on purpose, and say why in CHANGES.md. A numpy release that moves a
 random stream also breaks them; the failure message names the numpy
 version so that case is told apart from a code change.
 
-The exp1 and exp2 runs are honest. The faults run has byzantine voters
-and invalid blocks, so it pins the reject, expulsion and short-panel
-path: of its 120 rounds, 30 are rejected, 5 expel a validator, and 76
-form a panel of 5 seats.
+The exp1 and exp2 runs are honest. The faults run is exp1 on a config
+file with byzantine voters and invalid blocks, so it pins the reject,
+expulsion and short-panel path: of its 120 rounds, 30 are rejected, 5
+expel a validator, and 76 form a panel of 5 seats.
 """
 
 import hashlib
@@ -51,7 +51,7 @@ GOLDEN = {
         },
     ),
     "faults": (
-        ["run", "custom", "--config", "faults.json"],
+        ["run", "exp1", "--config", "faults.json"],
         {
             "frequencies.csv": "93a42ddb388ae691b3d71a97ae9a8035a17c99b3c5e0388a529ec48cab76f961",
             "summary.json": "c251ce7de5597edb4404f4dc931c4459c35c90497ff888789c30b2ec7bcd8ba1",

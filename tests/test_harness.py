@@ -385,7 +385,7 @@ class TestOutputs:
 
     def test_empty_report_is_an_error(self, tiny_config, tmp_path):
         report = run_experiment1(tiny_config)
-        empty = Exp1Report(config=report.config, runs=[], trusted_sets=2)
+        empty = Exp1Report(config=report.config, runs=[])
         with pytest.raises(ValueError, match="nothing to emit"):
             emit_outputs(empty, tmp_path / "never")
 
@@ -461,7 +461,7 @@ class TestFrequencyWriter:
            repetitions=st.integers(1, 3), data=st.data())
     def test_exp1_bytes_equal_csv_writer(self, labels, rounds, repetitions, data):
         cfg = dataclasses.replace(ExperimentConfig(), labels=tuple(labels), rounds=tuple(rounds))
-        report = Exp1Report(config=cfg, trusted_sets=2, runs=[
+        report = Exp1Report(config=cfg, runs=[
             fake_run(rv, rep, data.draw(tables_over(tuple(labels))))
             for rv in rounds for rep in range(repetitions)])
         buf = io.StringIO()
@@ -475,7 +475,7 @@ class TestFrequencyWriter:
     def test_exp2_bytes_equal_csv_writer(self, labels, ids, repetitions, data):
         cfg = dataclasses.replace(ExperimentConfig(), experiment="exp2", labels=tuple(labels))
         report = Exp2Report(
-            config=cfg, trusted_sets=2,
+            config=cfg,
             fuzzy_runs=[fake_run(10, rep, data.draw(tables_over(tuple(labels))))
                         for rep in range(repetitions)],
             baseline_tables={algo: [data.draw(tables_over(tuple(ids)))
@@ -645,6 +645,25 @@ class TestCli:
         out = tmp_path / "c"
         assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+    def test_custom_runs_custom_on_a_file_without_experiment(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "seed": 2, "rounds": [10], "repetitions": 1, "population_per_label": TINY_POP}))
+        assert main(["run", "custom", "--config", "cfg.json"]) == 0
+        summary = json.loads((tmp_path / "runs" / "custom" / "summary.json").read_text())
+        assert summary["experiment"] == "custom"
+        assert not (tmp_path / "runs" / "exp1").exists()
+
+    def test_custom_runs_custom_on_a_file_naming_exp2(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "exp2", "seed": 2, "repetitions": 1,
+                                 "population_per_label": TINY_POP}))
+        out = tmp_path / "c"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["experiment"] == "custom"
+        assert list(summary["results"]) == ["100"] and "algorithms" not in summary
 
     def test_bad_rounds_flag_is_config_error(self, capsys):
         assert main(["run", "exp1", "--rounds", "ten"]) == 1

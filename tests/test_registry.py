@@ -61,9 +61,9 @@ def assert_sets_match(reg) -> int:
     cached = [(k, entry) for k, entry in enumerate(reg._selections) if entry is not None]
     for k, entry in cached:
         check(k, entry)
-    for k, s in enumerate(reg.trusted_sets()):
-        entry = s.draw_views()
-        assert entry[0] is s.positions
+    for k in range(reg.variable.n):
+        entry = reg.draw_views(k)
+        assert entry[0] is reg.trusted_set(k)
         check(k, entry)
     return len(cached)
 
@@ -74,7 +74,7 @@ CHANGES = st.one_of(
     st.tuples(st.just("reputation"), PICK, st.sampled_from([0.0, 0.3, 0.9, 1.0])),
     st.tuples(st.just("vote"), PICK, st.booleans()),
     st.tuples(st.just("stake"), PICK, STAKES),
-    st.tuples(st.just("excluded"), PICK, st.booleans()),
+    st.tuples(st.just("expel"), PICK, st.none()),
 )
 
 
@@ -162,8 +162,8 @@ class TestEnrollment:
         a, b, _, d, e = reg.participants()
         sets = reg.trusted_sets()
         assert [len(s) for s in sets] == [2, 1, 0, 0, 2]
-        assert sets[0].positions.tolist() == [a, b]
-        assert sets[4].positions.tolist() == [d, e]
+        assert sets[0].tolist() == [a, b]
+        assert sets[4].tolist() == [d, e]
 
     def test_a_built_registry_classifies_each_stake_once(self, monkeypatch):
         cfg = config_from_dict({
@@ -289,7 +289,7 @@ class TestIdIndex:
             with pytest.raises(IndexError):
                 reg.set_reputation(seq, 0.5)
             with pytest.raises(IndexError):
-                reg.set_excluded(seq, True)
+                reg.expel(seq)
         stake, label, rep, excluded = reg.columns()
         assert (stake.tolist(), label.tolist(), rep.tolist(), excluded.tolist()) == (
             [1.0, 6.0], [1, 3], [1.0, 1.0], [False, False])
@@ -337,16 +337,16 @@ class TestExpulsion:
         a, b = reg.participants()
         reg.apply_vote_outcome(a, False)
         sets = reg.trusted_sets()
-        assert sets[2].positions.tolist() == [b]
-        assert [seq for s in sets for seq in s.positions] == [b]
+        assert sets[2].tolist() == [b]
+        assert [seq for s in sets for seq in s] == [b]
         assert len(reg.participants()) == 2  # still enrolled, just inactive
         assert [len(s) for s in sets] == [0, 0, 1, 0, 0]
 
 
-def reputations(reg, group):
-    """The reputations of group's members, in set order."""
+def reputations(reg, k):
+    """The reputations of the members of set k, in set order."""
     rep = reg.columns()[2]
-    return [rep[seq] for seq in group.positions]
+    return [rep[seq] for seq in reg.trusted_set(k)]
 
 
 class TestTrustedSetIndex:
@@ -355,39 +355,37 @@ class TestTrustedSetIndex:
         a, b, c, d, e = reg.participants()
         assert reg.columns()[1].tolist() == [1, 1, 1, 3, 5]
         reg.set_reputation(b, 0.7)
-        assert reputations(reg, reg.trusted_sets()[0]) == [1.0, 0.7, 1.0]
-        reg.set_excluded(b, True)
-        assert reg.trusted_sets()[0].positions.tolist() == [a, c]
+        assert reputations(reg, 0) == [1.0, 0.7, 1.0]
+        reg.expel(b)
+        assert reg.trusted_set(0).tolist() == [a, c]
         reg.set_stake(c, 6.0)  # to label 3
-        assert reg.trusted_sets()[2].positions.tolist() == [c, d]
-        reg.set_excluded(b, False)  # back into its place, with the reputation it left with
-        assert reg.trusted_sets()[0].positions.tolist() == [a, b]
-        assert reputations(reg, reg.trusted_sets()[0]) == [1.0, 0.7]
+        assert reg.trusted_set(2).tolist() == [c, d]
         assert_sets_match(reg)
-        # writes to an excluded member show up when it comes back
-        reg.set_excluded(e, True)
+        entry = reg.draw_views(0)
+        reg.expel(b)  # already out: nothing moves
+        assert reg.draw_views(0) is entry
+        # writes to an excluded member reach no set
+        reg.expel(e)
         reg.set_reputation(e, 0.3)
         reg.set_stake(e, 0.5)  # to label 1
-        assert len(reg.trusted_sets()[4]) == 0
-        reg.set_excluded(e, False)
-        assert reg.trusted_sets()[0].positions.tolist() == [a, b, e]
-        assert reputations(reg, reg.trusted_sets()[0]) == [1.0, 0.7, 0.3]
+        assert len(reg.trusted_set(4)) == 0
+        assert reg.trusted_set(0).tolist() == [a]
+        assert reg.draw_views(0) is entry
         assert_sets_match(reg)
 
     def test_set_stake_leaves_a_same_label_member_in_place(self):
         reg = make_registry([0.2, 0.4, 0.6])
         ps = reg.participants()
-        group = reg.trusted_sets()[0]
-        positions, entry = group.positions, group.draw_views()
+        positions, entry = reg.trusted_set(0), reg.draw_views(0)
         reg.set_stake(ps[1], 0.45)
-        assert group.positions.tolist() == list(ps)
-        assert group.draw_views() is entry  # a same-label stake change drops nothing
+        assert reg.trusted_set(0).tolist() == list(ps)
+        assert reg.draw_views(0) is entry  # a same-label stake change drops nothing
         reg.set_reputation(ps[0], 0.5)
-        assert group.positions is positions  # a reputation write never rescans the population
-        assert reputations(reg, group) == [0.5, 1.0, 1.0]
+        assert reg.trusted_set(0) is positions  # a reputation write never rescans the population
+        assert reputations(reg, 0) == [0.5, 1.0, 1.0]
         reg.set_stake(ps[1], 2.0)
-        assert group.positions is not positions
-        assert group.positions.tolist() == [ps[0], ps[2]]
+        assert reg.trusted_set(0) is not positions
+        assert reg.trusted_set(0).tolist() == [ps[0], ps[2]]
         assert_sets_match(reg)
 
     def test_unknown_label_is_refused_before_anything_moves(self):
@@ -395,12 +393,12 @@ class TestTrustedSetIndex:
         reg = make_registry([5.0])
         p, = reg.participants()
         label = reg.columns()[1]
-        entry = reg.trusted_sets()[2].draw_views()
+        entry = reg.draw_views(2)
         for bad in (0, 6, 1):
             with pytest.raises(TypeError):
                 label[p] = bad  # the columns are read-only, and no label writer exists
         assert label[p] == 3
-        assert reg.trusted_sets()[2].draw_views() is entry  # nothing reached the sets
+        assert reg.draw_views(2) is entry  # nothing reached the sets
         reg.set_stake(p, 0.5)
         assert label[p] == 1
         assert_sets_match(reg)
@@ -409,15 +407,14 @@ class TestTrustedSetIndex:
         reg = make_registry([5.0, 5.5])
         p, _ = reg.participants()
         rep = reg.columns()[2]
-        group = reg.trusted_sets()[2]
-        entry = group.draw_views()
+        entry = reg.draw_views(2)
         for bad in (-0.5, float("nan"), 3.0, 1.0 + 1e-12, -1e-300):
             with pytest.raises(ValueError, match="reputation"):
                 reg.set_reputation(p, bad)
         assert rep[p] == 1.0
-        assert group.draw_views() is entry  # no write reached the set's cache
+        assert reg.draw_views(2) is entry  # no write reached the set's cache
         reg.set_reputation(p, 0.0)  # both ends of [0, 1] are taken
-        assert reputations(reg, group) == [0.0, 1.0]
+        assert reputations(reg, 2) == [0.0, 1.0]
         reg.set_reputation(p, 1.0)
         assert_sets_match(reg)
 
@@ -428,7 +425,7 @@ class TestTrustedSetIndex:
             reg = Registry(var, sample_stakes_for_census(var, (12, 9, 7, 5, 4),
                                                          substream(7, "stakes")),
                            ReputationParams())
-            columns, sets = reg.columns(), reg.trusted_sets()
+            columns = reg.columns()
             chain = Chain()
             engine = FuzzychainEngine(reg, chain, commission=0.8, byzantine_rate=0.2)
             priv, pub = new_keypair(substream(7, "keys"))
@@ -437,11 +434,11 @@ class TestTrustedSetIndex:
                 block = build_block(chain.tip(), [sign_transaction(priv, pub, 1.0, r)], clock=r)
                 engine.run_round(block, sel, vot)
             reg.set_reputation(0, 0.5)
-            for group in sets:
-                group.draw_views()  # each set's caches hold memoryviews again
-            members = sets[2].positions
+            for k in range(var.n):
+                reg.draw_views(k)  # each set's caches hold memoryviews again
+            members = reg.trusted_set(2)
             ref = weakref.ref(reg)
-            del reg, engine, sets, group
+            del reg, engine
             assert ref() is None
             assert len(columns[0]) == 37 and len(members) > 0  # what was handed out outlives it
         finally:
@@ -450,23 +447,20 @@ class TestTrustedSetIndex:
     def test_handed_out_arrays_are_read_only(self):
         reg = make_registry([0.5, 1.0, 6.0])
         a, b, _ = reg.participants()
-        group = reg.trusted_sets()[0]
 
         def assert_read_only():
-            for view in (group.positions, *group.draw_views()):
+            for view in (reg.trusted_set(0), *reg.draw_views(0)):
                 with pytest.raises(TypeError, match="read-only"):
                     view[0] = 0.5
                 with pytest.raises(ValueError, match="read-only"):
                     np.asarray(view)[0] = 0.5
 
         assert_read_only()  # built after enrollment
-        reg.set_excluded(b, True)
+        reg.expel(b)
         assert_read_only()  # rebuilt after an exclusion
-        reg.set_excluded(b, False)
-        assert_read_only()  # rebuilt after a readmission
         reg.set_reputation(a, 0.4)
         assert_read_only()  # entry rebuilt after a reputation write
-        assert reputations(reg, group) == [0.4, 1.0]
+        assert reputations(reg, 0) == [0.4]
         assert_sets_match(reg)
 
     @given(st.lists(STAKES, min_size=1, max_size=8), st.lists(CHANGES, max_size=40))
@@ -513,7 +507,7 @@ def apply_change(reg, kind, seq, value):
     elif kind == "reputation":
         reg.set_reputation(seq, value)
     else:
-        reg.set_excluded(seq, value)
+        reg.expel(seq)
 
 
 def assert_rows_read_python_scalars(reg):
@@ -560,10 +554,9 @@ class TestColumns:
            st.booleans())
     def test_view_reads_are_python_scalars(self, stakes, changes, as_numpy):
         reg = make_registry(stakes, epsilon=0.5)
-        numpy_type = {"reputation": np.float64, "stake": np.float64,
-                      "excluded": np.bool_, "vote": np.bool_}
+        numpy_type = {"reputation": np.float64, "stake": np.float64, "vote": np.bool_}
         for kind, pick, value in changes:
-            if as_numpy:
+            if as_numpy and kind in numpy_type:
                 value = numpy_type[kind](value)
             apply_change(reg, kind, reg.participants()[pick % len(reg)], value)
             assert_rows_read_python_scalars(reg)
@@ -573,14 +566,13 @@ class TestColumns:
         reg = make_registry([np.float64(2.5)])
         p, = reg.participants()
         reg.set_reputation(p, np.float64(0.5))
-        reg.set_excluded(p, np.bool_(True))
+        reg.expel(p)
         reg.set_stake(p, np.float64(7.5))  # to label 4
         assert_python_scalars(reg, p)
         reg.set_reputation(p, 1)
-        reg.set_excluded(p, np.bool_(False))
         reg.set_stake(p, np.float64(2.5))  # back to label 2
         assert_python_scalars(reg, p)
-        assert [col[p] for col in reg.columns()] == [2.5, 2, 1.0, False]
+        assert [col[p] for col in reg.columns()] == [2.5, 2, 1.0, True]
 
 
 def build_population():
