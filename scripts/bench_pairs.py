@@ -11,6 +11,7 @@ pairs, and flags (exit 1) a change that fails a larger share of its runs
 than the parent.
 
     python3 scripts/bench_pairs.py ../parent ../change --workload exp1_paper --pairs 10
+    python3 scripts/bench_pairs.py ../parent ../change --workload exp1_paper --json BENCH.json
 
 The two checkouts must sit at absolute paths of equal length: the
 path's length shifts what the interpreter allocates in every run, and
@@ -127,6 +128,19 @@ def format_failures(parent: tuple[int, int], change: tuple[int, int]) -> str:
     return line
 
 
+def json_record(run_args: dict, pairs: list[tuple[dict, dict]], rows: list[dict],
+                counts: tuple[tuple[int, int], tuple[int, int]]) -> dict:
+    """What --json writes: the run arguments, each pair's (parent, change)
+    metric values, the summary rows and each side's attempted and failed runs."""
+    return {
+        "args": run_args,
+        "pairs": [{"parent": p, "change": c} for p, c in pairs],
+        "summary": rows,
+        "runs": {side: {"attempted": attempted, "failed": failed}
+                 for side, (attempted, failed) in zip(("parent", "change"), counts)},
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout before the change")
@@ -135,6 +149,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="also write the pairs, summary and run counts to PATH as JSON")
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     if len(str(parent)) != len(str(change)):
@@ -167,9 +183,16 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{name} {out[parent][name]:.6g} -> {out[change][name]:.6g}" for name, *_ in metrics),
             flush=True)
-    print(format_summary(summarize(pairs, metrics)))
+    rows = summarize(pairs, metrics)
+    print(format_summary(rows))
     counts = run_counts(results)
     print(format_failures(*counts))
+    if args.json:
+        run_args = {"parent": str(args.parent), "change": str(args.change),
+                    "workload": args.workload, "pairs": args.pairs,
+                    "seconds": args.seconds, "seed": args.seed}
+        args.json.write_text(json.dumps(json_record(run_args, pairs, rows, counts),
+                                        indent=2) + "\n")
     return 1 if fails_more(*counts) else 0
 
 

@@ -43,11 +43,16 @@ def run_pow(ids, powers, rounds: int, rng) -> FrequencyTable:
     powers = _weights("hash_power", ids, powers, rounds)
     # scale = 1/rate, times the largest power so that subnormal powers cannot
     # overflow; argmin along the miner axis picks each round's winner. Blocks
-    # of rounds draw the same stream as one draw, in bounded memory.
+    # of rounds draw the same stream as one draw, in bounded memory. numpy's
+    # exponential(scale) is scale x standard_exponential() element by element,
+    # so standard draws scaled in place are the same times, in one array a block.
     scale = powers.max() / powers
     step = max(1, POW_BLOCK_DRAWS // len(ids))
-    winners = [np.argmin(rng.exponential(scale, size=(min(step, rounds - r), len(ids))), axis=1)
-               for r in range(0, rounds, step)]
+    winners = []
+    for r in range(0, rounds, step):
+        times = rng.standard_exponential(size=(min(step, rounds - r), len(ids)))
+        times *= scale
+        winners.append(np.argmin(times, axis=1))
     return FrequencyTable.tally(ids, np.concatenate(winners))
 
 

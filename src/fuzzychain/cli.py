@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     if args.config:
-        cfg = replace(load_config(args.config), experiment=args.experiment)
+        cfg = load_config(args.config, experiment=args.experiment)
     elif args.experiment == "custom":
         raise ConfigError(["custom runs need --config <path>"])
     else:

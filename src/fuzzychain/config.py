@@ -288,7 +288,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, *, experiment: str | None = None) -> ExperimentConfig:
+    """Build and validate the config in a JSON file; experiment, when given,
+    replaces the file's "experiment" key before validation."""
     p = Path(path)
     if not p.exists():
         raise ConfigError([f"config file not found: {p}"])
@@ -298,4 +300,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"config file is not valid JSON: {e}"])
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"config file cannot be read: {p}: {e}"])
+    if experiment is not None and isinstance(data, dict):
+        data = {**data, "experiment": experiment}
     return config_from_dict(data)

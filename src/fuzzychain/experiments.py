@@ -13,7 +13,7 @@ after another in a single serial loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,9 +38,14 @@ EXPECTED_GINI_ORDER = ("fuzzychain", "dpos", "pos", "pow")
 
 
 def build_variable(config: ExperimentConfig) -> LinguisticVariable:
-    return make_uniform_partition(
-        "stake", config.labels, config.universe_lo, config.universe_hi
-    )
+    """The config's stake partition; one frozen instance serves every
+    repetition and registry of equal labels and universe."""
+    return _uniform_partition(tuple(config.labels), config.universe_lo, config.universe_hi)
+
+
+@lru_cache(maxsize=16)
+def _uniform_partition(labels: tuple, lo: float, hi: float) -> LinguisticVariable:
+    return make_uniform_partition("stake", labels, lo, hi)
 
 
 def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray:
@@ -49,20 +54,41 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
     A draw can land exactly on an interval boundary, where the tie
     resolves to the lower label; those are redrawn so the resulting
     per-label census is exact, not just approximate.
+
+    Each label's batch is drawn in census order and the whole census is
+    classified once. Only if a stake left its label (about 2**-53 per
+    draw) does the stream rewind to replay the census label by label, so
+    the stakes and the stream position are those of that loop either way.
     """
     intervals = hmdf_win_intervals(var)
-    chunks = []
+    state = rng.bit_generator.state
+    stakes = _concatenate([rng.uniform(*intervals[i], size=int(k))
+                           for i, k in enumerate(census)])
+    labels, _ = classify_batch(var, stakes)
+    end = 0
     for i, k in enumerate(census):
-        lo, hi = intervals[i]
-        vals = rng.uniform(lo, hi, size=int(k))
-        while True:
-            labels, _ = classify_batch(var, vals)
-            bad = np.flatnonzero(labels != i + 1)
-            if not bad.size:
-                break
-            vals[bad] = rng.uniform(lo, hi, size=len(bad))
-        chunks.append(vals)
+        start, end = end, end + int(k)
+        if not (labels[start:end] == i + 1).all():
+            rng.bit_generator.state = state
+            return _concatenate([_redraw_until_labelled(var, j + 1, intervals[j], int(m), rng)
+                                 for j, m in enumerate(census)])
+    return stakes
+
+
+def _concatenate(chunks: list) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.array([])
+
+
+def _redraw_until_labelled(var: LinguisticVariable, label: int, interval, k: int,
+                           rng) -> np.ndarray:
+    """k stakes drawn in interval, each redrawn until it classifies as label."""
+    vals = rng.uniform(*interval, size=k)
+    while True:
+        labels, _ = classify_batch(var, vals)
+        bad = np.flatnonzero(labels != label)
+        if not bad.size:
+            return vals
+        vals[bad] = rng.uniform(*interval, size=len(bad))
 
 
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:

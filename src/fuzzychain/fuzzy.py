@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGREE_TOL = 1e-9
+CLASSIFY_BLOCK = 8192  # stakes classify_batch holds in its scratch arrays at once
 
 SHOULDER_LEFT = "shoulder-left"
 INTERIOR = "interior"
@@ -64,18 +65,35 @@ def membership(mf: MembershipFunction, x: float) -> float:
     return (mf.c - x) / (mf.c - mf.b) if mf.c > mf.b else 1.0
 
 
+def _membership_into(mf: MembershipFunction, xs: np.ndarray, out: np.ndarray,
+                     work: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """membership() of every x in xs, written into out; work (float) and mask
+    (bool) are scratch arrays of xs's shape. The one vectorized formula."""
+    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
+    if mf.b > mf.a:
+        np.subtract(xs, mf.a, out=out)
+        out /= mf.b - mf.a
+    else:
+        np.greater_equal(xs, mf.a, out=out)
+    if mf.c > mf.b:
+        np.subtract(mf.c, xs, out=work)
+        work /= mf.c - mf.b
+    else:
+        np.less_equal(xs, mf.c, out=work)
+    np.minimum(out, work, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+    if mf.shape == SHOULDER_LEFT:
+        np.copyto(out, 1.0, where=np.less_equal(xs, mf.b, out=mask))
+    elif mf.shape == SHOULDER_RIGHT:
+        np.copyto(out, 1.0, where=np.greater_equal(xs, mf.b, out=mask))
+    return out
+
+
 def membership_array(mf: MembershipFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized membership; elementwise identical to membership()."""
     xs = np.asarray(xs, dtype=float)
-    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
-    rising = (xs - mf.a) / (mf.b - mf.a) if mf.b > mf.a else (xs >= mf.a).astype(float)
-    falling = (mf.c - xs) / (mf.c - mf.b) if mf.c > mf.b else (xs <= mf.c).astype(float)
-    deg = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    if mf.shape == SHOULDER_LEFT:
-        deg = np.where(xs <= mf.b, 1.0, deg)
-    elif mf.shape == SHOULDER_RIGHT:
-        deg = np.where(xs >= mf.b, 1.0, deg)
-    return deg
+    return _membership_into(mf, xs, np.empty_like(xs), np.empty_like(xs),
+                            np.empty(xs.shape, bool))
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,7 @@ def classify_stake(var: LinguisticVariable, stake: float) -> LabelAssignment:
 
 
 def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndarray]:
-    """classify_stake over a batch in one vectorized pass.
+    """classify_stake over a batch, in blocks of CLASSIFY_BLOCK stakes.
 
     Returns the 1-based label indices and their degrees, elementwise equal
     to classify_stake: stakes above the universe top are clamped, ties go
@@ -177,23 +195,32 @@ def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndar
     OutOfUniverseError before anything is returned.
     """
     xs = np.asarray(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
-    xs = np.minimum(xs, var.universe_hi)
-    outside = xs[~(xs >= var.universe_lo)]
-    if outside.size:
-        raise OutOfUniverseError(
-            f"stake {outside[0]} outside universe [{var.universe_lo}, {var.universe_hi}]"
-        )
-    # a running argmax: a later label takes a stake only with a strictly higher
-    # degree, so ties stay with the lowest label and one degree array is alive at a time
-    best = membership_array(var.mfs[0], xs)
-    labels = np.ones(xs.size, dtype=np.intp)
-    for label, mf in enumerate(var.mfs[1:], start=2):
-        degree = membership_array(mf, xs)
-        higher = degree > best
-        np.copyto(best, degree, where=higher)
-        np.copyto(labels, label, where=higher)
-        del degree, higher
-    return labels, best
+    n = xs.size
+    labels, degrees = np.empty(n, dtype=np.intp), np.empty(n)
+    # block-sized scratch, reused by every block and label: the clamped stakes,
+    # a degree, its falling flank and a mask
+    m = min(n, CLASSIFY_BLOCK)
+    scratch = np.empty(m), np.empty(m), np.empty(m), np.empty(m, bool)
+    for start in range(0, n, CLASSIFY_BLOCK):
+        end = min(start + CLASSIFY_BLOCK, n)
+        x, degree, flank, mask = (a[:end - start] for a in scratch)
+        np.minimum(xs[start:end], var.universe_hi, out=x)
+        if not np.greater_equal(x, var.universe_lo, out=mask).all():
+            raise OutOfUniverseError(
+                f"stake {x[np.argmin(mask)]} outside universe"
+                f" [{var.universe_lo}, {var.universe_hi}]"
+            )
+        # a running argmax: a later label takes a stake only with a strictly higher
+        # degree, so ties stay with the lowest label
+        best, label_of = degrees[start:end], labels[start:end]
+        _membership_into(var.mfs[0], x, best, flank, mask)
+        label_of.fill(1)
+        for label, mf in enumerate(var.mfs[1:], start=2):
+            _membership_into(mf, x, degree, flank, mask)
+            np.greater(degree, best, out=mask)
+            np.copyto(best, degree, where=mask)
+            np.copyto(label_of, label, where=mask)
+    return labels, degrees
 
 
 def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:

@@ -61,8 +61,8 @@ def new_keypair(rng, curve: str = DEFAULT_CURVE):
     c = _curve(curve)
     nwords = (c.key_size + 31) // 32 + 2  # extra words make reduction bias negligible
     raw = 0
-    for _ in range(nwords):
-        raw = (raw << 32) | int(rng.integers(0, 2**32))
+    for word in rng.integers(0, 2**32, size=nwords).tolist():
+        raw = (raw << 32) | word
     value = raw % (2**c.key_size - 3) + 1
     while True:
         try:

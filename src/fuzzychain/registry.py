@@ -35,9 +35,10 @@ REPUTATION_SNAP_TOL = 1e-9
 def reputation_cdf(weights: np.ndarray) -> np.ndarray | None:
     """The cdf that rng.choice(len(weights), p=weights / wsum) searches,
     built with the same floating-point steps, or None when every weight is 0."""
-    wsum = weights.sum()
+    wsum = np.add.reduce(weights)
     if wsum > 0:
-        cdf = (weights / wsum).cumsum()
+        cdf = np.divide(weights, wsum)
+        np.add.accumulate(cdf, out=cdf)
         cdf /= cdf[-1]
         return cdf
     return None
@@ -122,8 +123,9 @@ class Registry:
         self.variable = variable
         self.params = params or ReputationParams()
         self._ids = EnrollmentIds(n)
+        self._reputation_array = np.ones(n)  # the reputation column, as draw_views gathers it
         self._stake, self._label, self._reputation, self._excluded = map(memoryview, (
-            stakes, np.asarray(labels, np.int64), np.ones(n), np.zeros(n, bool)))
+            stakes, np.asarray(labels, np.int64), self._reputation_array, np.zeros(n, bool)))
         self._columns = tuple(col.toreadonly() for col in
                               (self._stake, self._label, self._reputation, self._excluded))
         self._positions, self._selections = [None] * variable.n, [None] * variable.n
@@ -173,9 +175,9 @@ class Registry:
         floats, as the round's draws want."""
         if self._selections[k] is None:
             positions = self.trusted_set(k)
-            reps = np.asarray(self._reputation)[np.asarray(positions)]
+            reps = self._reputation_array.take(positions)
             cdf = reputation_cdf(reps)
-            self._selections[k] = (positions, memoryview(np.flatnonzero(reps == 1.0)).toreadonly(),
+            self._selections[k] = (positions, memoryview((reps == 1.0).nonzero()[0]).toreadonly(),
                                    None if cdf is None else memoryview(cdf).toreadonly())
         return self._selections[k]
 

@@ -43,6 +43,21 @@ class TestPow:
         times = substream(5, "pow").exponential(powers.max() / powers, size=(50, n))
         assert t.counts().tolist() == np.bincount(times.argmin(axis=1), minlength=n).tolist()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaled_standard_draws_are_the_exponential_draws(self, seed):
+        n = POW_BLOCK_DRAWS // 20 + 1  # 19 rounds per block: 50 rounds end on a block of 12
+        powers = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
+        scale = powers.max() / powers
+        expect = substream(seed, "pow").exponential(scale, size=(50, n))
+        rng, blocks = substream(seed, "pow"), []
+        for r in range(0, 50, 19):
+            blocks.append(rng.standard_exponential(size=(min(19, 50 - r), n)))
+            blocks[-1] *= scale
+        times = np.concatenate(blocks)
+        assert times.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        t = run_pow(ids("m", n), powers, 50, substream(seed, "pow"))
+        assert t.counts().tolist() == np.bincount(expect.argmin(axis=1), minlength=n).tolist()
+
     def test_counts_sum_to_rounds(self):
         t = run_pow(ids("m", 7), np.arange(1.0, 8.0), 321, substream(2, "pow"))
         assert t.total() == 321

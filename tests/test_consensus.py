@@ -313,6 +313,20 @@ class TestStreamExactDraws:
             assert new.bit_generator.state == ref.bit_generator.state
             assert on_view.bit_generator.state == ref.bit_generator.state
 
+    @given(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=300))
+    @example([0.0])
+    @example([1.0, 1.0, 1.0])
+    def test_cdf_equals_the_cumsum_of_the_normalized_weights(self, weights):
+        w = np.array(weights)
+        cdf = reputation_cdf(w)
+        if w.sum() > 0:
+            expect = (w / w.sum()).cumsum()
+            expect /= expect[-1]
+            assert cdf.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        else:
+            assert cdf is None
+
     def test_weighted_pick_on_a_cdf_step_takes_the_next_position(self):
         # choice searches its cdf with side="right": a uniform equal to a step goes past it
         seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)

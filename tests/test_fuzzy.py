@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fuzzychain.fuzzy import (
+    CLASSIFY_BLOCK,
     INTERIOR,
     SHOULDER_LEFT,
     SHOULDER_RIGHT,
@@ -30,6 +31,20 @@ LABELS5 = ("VL", "L", "M", "H", "VH")
 @pytest.fixture(scope="module")
 def var5():
     return make_uniform_partition("stake", LABELS5, 0.0, 10.0)
+
+
+def non_uniform_partition():
+    """Five labels with unevenly spaced peaks: crossovers at 0.5, 1.75, 4.25, 8."""
+    peaks = (0.0, 1.0, 2.5, 6.0, 10.0)
+    mfs = [MembershipFunction(0.0, 0.0, 1.0, SHOULDER_LEFT)]
+    mfs += [MembershipFunction(a, b, c) for a, b, c in zip(peaks, peaks[1:], peaks[2:])]
+    mfs.append(MembershipFunction(6.0, 10.0, 10.0, SHOULDER_RIGHT))
+    return LinguisticVariable("stake", LABELS5, 0.0, 10.0, tuple(mfs))
+
+
+def bits(xs) -> list:
+    """The float64 bit patterns of xs, so -0.0 and 0.0 differ."""
+    return np.asarray(xs, dtype=float).view(np.uint64).tolist()
 
 
 class TestMembershipFunction:
@@ -197,11 +212,7 @@ class TestHmdf:
         assert scale_stakes(var5, []) == []
 
     def test_batch_equals_classify_stake_bit_for_bit_on_a_non_uniform_partition(self):
-        peaks = (0.0, 1.0, 2.5, 6.0, 10.0)
-        mfs = [MembershipFunction(0.0, 0.0, 1.0, SHOULDER_LEFT)]
-        mfs += [MembershipFunction(a, b, c) for a, b, c in zip(peaks, peaks[1:], peaks[2:])]
-        mfs.append(MembershipFunction(6.0, 10.0, 10.0, SHOULDER_RIGHT))
-        var = LinguisticVariable("stake", LABELS5, 0.0, 10.0, tuple(mfs))
+        var = non_uniform_partition()
         crossovers = [hi for _lo, hi in hmdf_win_intervals(var)[:-1]]
         assert crossovers == [0.5, 1.75, 4.25, 8.0]
         stakes = [0.0, 10.0, 10.5, 1e300, np.inf]
@@ -226,6 +237,53 @@ class TestHmdf:
                 tracemalloc.stop()
 
         assert peak(15) <= 1.1 * peak(3)
+
+    @pytest.mark.parametrize("size", [0, 1, CLASSIFY_BLOCK - 1, CLASSIFY_BLOCK,
+                                      CLASSIFY_BLOCK + 1, 2 * CLASSIFY_BLOCK + 3])
+    @pytest.mark.parametrize("partition", ["uniform3", "uniform5", "uniform7", "non-uniform"])
+    def test_blocks_equal_classify_stake_bit_for_bit(self, partition, size):
+        if partition == "non-uniform":
+            var = non_uniform_partition()
+        else:
+            n = int(partition[-1])
+            var = make_uniform_partition("stake", [f"L{i}" for i in range(n)], -3.0, 7.3)
+        lo, hi = var.universe_lo, var.universe_hi
+        edges = [x for interval in hmdf_win_intervals(var) for x in interval]
+        special = [lo, hi, np.nextafter(hi, np.inf), hi + 1.0, 1e300, np.inf]
+        special += [y for x in edges for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))
+                    if y >= lo]
+        rng = np.random.default_rng(size)
+        stakes = rng.uniform(lo, hi + 1.0, size)
+        if size >= len(special):  # spread over the blocks, the partial last one included
+            stakes[np.linspace(0, size - 1, len(special)).astype(int)] = special
+        else:
+            stakes[:] = special[:size]
+        labels, degrees = classify_batch(var, stakes)
+        expect = [classify_stake(var, x) for x in stakes]
+        assert labels.tolist() == [e.label_index for e in expect]
+        assert bits(degrees) == bits([e.degree for e in expect])
+
+    @pytest.mark.parametrize("position", [0, CLASSIFY_BLOCK + 5, 3 * CLASSIFY_BLOCK])
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_a_stake_outside_any_block_raises_naming_the_first(self, var5, position, bad):
+        stakes = np.full(3 * CLASSIFY_BLOCK + 2, 5.0)
+        stakes[position] = bad
+        stakes[-1] = -7.0  # a later stray is not the one named
+        with pytest.raises(OutOfUniverseError, match=f"^stake {bad} outside universe"):
+            classify_batch(var5, stakes)
+
+    def test_batch_allocates_nothing_stake_sized_beyond_its_outputs(self, var5):
+        n = 49_500
+        stakes = np.random.default_rng(4).uniform(0.0, 12.0, n)
+        tracemalloc.start()
+        try:
+            labels, degrees = classify_batch(var5, stakes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = labels.nbytes + degrees.nbytes
+        # the two outputs and one clamped copy of the stakes, plus block-sized scratch
+        assert peak <= outputs + stakes.nbytes + 5 * 8 * CLASSIFY_BLOCK
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     min_size=2, max_size=50))

@@ -14,8 +14,9 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzychain import experiments, outputs
 from fuzzychain.cli import main
@@ -36,6 +37,7 @@ from fuzzychain.experiments import (
     sample_stakes_for_census,
     build_variable,
 )
+from fuzzychain.fuzzy import classify_batch, hmdf_win_intervals
 from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import FrequencyTable
 from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
@@ -206,7 +208,82 @@ class TestConfigValidation:
         assert (sample_dist({"type": "pareto", "shape": 2.0, "scale": 3.0}, 100, rng) >= 3).all()
 
 
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def force_next_draw_to_zero(rng) -> None:
+    """Set a PCG64 generator's state so that its next 64-bit output is 0, so its
+    next uniform(lo, hi) is lo exactly. The output is the xor of the stepped
+    state's two halves, rotated: equal halves give 0."""
+    state = rng.bit_generator.state
+    halves = 0x0123456789ABCDEF
+    stepped = (halves << 64) | halves
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    state["state"]["state"] = (stepped - state["state"]["inc"]) * inverse % (1 << 128)
+    state["has_uint32"] = state["uinteger"] = 0
+    rng.bit_generator.state = state
+
+
+def census_label_by_label(var, census, rng):
+    """The census sampler as one label at a time: draw the label's batch and
+    redraw each stake that classifies elsewhere, then the next label."""
+    chunks = []
+    for i, (k, (lo, hi)) in enumerate(zip(census, hmdf_win_intervals(var))):
+        vals = rng.uniform(lo, hi, size=k)
+        while (bad := np.flatnonzero(classify_batch(var, vals)[0] != i + 1)).size:
+            vals[bad] = rng.uniform(lo, hi, size=len(bad))
+        chunks.append(vals)
+    return np.concatenate(chunks) if chunks else np.array([])
+
+
 class TestStakeSampling:
+    @given(st.lists(st.integers(0, 60), min_size=5, max_size=5),
+           st.integers(0, 2**32 - 1))
+    @example([0, 0, 0, 0, 0], 0)
+    @settings(max_examples=300)
+    def test_one_pass_census_equals_the_label_by_label_loop(self, census, seed):
+        var = build_variable(tiny())
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        stakes = sample_stakes_for_census(var, census, rng)
+        expect = census_label_by_label(var, census, ref)
+        assert stakes.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("census", [[0, 3, 2, 1, 1], [0, 0, 0, 0, 4]])
+    def test_a_draw_on_a_label_edge_replays_label_by_label(self, census, monkeypatch):
+        var = build_variable(tiny())
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for gen in (rng, ref):
+            force_next_draw_to_zero(gen)
+        first = next(i for i, k in enumerate(census) if k)
+        edge = hmdf_win_intervals(var)[first][0]  # the first draw: ties go one label down
+        assert classify_batch(var, [edge])[0].tolist() == [first]
+        calls = []
+
+        def counted(variable, xs):
+            calls.append(len(xs))
+            return classify_batch(variable, xs)
+
+        monkeypatch.setattr(experiments, "classify_batch", counted)
+        stakes = sample_stakes_for_census(var, census, rng)
+        monkeypatch.undo()
+        assert len(calls) > 1  # the one pass found the stray and the loop replayed
+        expect = census_label_by_label(var, census, ref)
+        assert stakes.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert edge not in stakes.tolist()
+        labels = classify_batch(var, stakes)[0].tolist()
+        assert labels == [i + 1 for i, k in enumerate(census) for _ in range(k)]
+
+    def test_equal_partitions_are_one_object(self):
+        var = build_variable(tiny())
+        assert build_variable(tiny(seed=3, rounds=(5,))) is var
+        assert build_variable(dataclasses.replace(tiny(), labels=list(tiny().labels))) is var
+        assert build_variable(tiny(universe_hi=200.0)) is not var
+        relabelled = dict(zip(("A", "B", "C", "D", "E"), TINY_POP.values()))
+        other = build_variable(tiny(labels=tuple(relabelled), population_per_label=relabelled))
+        assert other is not var and other.labels == ("A", "B", "C", "D", "E")
+
     def test_census_is_exact(self):
         cfg = tiny()
         var = build_variable(cfg)
@@ -664,6 +741,28 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["experiment"] == "custom"
         assert list(summary["results"]) == ["100"] and "algorithms" not in summary
+
+    def test_custom_validates_a_file_naming_exp2_as_custom(self, tmp_path, capsys):
+        # the file's rounds would be refused under exp2, but the run is custom
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "exp2", "seed": 2, "rounds": [10],
+                                 "repetitions": 1, "population_per_label": TINY_POP}))
+        out = tmp_path / "c"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 0, (
+            capsys.readouterr().err)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["experiment"] == "custom" and list(summary["results"]) == ["10"]
+
+    def test_exp2_validates_a_file_naming_custom_as_exp2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "custom", "rounds": [7], "repetitions": 1,
+                                 "population_per_label": TINY_POP}))
+        out = tmp_path / "never"
+        assert main(["run", "exp2", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: rounds: exp2 runs fuzzychain_rounds rounds instead, so it takes"
+            " only the default [100], got [7]\n")
+        assert not out.exists()
 
     def test_bad_rounds_flag_is_config_error(self, capsys):
         assert main(["run", "exp1", "--rounds", "ten"]) == 1

@@ -60,6 +60,22 @@ class TestKeys:
         assert verify_transaction(tx, curve="secp256k1")
         assert not verify_transaction(tx, curve="secp256r1")
 
+    @pytest.mark.parametrize("curve", sorted(ledger.CURVES))
+    def test_keys_equal_one_draw_per_word(self, curve):
+        # the word-by-word form: one scalar 32-bit draw per word of the scalar
+        c = ledger.CURVES[curve]()
+        nwords = (c.key_size + 31) // 32 + 2
+        for seed in range(25):
+            rng, ref = substream(seed, "keys"), substream(seed, "keys")
+            for _ in range(4):
+                priv, pub = new_keypair(rng, curve)
+                raw = 0
+                for _ in range(nwords):
+                    raw = (raw << 32) | int(ref.integers(0, 2**32))
+                value = raw % (2**c.key_size - 3) + 1
+                assert priv.private_numbers().private_value == value
+                assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_unknown_curve_rejected(self):
         with pytest.raises(LedgerError, match="unknown curve"):
             new_keypair(substream(5, "keys"), curve="ed25519")

@@ -162,6 +162,53 @@ def test_bench_pairs_sums_failed_runs_and_flags_a_larger_share():
     assert bench_pairs.format_failures((30, 0), (30, 0)) == "failed runs: parent 0/30, change 0/30"
 
 
+def test_bench_pairs_json_record_holds_args_pairs_summary_and_run_counts():
+    bench_pairs = load_bench_pairs()
+    pairs = [({"setup_s": 0.0009}, {"setup_s": 0.0005}), ({"setup_s": 0.0008}, {"setup_s": 0.0006})]
+    rows = bench_pairs.summarize(pairs, [("setup_s", "lower", 0.25)])
+    run_args = {"parent": "a", "change": "b", "workload": "exp1_paper", "pairs": 2,
+                "seconds": 10.0, "seed": 42}
+    record = bench_pairs.json_record(run_args, pairs, rows, ((6, 0), (7, 1)))
+    assert json.loads(json.dumps(record)) == {
+        "args": run_args,
+        "pairs": [{"parent": {"setup_s": 0.0009}, "change": {"setup_s": 0.0005}},
+                  {"parent": {"setup_s": 0.0008}, "change": {"setup_s": 0.0006}}],
+        "summary": rows,
+        "runs": {"parent": {"attempted": 6, "failed": 0}, "change": {"attempted": 7, "failed": 1}},
+    }
+    assert rows[0]["wins"] == 2 and rows[0]["change"]["median"] == pytest.approx(0.00055)
+
+
+def test_bench_pairs_writes_its_json_file(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    for side in ("pa", "ch"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+    setup = {"pa": [0.0009, 0.0008, 0.0010], "ch": [0.0005, 0.0004, 0.0006]}
+
+    def run_side(checkout, workload, seconds, seed):
+        value = setup[checkout.name].pop(0)
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"setup_s": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["pa", "ch", "--workload", "exp1_paper", "--pairs", "3",
+                             "--seconds", "5", "--json", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["args"] == {"parent": "pa", "change": "ch", "workload": "exp1_paper",
+                              "pairs": 3, "seconds": 5.0, "seed": 42}
+    assert [p["change"]["setup_s"] for p in record["pairs"]] == [0.0005, 0.0004, 0.0006]
+    [row] = record["summary"]
+    assert row["metric"] == "setup_s" and row["wins"] == 3 and row["verdict"] == "ok"
+    assert record["runs"] == {"parent": {"attempted": 9, "failed": 0},
+                              "change": {"attempted": 9, "failed": 0}}
+    assert "setup_s" in capsys.readouterr().out
+
+
 def test_bench_pairs_refuses_paths_of_unequal_length(tmp_path, capsys):
     bench_pairs = load_bench_pairs()
     short, longer = tmp_path / "a", tmp_path / "bb"
