@@ -68,7 +68,7 @@ class TestKeys:
         for seed in range(25):
             rng, ref = substream(seed, "keys"), substream(seed, "keys")
             for _ in range(4):
-                priv, pub = new_keypair(rng, curve)
+                priv, _ = new_keypair(rng, curve)
                 raw = 0
                 for _ in range(nwords):
                     raw = (raw << 32) | int(ref.integers(0, 2**32))
