@@ -46,7 +46,7 @@ def main() -> int:
     if len(set(seeds)) < len(seeds):  # a repeat would rerun a seed into the same directory
         ap.error(f"--seeds {args.seeds!r}: duplicates not allowed, got {seeds}")
     try:  # every seed's config, before any seed runs or writes
-        configs = [ExperimentConfig(experiment="exp2", seed=seed, repetitions=args.reps).validate()
+        configs = [ExperimentConfig(experiment="exp2", seed=seed, repetitions=args.reps)
                    for seed in seeds]
     except ConfigError as exc:
         ap.error(str(exc))

@@ -5,9 +5,13 @@
     fuzzychain run custom --config my.json --out runs/custom
     fuzzychain report runs/exp1
 
-The positional experiment replaces a --config file's "experiment" key.
-exp2 runs fuzzychain_rounds rounds, so it refuses --rounds and a config
-file's rounds other than the default.
+A run's config is one document: the --config file's object (or {}), then
+the positional experiment, then each flag given (--seed, --rounds, --reps
+as repetitions, --granularity), each replacing the key it names.
+config_from_dict checks the merged document once, so a file value that a
+flag replaces is never checked, and exp2's rule on rounds (only the
+default, since it runs fuzzychain_rounds) reads the same for a flag as
+for a file.
 
 Exit codes: 0 success, 1 configuration or usage error (an unknown flag, a
 bad choice), 2 runtime error; --help exits 0.
@@ -17,21 +21,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (EXPERIMENTS, GRANULARITIES, ConfigError, ExperimentConfig, config_from_dict,
+                     load_config)
 from .experiments import run_configured
 from .outputs import emit_outputs, format_report
 
 
-def _parse_rounds(text: str):
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_rounds(text: str) -> list:
+    try:  # an empty entry, as in "10,,20" or "10,", is no integer
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError([f"--rounds: expected comma-separated integers, got {text!r}"])
-    if not values:
-        raise ConfigError([f"--rounds: no round counts in {text!r}"])
-    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,13 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute an experiment and write its result files")
-    run.add_argument("experiment", choices=["exp1", "exp2", "custom"])
+    run.add_argument("experiment", choices=EXPERIMENTS)
     run.add_argument("--config", help="JSON config file (required for custom)")
     run.add_argument("--seed", type=int, help="master seed (default 42)")
     run.add_argument("--rounds", help="comma-separated round counts, e.g. 100,300,500")
     run.add_argument("--reps", type=int, help="repetitions per round count")
     run.add_argument("--out", help="output directory (default runs/<experiment>)")
-    run.add_argument("--granularity", choices=["per-label", "per-participant"],
+    run.add_argument("--granularity", choices=GRANULARITIES,
                      help="frequency key for the fuzzy algorithm's metrics")
 
     rep = sub.add_parser("report", help="print a digest of a finished run directory")
@@ -66,26 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     if args.config:
-        cfg = load_config(args.config, experiment=args.experiment)
+        doc = load_config(args.config)
     elif args.experiment == "custom":
         raise ConfigError(["custom runs need --config <path>"])
     else:
-        cfg = ExperimentConfig(experiment=args.experiment)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.rounds is not None:
-        if args.experiment == "exp2":  # exp2 runs fuzzychain_rounds; rounds would be echoed unused
-            raise ConfigError(["--rounds: exp2 runs fuzzychain_rounds rounds; set that key"
-                               " in a --config file instead"])
-        overrides["rounds"] = _parse_rounds(args.rounds)
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.granularity is not None:
-        overrides["granularity"] = args.granularity
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+        doc = {}
+    if isinstance(doc, dict):  # config_from_dict refuses any other top level
+        rounds = None if args.rounds is None else _parse_rounds(args.rounds)
+        flags = {"experiment": args.experiment, "seed": args.seed, "rounds": rounds,
+                 "repetitions": args.reps, "granularity": args.granularity}
+        doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
+    return config_from_dict(doc)
 
 
 def main(argv=None) -> int:

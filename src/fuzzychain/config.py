@@ -1,9 +1,9 @@
-"""Experiment configuration: defaults, file parsing, validation.
+"""Experiment configuration: defaults, file reading, checks.
 
 The whole harness is driven by one ExperimentConfig value; a run is a
-pure function of (config, seed inside it). Parsing collects *all*
-field-level problems before failing so a config file can be fixed in
-one pass.
+pure function of (config, seed inside it). An ExperimentConfig checks
+itself when built and collects *all* field-level problems before
+failing, so a config file can be fixed in one pass.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class BaselineConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; building one raises a ConfigError that lists every bad field."""
+
     experiment: str = "exp1"
     seed: int = 42
     universe_lo: float = 0.0
@@ -137,7 +139,7 @@ class ExperimentConfig:
     curve: str = DEFAULT_CURVE
     baselines: BaselineConfig = field(default_factory=BaselineConfig)
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         errors: list[str] = []
         if self.experiment not in EXPERIMENTS:
             errors.append(f"experiment: {self.experiment!r} not one of {EXPERIMENTS}")
@@ -240,7 +242,6 @@ class ExperimentConfig:
                 _check_dist(f"baselines.{dist_name}", getattr(b, dist_name), errors)
         if errors:
             raise ConfigError(errors)
-        return self
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -250,7 +251,8 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate a config from a parsed key-value document."""
+    """The checked config of a parsed key-value document: the one way from a
+    config file, the CLI's flags or a benchmark workload to a run."""
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a key-value object"])
     errors: list[str] = []
@@ -278,9 +280,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs[key] = BaselineConfig(**value)
         else:
             kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
     try:
-        cfg.validate()
+        cfg = ExperimentConfig(**kwargs)
     except ConfigError as e:
         errors.extend(e.errors)
     if errors:
@@ -288,9 +289,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path, *, experiment: str | None = None) -> ExperimentConfig:
-    """Build and validate the config in a JSON file; experiment, when given,
-    replaces the file's "experiment" key before validation."""
+def load_config(path):
+    """The parsed JSON document in a config file, unchecked: config_from_dict
+    checks it, after any caller's edits."""
     p = Path(path)
     if not p.exists():
         raise ConfigError([f"config file not found: {p}"])
@@ -300,6 +301,4 @@ def load_config(path, *, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError([f"config file is not valid JSON: {e}"])
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"config file cannot be read: {p}: {e}"])
-    if experiment is not None and isinstance(data, dict):
-        data = {**data, "experiment": experiment}
-    return config_from_dict(data)
+    return data

@@ -6,7 +6,7 @@ fixed float formatting so identical runs produce identical bytes.
 frequencies.csv holds the report's frequency_tables(): the header, then
 each table one row per category, its cells joined by "," and every row
 ended by a line end. No cell is ever quoted: labels hold no character
-that CSV quotes (see ExperimentConfig.validate), and ids and lead values
+that CSV quotes (ExperimentConfig refuses one), and ids and lead values
 never do, so these are the bytes csv.writer writes for those rows. A
 table is written as runs of cells that end at its nonzero counts: the
 cells of a run are joined by ",0", the line end and the table's lead

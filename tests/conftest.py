@@ -41,4 +41,4 @@ def tiny_config():
         population_per_label={"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4},
         rounds=(25,),
         repetitions=3,
-    ).validate()
+    )

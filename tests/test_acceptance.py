@@ -119,7 +119,7 @@ def test_c05_frequency_experiment_100_rounds():
     shares_in_band = 0
     for seed in range(1, 21):
         cfg = ExperimentConfig(experiment="exp1", seed=seed,
-                               rounds=(100,), repetitions=1).validate()
+                               rounds=(100,), repetitions=1)
         table = run_experiment1(cfg).runs[0].label_table
         row = np.array(table.counts(), dtype=float)
         assert row.sum() == 100
@@ -137,7 +137,7 @@ def test_c05_frequency_experiment_100_rounds():
 def test_c06_frequency_experiment_500_rounds():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(experiment="exp1", seed=42,
-                           rounds=(500,), repetitions=20).validate()
+                           rounds=(500,), repetitions=20)
     aggregates = run_experiment1(cfg).summary_dict()["results"]["500"]["aggregates"]
     assert 120.0 <= aggregates["VH"]["mean"] <= 170.0
     assert 45.0 <= aggregates["M"]["mean"] <= 95.0
@@ -149,7 +149,7 @@ def test_c07_gini_ordering():
     satisfied = 0
     for seed in range(1, 21):
         cfg = ExperimentConfig(experiment="exp2", seed=seed,
-                               repetitions=1).validate()
+                               repetitions=1)
         report = run_experiment2(cfg)
         satisfied += report.ordering_satisfied()[0]
         assert report.gini_by_algo()["fuzzychain"][0] < 0.30

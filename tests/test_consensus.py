@@ -594,7 +594,7 @@ class TestBlockValidation:
 
     @pytest.mark.parametrize("curve", sorted(CURVES))
     def test_honest_run_appends_every_block_on_every_curve(self, curve):
-        cfg = ExperimentConfig(rounds=(20,), repetitions=1, curve=curve).validate()
+        cfg = ExperimentConfig(rounds=(20,), repetitions=1, curve=curve)
         block = run_configured(cfg).summary_dict()["results"]["20"]
         assert block["chain_heights"] == [20]
         assert block["rejected_rounds"] == [0]

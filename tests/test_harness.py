@@ -12,6 +12,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -55,7 +56,7 @@ def tiny(**overrides):
         repetitions=3,
     )
     base.update(overrides)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def read_csv(path) -> list[dict]:
@@ -97,7 +98,7 @@ WRONG_TYPED = [
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
-        cfg = ExperimentConfig().validate()
+        cfg = ExperimentConfig()
         assert cfg.experiment == "exp1"
         assert sum(cfg.population_per_label.values()) == 990
 
@@ -110,15 +111,31 @@ class TestConfigValidation:
                 rounds=(0,),
                 epsilon=1.5,
                 byzantine_rate=2.0,
-            ).validate()
+            )
         text = str(exc.value)
         for fragment in ("experiment", "labels", "rounds", "epsilon", "byzantine_rate"):
             assert fragment in text
         assert len(exc.value.errors) >= 5
 
+    def test_building_an_invalid_config_raises_one_error_listing_every_problem(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(experiment="exp2", seed=-1, rounds=(7,), repetitions=0,
+                             granularity="x", curve="c")
+        assert exc.value.errors == [
+            "seed: expected a non-negative integer, got -1",
+            "rounds: exp2 runs fuzzychain_rounds rounds instead, so it takes only the default"
+            " [100], got [7]",
+            "repetitions: expected an integer >= 1, got 0",
+            "granularity: 'x' not one of ('per-label', 'per-participant')",
+            "curve: 'c' not one of ['secp256k1', 'secp256r1', 'secp384r1']",
+        ]
+        with pytest.raises(ConfigError) as exc:  # a copy with changed fields is built, so checked
+            dataclasses.replace(ExperimentConfig(), repetitions=0)
+        assert exc.value.errors == ["repetitions: expected an integer >= 1, got 0"]
+
     def test_population_must_match_labels(self):
         with pytest.raises(ConfigError, match="population_per_label"):
-            ExperimentConfig(population_per_label={"VL": 1, "NOPE": 2}).validate()
+            ExperimentConfig(population_per_label={"VL": 1, "NOPE": 2})
 
     def test_population_needs_a_validator(self):
         with pytest.raises(ConfigError) as exc:
@@ -174,7 +191,7 @@ class TestConfigValidation:
         ("baselines", None)])
     def test_directly_built_wrong_type_is_one_config_error(self, field, value):
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(**{field: value}, epsilon=3).validate()
+            ExperimentConfig(**{field: value}, epsilon=3)
         # one error for the field, not one per character, alongside the other fields' errors
         assert sorted(e.split(":")[0] for e in exc.value.errors) == sorted([field, "epsilon"])
 
@@ -186,8 +203,12 @@ class TestConfigValidation:
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"experiment": "exp1", "seed": 3, "rounds": [10]}))
-        cfg = load_config(p)
+        assert load_config(p) == {"experiment": "exp1", "seed": 3, "rounds": [10]}
+        cfg = config_from_dict(load_config(p))
         assert cfg.seed == 3 and cfg.rounds == (10,)
+        # the reader checks nothing: config_from_dict checks the document once it is whole
+        p.write_text(json.dumps({"repetitions": 0}))
+        assert load_config(p) == {"repetitions": 0}
 
     def test_load_config_missing_or_malformed(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -375,7 +396,7 @@ class TestExperiment1:
 
     def test_custom_experiment_uses_frequency_driver(self):
         cfg = tiny()
-        cfg = dataclasses.replace(cfg, experiment="custom").validate()
+        cfg = dataclasses.replace(cfg, experiment="custom")
         report = run_configured(cfg)
         assert isinstance(report, Exp1Report)
 
@@ -399,7 +420,7 @@ def small_exp2_config(repetitions=2):
         baselines=dataclasses.replace(
             ExperimentConfig().baselines, participants=20, rounds=50
         ),
-    ).validate()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -487,7 +508,7 @@ class TestOutputs:
             baselines=dataclasses.replace(
                 ExperimentConfig().baselines, participants=10, rounds=20
             ),
-        ).validate()
+        )
         report = run_experiment2(cfg)
         paths = emit_outputs(report, tmp_path / "out2")
         assert sorted(paths) == sorted(FILES)
@@ -526,6 +547,12 @@ def tables_over(draw, categories):
     return FrequencyTable(categories, counts)
 
 
+def report_config(labels, rounds=(100,)):
+    """What a report's frequency_tables() reads of its config. The drawn labels
+    (1 to 6 of them, none in the census) would make an ExperimentConfig refuse itself."""
+    return SimpleNamespace(labels=tuple(labels), rounds=tuple(rounds), granularity="per-label")
+
+
 def fake_run(rounds, rep, table) -> SingleRun:
     return SingleRun(rounds=rounds, repetition=rep, label_table=table,
                      participant_table=table, audit_rows=[], chain_height=0,
@@ -537,8 +564,7 @@ class TestFrequencyWriter:
            rounds=st.lists(st.integers(1, 10**4), min_size=1, max_size=3, unique=True),
            repetitions=st.integers(1, 3), data=st.data())
     def test_exp1_bytes_equal_csv_writer(self, labels, rounds, repetitions, data):
-        cfg = dataclasses.replace(ExperimentConfig(), labels=tuple(labels), rounds=tuple(rounds))
-        report = Exp1Report(config=cfg, runs=[
+        report = Exp1Report(config=report_config(labels, rounds), runs=[
             fake_run(rv, rep, data.draw(tables_over(tuple(labels))))
             for rv in rounds for rep in range(repetitions)])
         buf = io.StringIO()
@@ -550,9 +576,8 @@ class TestFrequencyWriter:
            ids=st.lists(cells, min_size=1, max_size=6, unique=True),
            repetitions=st.integers(1, 3), data=st.data())
     def test_exp2_bytes_equal_csv_writer(self, labels, ids, repetitions, data):
-        cfg = dataclasses.replace(ExperimentConfig(), experiment="exp2", labels=tuple(labels))
         report = Exp2Report(
-            config=cfg,
+            config=report_config(labels),
             fuzzy_runs=[fake_run(10, rep, data.draw(tables_over(tuple(labels))))
                         for rep in range(repetitions)],
             baseline_tables={algo: [data.draw(tables_over(tuple(ids)))
@@ -769,12 +794,72 @@ class TestCli:
         assert "--rounds" in capsys.readouterr().err
 
     def test_rounds_flag_on_exp2_exits_one_and_writes_nothing(self, tmp_path, capsys):
-        # exp2 runs fuzzychain_rounds: --rounds would only be echoed into summary.json
+        # exp2 runs fuzzychain_rounds: --rounds would only be echoed into summary.json. The
+        # flag meets the config file's rule, with its message
         out = tmp_path / "never"
         assert main(["run", "exp2", "--rounds", "7", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --rounds") and "fuzzychain_rounds" in err
+        assert capsys.readouterr().err == (
+            "config error: rounds: exp2 runs fuzzychain_rounds rounds instead, so it takes"
+            " only the default [100], got [7]\n")
         assert not out.exists()
+
+    def test_default_rounds_flag_on_exp2_runs(self, tmp_path):
+        # as a file's "rounds": [100] does
+        p = tmp_path / "exp2.json"
+        p.write_text(json.dumps({"population_per_label": TINY_POP, "fuzzychain_rounds": 20,
+                                 "repetitions": 1, "baselines": {"participants": 10,
+                                                                 "rounds": 20}}))
+        out = tmp_path / "r"
+        assert main(["run", "exp2", "--config", str(p), "--rounds", "100",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["experiment"] == "exp2" and summary["config"]["rounds"] == [100]
+
+    @pytest.mark.parametrize("rounds", ["10,,20", "10,20,", ",10", ""])
+    def test_empty_rounds_entry_exits_one_and_writes_nothing(self, tmp_path, capsys, rounds):
+        out = tmp_path / "never"
+        assert main(["run", "exp1", "--rounds", rounds, "--reps", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --rounds: expected comma-separated integers, got {rounds!r}\n")
+        assert not out.exists()
+
+    def test_flag_replaces_a_file_value_unchecked(self, tmp_path):
+        # the file's repetitions never reach the check: --reps replaced them before it
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"population_per_label": TINY_POP, "rounds": [10],
+                                 "repetitions": 0}))
+        out = tmp_path / "r"
+        assert main(["run", "exp1", "--config", str(p), "--reps", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["repetitions"] == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3", "--reps", "1"]],
+                             ids=["file-alone", "with-flags"])
+    def test_config_file_holding_a_list_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                    flags):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps([{"seed": 3}]))
+        out = tmp_path / "never"
+        assert main(["run", "exp1", "--config", str(p), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: top level: expected a key-value object\n"
+        assert not out.exists()
+
+    def test_flags_a_file_or_both_give_the_same_bytes(self, tmp_path):
+        # one run asked for three ways: flags alone, a file alone, and a file whose every
+        # value the flags replace
+        flags = ["--seed", "7", "--rounds", "5,8", "--reps", "2",
+                 "--granularity", "per-participant"]
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps({"experiment": "exp1", "seed": 7, "rounds": [5, 8],
+                                    "repetitions": 2, "granularity": "per-participant"}))
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"experiment": "custom", "seed": 1, "rounds": [0],
+                                     "repetitions": 0, "granularity": "per-label"}))
+        runs = {"flags": flags, "file": ["--config", str(same)],
+                "both": ["--config", str(other), *flags]}
+        for name, args in runs.items():
+            assert main(["run", "exp1", *args, "--out", str(tmp_path / name)]) == 0
+        for name in FILES:
+            assert len({(tmp_path / run / name).read_bytes() for run in runs}) == 1, name
 
     def test_rounds_in_an_exp2_config_file_exit_one_and_write_nothing(self, tmp_path, capsys):
         # exp2 runs fuzzychain_rounds: a config file's rounds would only be echoed

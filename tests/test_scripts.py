@@ -33,7 +33,7 @@ def test_exp2_comparison_scan(tmp_path):
         assert sorted(p.name for p in (out / f"seed{seed:04d}").iterdir()) == sorted(FILES)
     held = [
         all(run_experiment2(
-            ExperimentConfig(experiment="exp2", seed=seed, repetitions=1).validate()
+            ExperimentConfig(experiment="exp2", seed=seed, repetitions=1)
         ).ordering_satisfied())
         for seed in (1, 2)
     ]
