@@ -1,12 +1,15 @@
 """Winner-selection baselines: PoW, PoS, DPoS.
 
 Each race maps (ids, weight vectors, rounds, rng) to a FrequencyTable of
-win counts over ids. The weights are float vectors aligned with ids, and
-every weight must be finite and above 0. PoW is modeled as a race of
-exponentials — the winner distribution is exactly proportional to hash
-power, identical to actually hashing, at desk-scale cost. PoS draws each
-round's winner categorically with probability stake/total; DPoS is the
-same draw on stake x reputation.
+win counts over ids, any sequence of distinct ids. exp2 passes
+EnrollmentIds, which the table keeps as its categories and which spell
+an id only when frequencies.csv (or an error message) reads it. The
+weights are float vectors aligned with ids, and every weight must be
+finite and above 0. PoW is modeled as a race of exponentials — the
+winner distribution is exactly proportional to hash power, identical to
+actually hashing, at desk-scale cost. PoS draws each round's winner
+categorically with probability stake/total; DPoS is the same draw on
+stake x reputation.
 """
 
 from __future__ import annotations

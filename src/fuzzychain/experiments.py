@@ -27,6 +27,7 @@ from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it unde
     make_uniform_partition,
     scale_stakes,
 )
+from .ids import EnrollmentIds
 from .ledger import Chain, Transaction, build_block, make_block, new_keypair, sign_transaction
 from .metrics import FrequencyTable, summarize_counts
 from .registry import Registry, ReputationParams, trusted_sets_required
@@ -293,7 +294,8 @@ def _baseline_populations(config: ExperimentConfig):
     drng = substream(config.seed, "exp2", "participants", "dpos")
     dstakes = sample_dist(b.dpos_stake_dist, n, drng)
     dreps = np.minimum(sample_dist(b.dpos_reputation_dist, n, drng), 1.0)
-    m, s, d = ([f"{prefix}{i:04d}" for i in range(n)] for prefix in "msd")
+    # m0000.., s0000.., d0000..: spelled only when frequencies.csv is written
+    m, s, d = (EnrollmentIds(n, prefix, 4) for prefix in "msd")
     return (("pow", run_pow, (m, powers)),
             ("pos", run_pos, (s, stakes)),
             ("dpos", run_dpos, (d, dstakes, dreps)))

@@ -103,12 +103,13 @@ def kurtosis(values) -> float:
 class FrequencyTable:
     """Win counts over a fixed category order (validator ids, or linguistic labels).
 
-    Holds the categories, which must be distinct (a registry's EnrollmentIds,
-    kept as they are, or a tuple of anything else), and one read-only int64
-    count vector in that order, so every read is reproducible whatever
-    order the wins came in. tally() is the one way wins become counts:
-    each win is given as its category's position. Tables over the same
-    categories pool by summing their count vectors.
+    Holds the categories, which must be distinct (EnrollmentIds, a
+    registry's or a baseline race's, kept as they are, or a tuple of
+    anything else), and one read-only int64 count vector in that order, so
+    every read is reproducible whatever order the wins came in. tally() is
+    the one way wins become counts: each win is given as its category's
+    position. Tables over the same categories pool by summing their count
+    vectors.
     """
 
     def __init__(self, categories, counts):

@@ -12,15 +12,18 @@ table is written as runs of cells that end at its nonzero counts: the
 cells of a run are joined by ",0", the line end and the table's lead
 ("<rep>,", "<rounds>,<rep>," or "<algo>,<rep>,"), so every zero-count
 row is written by that join and only the nonzero counts are formatted.
-A participant table's categories are its registry's EnrollmentIds, which
-spell each run of ids themselves (EnrollmentIds.joined, a hundred ids at
-a time), so no per-id str is built; any other table (labels, baseline
-ids) joins its own cells.
+A participant or baseline table's categories are EnrollmentIds. Where a
+table's runs average _SPELL_BELOW ids or more (few wins over many ids),
+the ids spell each run themselves (EnrollmentIds.joined, a hundred ids at
+a time), so no per-id str is built; a denser table's ids are spelled once
+per write, shared by the tables over the same ids, and joined like any
+other table's cells (labels).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,9 @@ from .svg import render_exp1_plots, render_exp2_plots
 
 FILES = ("frequencies.csv", "summary.json", "audit.jsonl", "plots.svg")
 _BLOCK = 1 << 20  # bytes read at a time when counting a file's rows
+# a template run costs about 4 us, so a table whose runs average fewer ids than
+# this is written faster from its ids spelled once (about 0.03 us an id)
+_SPELL_BELOW = 100
 # json.dumps(row, sort_keys=True) makes this encoder anew for each row; one serves them all
 _AUDIT_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -67,12 +73,20 @@ def emit_outputs(report, out_dir) -> dict:
     return {name: str(p) for name, p in paths.items()}
 
 
-def _runs_of(categories):
-    """The function (start, stop, sep) giving the cells of
-    categories[start:stop] joined by sep."""
+def _runs(categories, starts: list, stops: list, sep: str, spelled: dict):
+    """The cells of categories[a:b] joined by sep, for each run (a, b) of
+    zip(starts, stops). EnrollmentIds whose runs average _SPELL_BELOW ids or
+    more spell each run when it is read (EnrollmentIds.joined); denser ones
+    are spelled once into spelled, keyed by the ids, and their runs, like
+    any other cells', are joined from slices into a list."""
     if isinstance(categories, EnrollmentIds):
-        return categories.joined
-    return lambda start, stop, sep: sep.join(categories[start:stop])
+        if len(categories) >= _SPELL_BELOW * len(stops):
+            return map(categories.joined, starts, stops, repeat(sep))
+        if categories not in spelled:  # one template run, split: a sixth of list()'s time
+            spelled[categories] = categories.joined(0, len(categories), "\n").split("\n")
+        categories = spelled[categories]
+    join = sep.join
+    return [join(categories[a:b]) for a, b in zip(starts, stops)]
 
 
 def write_frequencies(fh, header, tables) -> None:
@@ -82,18 +96,20 @@ def write_frequencies(fh, header, tables) -> None:
     categories writes no row. Text goes to fh one run of rows at a time.
     """
     fh.write(",".join(header) + "\n")
+    spelled = {}  # this write's dense EnrollmentIds, spelled
     for lead, table in tables:
-        joined = _runs_of(table.categories)
         prefix = "".join(f"{v}," for v in lead)
         sep = ",0\n" + prefix  # ends a zero-count row and leads the next
         counts = table.counts()
         nonzero = np.flatnonzero(counts)
-        start = 0
-        for i, n in zip(nonzero.tolist(), counts[nonzero].tolist()):
-            fh.write(f"{prefix}{joined(start, i + 1, sep)},{n}\n")
-            start = i + 1
-        if start < len(counts):
-            fh.write(f"{prefix}{joined(start, len(counts), sep)},0\n")
+        stops = (nonzero + 1).tolist()  # a run ends at each nonzero count
+        wins = counts[nonzero].tolist()
+        if len(counts) > (stops[-1] if stops else 0):  # and the zero counts after the last
+            stops.append(len(counts))
+            wins.append(0)
+        texts = _runs(table.categories, [0, *stops[:-1]], stops, sep, spelled)
+        for text, n in zip(texts, wins):
+            fh.write(f"{prefix}{text},{n}\n")
 
 
 def format_report(run_dir) -> str:

@@ -441,6 +441,16 @@ class TestExperiment2:
             for t in small_exp2.baseline_tables[algo]:
                 assert t.total() == 50
 
+    def test_baselines_race_over_lazy_ids_kept_by_their_tables(self, small_exp2):
+        races = experiments._baseline_populations(small_exp2_config())
+        for (algo, _, population), prefix in zip(races, "msd"):
+            ids = population[0]
+            assert ids == EnrollmentIds(20, prefix, 4)
+            assert list(ids)[:2] == [f"{prefix}0000", f"{prefix}0001"]
+            assert FrequencyTable.tally(ids, [0, 19]).categories is ids
+            first, second = small_exp2.baseline_tables[algo]
+            assert first.categories == ids and second.categories is first.categories
+
     def test_frequency_rows_cover_all_algorithms(self, small_exp2, tmp_path):
         header, rows = emitted_frequencies(small_exp2, tmp_path)
         assert header == ["algorithm", "repetition", "key", "count"]
@@ -616,6 +626,28 @@ class TestFrequencyWriter:
         buf = io.StringIO()
         write_frequencies(buf, header, tables)
         assert buf.getvalue() == reference_csv(header, tables)
+
+    @pytest.mark.parametrize("n", [1_000, 10_001])
+    @pytest.mark.parametrize("wins", [5, 3_000], ids=["sparse", "dense"])
+    def test_baseline_tables_over_lazy_ids_equal_f_string_ids(self, n, wins):
+        # sparse tables spell their runs from the template, dense ones spell
+        # their ids once; past 9,999 the ids widen (m10000), as %04d does
+        rng = np.random.default_rng(n + wins)
+        header = ("algorithm", "repetition", "key", "count")
+        lazy, spelled = [], []
+        for algo, prefix in zip(("pow", "pos", "dpos"), "msd"):
+            ids = EnrollmentIds(n, prefix, 4)
+            f_ids = tuple(f"{prefix}{i:04d}" for i in range(n))
+            for rep in range(2):
+                winners = np.concatenate([rng.integers(0, n, size=wins), [n - 1]])
+                lazy.append(((algo, rep), FrequencyTable.tally(ids, winners)))
+                spelled.append(((algo, rep), FrequencyTable.tally(f_ids, winners)))
+        texts = []
+        for tables in (lazy, spelled):
+            buf = io.StringIO()
+            write_frequencies(buf, header, tables)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1] == reference_csv(header, spelled)
 
     def test_table_without_categories_writes_no_row(self):
         tables = [((0,), FrequencyTable((), [])), ((1,), FrequencyTable(("a",), [2]))]
