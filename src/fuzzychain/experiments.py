@@ -7,7 +7,9 @@ reuses the exp1 driver with arbitrary config values.
 
 Every run is a pure function of the config: all randomness flows
 through named substreams of the config seed, and repetitions run one
-after another in a single serial loop.
+after another in a single serial loop. A registry's census is drawn
+inside each label's interval and checked against the partition's label
+edges, so set-up classifies no stake.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .config import ExperimentConfig, sample_dist
 from .consensus import FuzzychainEngine
 from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it under this name)
     LinguisticVariable,
-    classify_batch,
     hmdf_win_intervals,
     make_uniform_partition,
     scale_stakes,
@@ -31,7 +32,7 @@ from .ids import EnrollmentIds
 from .ledger import Chain, Transaction, build_block, make_block, new_keypair, sign_transaction
 from .metrics import FrequencyTable, summarize_counts
 from .registry import Registry, ReputationParams, trusted_sets_required
-from .rng import Stream, substream
+from .rng import Stream, substream, uniform_array
 
 N_WALLETS = 4
 BASELINE_ALGOS = ("pow", "pos", "dpos")
@@ -50,52 +51,48 @@ def _uniform_partition(labels: tuple, lo: float, hi: float) -> LinguisticVariabl
 
 
 def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray:
-    """Stakes drawn uniformly inside each label's winning interval.
+    """Stakes drawn uniformly inside each label's interval (hmdf_win_intervals),
+    as rng.uniform would draw them label by label.
 
-    A draw can land exactly on an interval boundary, where the tie
-    resolves to the lower label; those are redrawn so the resulting
+    A stake has label i exactly when e_i <= stake < e_{i+1}, with e_1 the
+    universe's floor, e_{n+1} infinity and the rest the partition's label
+    edges. A draw in the gap between an interval's floor and its label edge
+    ties or leans to the label below; such strays are redrawn so the
     per-label census is exact, not just approximate.
 
-    Each label's batch is drawn in census order and the whole census is
-    classified once. Only if a stake left its label (about 2**-53 per
-    draw) does the stream rewind to replay the census label by label, so
-    the stakes and the stream position are those of that loop either way.
+    Each label's batch is drawn in census order and checked with two
+    reductions against its edges. Only if a stake left its label (about
+    2**-53 per draw) does the stream rewind to replay the census label by
+    label, so the stakes and the stream position are those of that loop
+    either way.
     """
-    intervals = hmdf_win_intervals(var)
+    intervals, edges = hmdf_win_intervals(var), (var.universe_lo, *var.edges, np.inf)
     state = rng.bit_generator.state
-    stakes = _concatenate([rng.uniform(*intervals[i], size=int(k))
-                           for i, k in enumerate(census)])
-    labels, _ = classify_batch(var, stakes)
-    end = 0
+    stakes, end = np.empty(sum(int(k) for k in census)), 0
     for i, k in enumerate(census):
         start, end = end, end + int(k)
-        if not (labels[start:end] == i + 1).all():
+        batch = uniform_array(rng, *intervals[i], end - start, out=stakes[start:end])
+        if k and not (edges[i] <= batch.min() and batch.max() < edges[i + 1]):
             rng.bit_generator.state = state
-            return _concatenate([_redraw_until_labelled(var, j + 1, intervals[j], int(m), rng)
-                                 for j, m in enumerate(census)])
+            return np.concatenate([_redraw_until_labelled(edges[j:j + 2], intervals[j], int(m), rng)
+                                   for j, m in enumerate(census)])
     return stakes
 
 
-def _concatenate(chunks: list) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.array([])
-
-
-def _redraw_until_labelled(var: LinguisticVariable, label: int, interval, k: int,
-                           rng) -> np.ndarray:
-    """k stakes drawn in interval, each redrawn until it classifies as label."""
-    vals = rng.uniform(*interval, size=k)
-    while True:
-        labels, _ = classify_batch(var, vals)
-        bad = np.flatnonzero(labels != label)
-        if not bad.size:
-            return vals
-        vals[bad] = rng.uniform(*interval, size=len(bad))
+def _redraw_until_labelled(label_edges, interval, k: int, rng) -> np.ndarray:
+    """k stakes drawn in interval, each redrawn until it lies in
+    [label_edges[0], label_edges[1]), its label's stakes."""
+    vals = uniform_array(rng, *interval, k)
+    floor, top = label_edges
+    while (bad := np.flatnonzero((vals < floor) | (vals >= top))).size:
+        vals[bad] = uniform_array(rng, *interval, bad.size)
+    return vals
 
 
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:
     census = [config.population_per_label[lab] for lab in config.labels]
     stakes = sample_stakes_for_census(var, census, stakes_rng)
-    # the sampler redraws until each stake classifies into its census label: no second pass
+    # the sampler redraws until each stake lies between its census label's edges: no classification
     return Registry(var, stakes, ReputationParams(config.eta, config.l_divisor, config.epsilon),
                     labels=np.repeat(np.arange(1, var.n + 1), census))
 

@@ -1,26 +1,28 @@
 """Linguistic variables over a stake universe.
 
-A stake value is classified into one of n ordered linguistic labels
-(e.g. VL, L, M, H, VH) by evaluating every label's membership function
-and keeping the highest degree (HMDF). The default construction is a
-uniform Ruspini partition: triangular interior sets with shouldered end
-sets, so degrees sum to 1 everywhere on the universe and every stake
-gets a label.
+A stake is classified into one of n ordered linguistic labels (e.g. VL,
+L, M, H, VH): the label of highest membership degree (HMDF). A partition
+is a Ruspini partition of triangular interior sets between shouldered end
+sets, each foot on the neighbouring peak, so the label is a step function
+of the stake. Its n - 1 steps, the label edges, are found once per
+partition with hmdf's own arithmetic, and classifying searches them.
 """
 
 from __future__ import annotations
 
+import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-DEGREE_TOL = 1e-9
-CLASSIFY_BLOCK = 8192  # stakes classify_batch holds in its scratch arrays at once
 
 SHOULDER_LEFT = "shoulder-left"
 INTERIOR = "interior"
 SHOULDER_RIGHT = "shoulder-right"
 _SHAPES = (SHOULDER_LEFT, INTERIOR, SHOULDER_RIGHT)
+_F64, _U64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
 class OutOfUniverseError(ValueError):
@@ -65,35 +67,18 @@ def membership(mf: MembershipFunction, x: float) -> float:
     return (mf.c - x) / (mf.c - mf.b) if mf.c > mf.b else 1.0
 
 
-def _membership_into(mf: MembershipFunction, xs: np.ndarray, out: np.ndarray,
-                     work: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """membership() of every x in xs, written into out; work (float) and mask
-    (bool) are scratch arrays of xs's shape. The one vectorized formula."""
-    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
-    if mf.b > mf.a:
-        np.subtract(xs, mf.a, out=out)
-        out /= mf.b - mf.a
-    else:
-        np.greater_equal(xs, mf.a, out=out)
-    if mf.c > mf.b:
-        np.subtract(mf.c, xs, out=work)
-        work /= mf.c - mf.b
-    else:
-        np.less_equal(xs, mf.c, out=work)
-    np.minimum(out, work, out=out)
-    np.clip(out, 0.0, 1.0, out=out)
-    if mf.shape == SHOULDER_LEFT:
-        np.copyto(out, 1.0, where=np.less_equal(xs, mf.b, out=mask))
-    elif mf.shape == SHOULDER_RIGHT:
-        np.copyto(out, 1.0, where=np.greater_equal(xs, mf.b, out=mask))
-    return out
-
-
-def membership_array(mf: MembershipFunction, xs: np.ndarray) -> np.ndarray:
+def membership_array(mf: MembershipFunction, xs) -> np.ndarray:
     """Vectorized membership; elementwise identical to membership()."""
     xs = np.asarray(xs, dtype=float)
-    return _membership_into(mf, xs, np.empty_like(xs), np.empty_like(xs),
-                            np.empty(xs.shape, bool))
+    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
+    rise = (xs - mf.a) / (mf.b - mf.a) if mf.b > mf.a else (xs >= mf.a).astype(float)
+    fall = (mf.c - xs) / (mf.c - mf.b) if mf.c > mf.b else (xs <= mf.c).astype(float)
+    out = np.clip(np.minimum(rise, fall), 0.0, 1.0)
+    if mf.shape == SHOULDER_LEFT:
+        out[xs <= mf.b] = 1.0
+    elif mf.shape == SHOULDER_RIGHT:
+        out[xs >= mf.b] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,12 +89,41 @@ class LabelAssignment:
     degree: float
 
 
+def _argmax(mfs, x: float) -> tuple[int, float]:
+    """hmdf's arithmetic at any x: the 1-based label of the highest degree,
+    ties going to the lowest, and that degree."""
+    best_i, best_deg = 0, -1.0
+    for i, mf in enumerate(mfs, start=1):
+        deg = membership(mf, x)
+        if deg > best_deg:
+            best_i, best_deg = i, deg
+    return best_i, best_deg
+
+
+def _triangles(feet) -> tuple[MembershipFunction, ...]:
+    """A left shoulder, interior triangles and a right shoulder peaking at
+    feet[1:-1], each foot on the neighbouring peak or, outermost, feet[0] and feet[-1]."""
+    shapes = [SHOULDER_LEFT] + [INTERIOR] * (len(feet) - 4) + [SHOULDER_RIGHT]
+    return tuple(MembershipFunction(*feet[i:i + 3], shape) for i, shape in enumerate(shapes))
+
+
+def _ordinal(x: float) -> int:
+    """x's place among the floats: adjacent floats differ by 1, -0.0 and 0.0 are 0."""
+    bits = _U64.unpack(_F64.pack(x))[0]
+    return bits if bits < 1 << 63 else (1 << 63) - bits
+
+
+def _float(ordinal: int) -> float:
+    return _F64.unpack(_U64.pack(ordinal if ordinal >= 0 else (1 << 63) - ordinal))[0]
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named, ordered family of labeled membership functions on [lo, hi].
 
-    Requires an odd label count (>= 3) and a Ruspini partition: degrees
-    sum to 1 at every point of the universe (checked on a dense grid).
+    Requires an odd label count (>= 3) and a Ruspini partition of one
+    shape: finite, strictly increasing peaks; a left shoulder, interior
+    triangles, a right shoulder; each foot on the neighbouring peak.
     """
 
     name: str
@@ -128,23 +142,43 @@ class LinguisticVariable:
             raise ValueError("odd label count required")
         if not self.universe_lo < self.universe_hi:
             raise ValueError("universe_lo must be strictly below universe_hi")
-        xs = np.linspace(self.universe_lo, self.universe_hi, 1001)
-        total = sum(membership_array(mf, xs) for mf in self.mfs)
-        worst = float(np.max(np.abs(total - 1.0)))
-        if worst > DEGREE_TOL:
-            raise ValueError(f"not a Ruspini partition: degree sum deviates by {worst:.3g}")
+        peaks = [mf.b for mf in self.mfs]
+        feet = [self.mfs[0].a, *peaks, self.mfs[-1].c]  # any outer feet will do
+        if not (all(map(math.isfinite, peaks)) and all(p < q for p, q in zip(peaks, peaks[1:]))
+                and self.mfs == _triangles(feet)):
+            raise ValueError("not a Ruspini partition: need finite, strictly increasing peaks,"
+                             " a left shoulder, interior triangles, a right shoulder,"
+                             " each foot on the neighbouring peak")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def edges(self) -> tuple[float, ...]:
+        """e_2..e_n, e_k the least float where hmdf's label reaches k: x has
+        label bisect_right(edges, x) + 1. A rounded rising flank never falls
+        and a falling one never rises, so the label never falls as x grows;
+        it is k - 1 at peak k - 1 and k at peak k, and bisecting the floats
+        between them finds e_k exactly, galloping up from just below their
+        midpoint, where it usually is. Computed once per partition."""
+        peaks, edges = [mf.b for mf in self.mfs], []
+        for k in range(2, self.n + 1):
+            lo, hi = _ordinal(peaks[k - 2]), _ordinal(peaks[k - 1])  # labels k - 1 and k
+            x, step = max(lo + 1, _ordinal((peaks[k - 2] + peaks[k - 1]) / 2) - 1), 1
+            while x < hi and _argmax(self.mfs, _float(x))[0] < k:
+                lo, x, step = x, x + step, 2 * step
+            hi = min(hi, x)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if _argmax(self.mfs, _float(mid))[0] < k else (lo, mid)
+            edges.append(_float(hi))
+        return tuple(edges)
+
 
 def make_uniform_partition(name: str, labels, lo: float, hi: float) -> LinguisticVariable:
     """Uniform partition: peaks evenly spaced from lo to hi, feet at the
-    neighboring peaks, shouldered end sets.
-
-    Label count must be odd and at least 3.
-    """
+    neighboring peaks, shouldered end sets; an odd label count of at least 3."""
     labels = tuple(labels)
     n = len(labels)
     if n < 3 or n % 2 == 0:
@@ -152,95 +186,60 @@ def make_uniform_partition(name: str, labels, lo: float, hi: float) -> Linguisti
     if not lo < hi:
         raise ValueError("lo must be strictly below hi")
     peaks = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    mfs = []
-    for i, p in enumerate(peaks):
-        if i == 0:
-            mfs.append(MembershipFunction(p, p, peaks[1], SHOULDER_LEFT))
-        elif i == n - 1:
-            mfs.append(MembershipFunction(peaks[i - 1], p, p, SHOULDER_RIGHT))
-        else:
-            mfs.append(MembershipFunction(peaks[i - 1], p, peaks[i + 1], INTERIOR))
-    return LinguisticVariable(name, labels, float(lo), float(hi), tuple(mfs))
+    return LinguisticVariable(name, labels, float(lo), float(hi),
+                              _triangles([peaks[0], *peaks, peaks[-1]]))
+
+
+def _outside(var: LinguisticVariable, x) -> OutOfUniverseError:
+    return OutOfUniverseError(f"{x} outside universe [{var.universe_lo}, {var.universe_hi}]")
 
 
 def hmdf(var: LinguisticVariable, x: float) -> LabelAssignment:
-    """Highest membership degree function: the label where x belongs most.
-
-    Ties at flank crossovers go to the lowest label index, so repeated
-    calls are deterministic. x must lie inside the universe (NaN does not).
-    """
+    """Highest membership degree function: the label where x belongs most, by
+    every label's membership function, ties going to the lowest label. x must
+    lie inside the universe (NaN does not)."""
     if not var.universe_lo <= x <= var.universe_hi:
-        raise OutOfUniverseError(
-            f"{x} outside universe [{var.universe_lo}, {var.universe_hi}]"
-        )
-    best_i, best_deg = 0, -1.0
-    for i, mf in enumerate(var.mfs):
-        deg = membership(mf, x)
-        if deg > best_deg:
-            best_i, best_deg = i, deg
-    return LabelAssignment(best_i + 1, best_deg)
+        raise _outside(var, x)
+    return LabelAssignment(*_argmax(var.mfs, x))
 
 
 def classify_stake(var: LinguisticVariable, stake: float) -> LabelAssignment:
-    """hmdf after clamping stakes that outgrew the universe back to its top."""
-    return hmdf(var, min(stake, var.universe_hi))
+    """hmdf after clamping stakes that outgrew the universe back to its top:
+    the label from the partition's edges, and one membership call for its
+    degree."""
+    x = min(stake, var.universe_hi)
+    if not var.universe_lo <= x:
+        raise _outside(var, x)
+    label = bisect_right(var.edges, x) + 1
+    return LabelAssignment(label, membership(var.mfs[label - 1], x))
 
 
-def classify_batch(var: LinguisticVariable, stakes) -> tuple[np.ndarray, np.ndarray]:
-    """classify_stake over a batch, in blocks of CLASSIFY_BLOCK stakes.
-
-    Returns the 1-based label indices and their degrees, elementwise equal
-    to classify_stake: stakes above the universe top are clamped, ties go
-    to the lowest label, and a NaN or below-floor stake raises
-    OutOfUniverseError before anything is returned.
-    """
-    xs = np.asarray(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
-    n = xs.size
-    labels, degrees = np.empty(n, dtype=np.intp), np.empty(n)
-    # block-sized scratch, reused by every block and label: the clamped stakes,
-    # a degree, its falling flank and a mask
-    m = min(n, CLASSIFY_BLOCK)
-    scratch = np.empty(m), np.empty(m), np.empty(m), np.empty(m, bool)
-    for start in range(0, n, CLASSIFY_BLOCK):
-        end = min(start + CLASSIFY_BLOCK, n)
-        x, degree, flank, mask = (a[:end - start] for a in scratch)
-        np.minimum(xs[start:end], var.universe_hi, out=x)
-        if not np.greater_equal(x, var.universe_lo, out=mask).all():
-            raise OutOfUniverseError(
-                f"stake {x[np.argmin(mask)]} outside universe"
-                f" [{var.universe_lo}, {var.universe_hi}]"
-            )
-        # a running argmax: a later label takes a stake only with a strictly higher
-        # degree, so ties stay with the lowest label
-        best, label_of = degrees[start:end], labels[start:end]
-        _membership_into(var.mfs[0], x, best, flank, mask)
-        label_of.fill(1)
-        for label, mf in enumerate(var.mfs[1:], start=2):
-            _membership_into(mf, x, degree, flank, mask)
-            np.greater(degree, best, out=mask)
-            np.copyto(best, degree, where=mask)
-            np.copyto(label_of, label, where=mask)
-    return labels, degrees
+def classify_batch(var: LinguisticVariable, stakes) -> np.ndarray:
+    """classify_stake's labels over a batch, by one search among the edges:
+    stakes above the universe top are clamped, and a NaN or below-floor stake
+    raises OutOfUniverseError, naming the first, before anything is returned.
+    Besides the labels, it allocates one clamped copy of the stakes."""
+    xs = np.array(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
+    np.minimum(xs, var.universe_hi, out=xs)
+    if xs.size and not xs.min() >= var.universe_lo:  # a NaN fails this too
+        raise _outside(var, f"stake {xs[np.argmin(xs >= var.universe_lo)]}")
+    labels = np.searchsorted(var.edges, xs, side="right")
+    labels += 1
+    return labels
 
 
 def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
-    """Classify a batch of stakes, preserving order (see classify_batch)."""
-    labels, degrees = classify_batch(var, stakes)
-    return [
-        LabelAssignment(label, degree)
-        for label, degree in zip(labels.tolist(), degrees.tolist())
-    ]
+    """classify_stake over a batch, preserving order; a NaN or below-floor
+    stake raises OutOfUniverseError before anything is returned."""
+    xs = np.asarray(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
+    return [classify_stake(var, x) for x in xs.tolist()]
 
 
 def hmdf_win_intervals(var: LinguisticVariable) -> list[tuple[float, float]]:
-    """Per label, the interval of the universe where that label wins hmdf.
-
-    For a Ruspini partition the boundaries are the flank crossovers,
-    i.e. the midpoints between adjacent peaks.
-    """
+    """Per label, the interval the census sampler draws it from: bounded by
+    the universe's ends and the midpoints of adjacent peaks, where the flanks
+    cross. A label edge lies at its midpoint or a few ulps above it, so a draw
+    can stray to the label below only in that gap; the sampler redraws strays."""
     peaks = [mf.b for mf in var.mfs]
-    edges = [var.universe_lo]
-    for left, right in zip(peaks, peaks[1:]):
-        edges.append((left + right) / 2.0)
-    edges.append(var.universe_hi)
-    return list(zip(edges, edges[1:]))
+    bounds = [var.universe_lo, *((p + q) / 2.0 for p, q in zip(peaks, peaks[1:])), var.universe_hi]
+    return list(zip(bounds, bounds[1:]))

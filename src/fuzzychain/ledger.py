@@ -22,6 +22,8 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
 
+from .rng import uint32_array
+
 CURVES = {
     "secp256r1": ec.SECP256R1,
     "secp256k1": ec.SECP256K1,
@@ -54,14 +56,16 @@ def _curve(name: str):
 def new_keypair(rng, curve: str = DEFAULT_CURVE):
     """Deterministic keypair from the given random stream.
 
-    The private scalar is assembled from 32-bit draws and reduced into
-    the curve's scalar range, so identical seeds yield identical keys.
+    The private scalar is assembled from 32-bit words of the stream's raw
+    PCG64 output (those Generator.integers(0, 2**32) draws; see
+    fuzzychain.rng.uint32_array) and reduced into the curve's scalar
+    range, so identical seeds yield identical keys.
     Returns (private key object, compressed public key bytes).
     """
     c = _curve(curve)
     nwords = (c.key_size + 31) // 32 + 2  # extra words make reduction bias negligible
     raw = 0
-    for word in rng.integers(0, 2**32, size=nwords).tolist():
+    for word in uint32_array(rng, nwords).tolist():
         raw = (raw << 32) | word
     value = raw % (2**c.key_size - 3) + 1
     while True:

@@ -1,7 +1,8 @@
 """Validator registry: stakes, linguistic labels, reputation, expulsion.
 
 A registry is built whole from its participants' stakes: each stake is
-classified into a trusted set T_1..T_n by the linguistic variable, and each
+classified into a trusted set T_1..T_n by the linguistic variable's label
+edges (or arrives with its label, from a census drawn per label), and each
 participant carries a reputation in [0, 1] that moves with their voting
 record. Reputation near-misses caused by float accumulation are snapped
 back to exactly 1.0, because "reputation equals 1" is a membership test for
@@ -17,7 +18,8 @@ A participant is its enrollment position: the round engine selects, votes
 and settles on positions, and a participant's id is its position spelled
 out ("v" and the zero-padded position), spelled only where a caller reads
 it through ids() (the audit log and frequencies.csv). A label follows the
-stake: it changes only through set_stake, which classifies the stake.
+stake: it changes only through set_stake, which classifies the stake with
+one search among the edges.
 """
 
 from __future__ import annotations
@@ -112,13 +114,13 @@ class Registry:
         label. All or nothing: stakes of another shape (ValueError, naming it)
         or with a NaN or below-floor stake (OutOfUniverseError) build no
         registry. labels, when given, must be the stakes' classify_batch
-        labels: they and the stakes are then taken unchecked, with no second
+        labels: they and the stakes are then taken unchecked, with no
         classification."""
         stakes = np.array(stakes, dtype=float)  # a copy: no caller's array is a column
         if stakes.ndim != 1:
             raise ValueError(f"stakes of shape {stakes.shape}: need a one-dimensional batch")
         if labels is None:
-            labels, _ = classify_batch(variable, stakes)
+            labels = classify_batch(variable, stakes)
         n = len(stakes)
         self.variable = variable
         self.params = params or ReputationParams()

@@ -7,8 +7,12 @@ or off never shifts the draws any other consumer sees. Paths are keyed
 by the rounds *value* (not its position in a sweep), so adding a round
 count to a sweep does not perturb the existing runs.
 
-The round loop draws through Stream, which replays a substream's numpy
-draws bit for bit without a numpy call per draw.
+Draws read a substream's raw PCG64 words and replay numpy's arithmetic
+on them, bit for bit: the round loop through Stream, without a numpy call
+per draw, and the set-up through uniform_array and uint32_array, one
+random_raw call per batch. exp1 and custom runs touch no Generator method
+of a substream, only its bit generator; exp2's baselines still draw
+through Generator methods (config.sample_dist and the races).
 """
 
 from __future__ import annotations
@@ -62,6 +66,37 @@ _WORDS_PER_FETCH = 256
 _TWO_M53 = 2.0**-53
 
 
+def _pcg64(generator) -> np.random.PCG64:
+    bits = generator.bit_generator
+    if type(bits) is not np.random.PCG64:
+        raise TypeError(f"replays PCG64 only, got {type(bits).__name__}")
+    return bits
+
+
+def uniform_array(generator, lo: float, hi: float, size: int, out=None) -> np.ndarray:
+    """size floats in [lo, hi), as generator.uniform(lo, hi, size) draws them,
+    written into out when given: each is (word >> 11) * 2**-53 of one raw
+    word, times hi - lo, plus lo."""
+    words = _pcg64(generator).random_raw(size)
+    words >>= 11
+    out = np.multiply(words, _TWO_M53, out=out)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def uint32_array(generator, size: int) -> np.ndarray:
+    """size uniform 32-bit words, as generator.integers(0, 2**32, size=size)
+    draws them: the low, then the high half of each raw word. size must be
+    even, and the generator may hold no half-word that numpy buffered after
+    an odd count of 32-bit draws."""
+    bits = _pcg64(generator)
+    if size % 2 or bits.state["has_uint32"]:
+        raise ValueError("uint32_array draws whole raw words: need an even size"
+                         " and no buffered half-word")
+    return bits.random_raw(size // 2).astype("<u8", copy=False).view("<u4")
+
+
 class Stream:
     """A PCG64 Generator's integers, random and uniform, drawn in plain Python.
 
@@ -85,9 +120,7 @@ class Stream:
     __slots__ = ("_bits", "_words", "_half")
 
     def __init__(self, generator: np.random.Generator):
-        bits = generator.bit_generator
-        if type(bits) is not np.random.PCG64:
-            raise TypeError(f"Stream replays PCG64 only, got {type(bits).__name__}")
+        bits = _pcg64(generator)
         state = bits.state
         self._bits = bits
         self._words: list[int] = []  # fetched words, next one last

@@ -3,6 +3,8 @@ from hypothesis import settings
 
 # property tests run simulation code; wall-clock deadlines only cause flakes
 settings.register_profile("lab", deadline=None)
+# the exactness tests run deeper under this one: --hypothesis-profile=exact
+settings.register_profile("exact", deadline=None, max_examples=2000)
 settings.load_profile("lab")
 
 

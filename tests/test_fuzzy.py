@@ -1,13 +1,16 @@
-"""Membership functions, partitions, and stake classification."""
+"""Membership functions, partitions, label edges and stake classification.
 
+Classifiers are held to hmdf, the argmax definition, never to each other.
+"""
+
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from fuzzychain.fuzzy import (
-    CLASSIFY_BLOCK,
     INTERIOR,
     SHOULDER_LEFT,
     SHOULDER_RIGHT,
@@ -45,6 +48,43 @@ def non_uniform_partition():
 def bits(xs) -> list:
     """The float64 bit patterns of xs, so -0.0 and 0.0 differ."""
     return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def uniform_partitions(draw):
+    """Uniform partitions of 3 to 9 labels over moderate, tiny, huge and
+    negative universes."""
+    n = draw(st.sampled_from([3, 5, 7, 9]), label="labels")
+    lo, width = draw(st.one_of(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(0.1, 1e3)),
+        st.tuples(st.floats(-1e-3, 1e-3), st.floats(1e-6, 1e-2)),  # tiny, about zero
+        st.tuples(st.floats(1e-300, 1e-3), st.floats(1e-3, 1e300)),  # huge
+        st.tuples(st.floats(-1e300, -1.0), st.floats(0.5, 3.0)).map(  # negative, huge
+            lambda t: (t[0], -t[0] * t[1])),
+    ), label="lo, width")
+    hi = lo + width
+    assume(lo < hi and math.isfinite(hi))
+    return make_uniform_partition("stake", [f"L{i}" for i in range(n)], lo, hi)
+
+
+def stakes_about_the_edges(var) -> list:
+    """Every edge and peak, the floats either side of them, the universe's
+    ends and stakes above the top."""
+    marks = [*var.edges, *(mf.b for mf in var.mfs)]
+    near = [y for x in marks for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+    hi = var.universe_hi
+    return [x for x in near if x >= var.universe_lo] + [
+        var.universe_lo, hi, np.nextafter(hi, np.inf), hi + abs(hi) + 1.0, 1e300, np.inf]
+
+
+def assert_classifiers_follow_hmdf(var, stakes) -> None:
+    """classify_batch's labels and classify_stake's labels and degree bits are
+    hmdf's at each stake, clamped to the universe top."""
+    expect = [hmdf(var, min(x, var.universe_hi)) for x in stakes]
+    assert classify_batch(var, stakes).tolist() == [e.label_index for e in expect]
+    got = [classify_stake(var, x) for x in stakes]
+    assert [g.label_index for g in got] == [e.label_index for e in expect]
+    assert bits([g.degree for g in got]) == bits([e.degree for e in expect])
 
 
 class TestMembershipFunction:
@@ -130,6 +170,32 @@ class TestUniformPartition:
                 MembershipFunction(6, 10, 10, SHOULDER_RIGHT),
             ))
 
+    @pytest.mark.parametrize("mfs", [
+        # an interior foot short of the next peak: degrees sum to about 0.91 at 9
+        ((0, 0, 5, SHOULDER_LEFT), (0, 5, 9.5, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
+        # a shoulder's foot past the next peak: degrees sum above 1 in (5, 6)
+        ((0, 0, 6, SHOULDER_LEFT), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
+        # a rising foot off the peak before
+        ((0, 0, 5, SHOULDER_LEFT), (1, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
+        # coinciding peaks
+        ((0, 0, 5, SHOULDER_LEFT), (0, 5, 5, INTERIOR), (5, 5, 5, SHOULDER_RIGHT)),
+        # shoulders swapped, and an interior set at an end
+        ((0, 0, 5, SHOULDER_RIGHT), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_LEFT)),
+        ((0, 0, 5, INTERIOR), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
+    ])
+    def test_partitions_of_another_shape_are_refused(self, mfs):
+        with pytest.raises(ValueError, match="not a Ruspini partition"):
+            LinguisticVariable("bad", ("A", "B", "C"), 0.0, 10.0,
+                               tuple(MembershipFunction(*mf) for mf in mfs))
+
+    def test_outer_feet_of_the_shoulders_do_not_count(self):
+        var = LinguisticVariable("wide", ("A", "B", "C"), 0.0, 10.0, (
+            MembershipFunction(-50, 0, 5, SHOULDER_LEFT),
+            MembershipFunction(0, 5, 10, INTERIOR),
+            MembershipFunction(5, 10, 60, SHOULDER_RIGHT),
+        ))
+        assert var.edges == make_uniform_partition("stake", "ABC", 0.0, 10.0).edges
+
     def test_unbalanced_triples_accepted(self):
         var = LinguisticVariable("skewed", ("A", "B", "C"), 0.0, 8.0, (
             MembershipFunction(0, 0, 2, SHOULDER_LEFT),
@@ -138,6 +204,51 @@ class TestUniformPartition:
         ))
         assert hmdf(var, 1.5).label_index == 2
         assert hmdf(var, 0.5).label_index == 1
+        assert_classifiers_follow_hmdf(var, stakes_about_the_edges(var))
+
+
+class TestLabelEdges:
+    @given(uniform_partitions())
+    def test_each_edge_is_where_hmdf_first_gives_its_label(self, var):
+        assert len(var.edges) == var.n - 1
+        for k, edge in enumerate(var.edges, start=2):
+            assert hmdf(var, np.nextafter(edge, -np.inf)).label_index < k
+            assert hmdf(var, edge).label_index == k
+
+    @given(uniform_partitions())
+    def test_edges_sit_at_or_just_above_the_peaks_midpoints(self, var):
+        width = var.universe_hi - var.universe_lo
+        for edge, (_lo, mid) in zip(var.edges, hmdf_win_intervals(var)):
+            assert mid <= edge <= mid + 2 * (math.ulp(mid) + math.ulp(width))
+
+    @given(uniform_partitions(), st.data())
+    def test_classifiers_equal_hmdf_about_the_edges(self, var, data):
+        near = stakes_about_the_edges(var)
+        stake = st.one_of(st.floats(var.universe_lo, var.universe_hi), st.sampled_from(near),
+                          st.floats(min_value=var.universe_hi, allow_nan=False))
+        assert_classifiers_follow_hmdf(var, data.draw(st.lists(stake, max_size=40), label="stakes"))
+
+    @given(uniform_partitions(), st.sampled_from(["nan", "-inf", "below"]))
+    def test_stakes_off_the_universe_floor_are_refused(self, var, kind):
+        bad = {"nan": math.nan, "-inf": -math.inf,
+               "below": np.nextafter(var.universe_lo, -np.inf)}[kind]
+        with pytest.raises(OutOfUniverseError):
+            classify_stake(var, bad)
+        with pytest.raises(OutOfUniverseError):
+            classify_batch(var, [var.universe_lo, bad])
+
+    def test_non_uniform_edges(self):
+        var = non_uniform_partition()
+        # the flanks tie at the midpoints and ties go down: each edge is one float above
+        assert var.edges == tuple(np.nextafter(m, np.inf) for m in (0.5, 1.75, 4.25, 8.0))
+        for k, edge in enumerate(var.edges, start=2):
+            assert hmdf(var, np.nextafter(edge, -np.inf)).label_index < k
+            assert hmdf(var, edge).label_index == k
+
+    def test_default_edges_lie_one_float_above_the_midpoints(self):
+        var = make_uniform_partition("stake", LABELS5, 0.0, 10.0)  # the config default
+        assert var.edges == tuple(np.nextafter(m, np.inf) for m in (1.25, 3.75, 6.25, 8.75))
+        assert var.edges is var.edges  # derived once per partition
 
 
 class TestHmdf:
@@ -181,34 +292,23 @@ class TestHmdf:
             assert got.label_index == expect.label_index
             assert got.degree == pytest.approx(expect.degree, abs=1e-12)
 
-    @given(st.data())
-    def test_batch_labels_equal_classify_stake(self, data):
-        n = data.draw(st.sampled_from([3, 5, 7]), label="labels")
-        lo = data.draw(st.floats(-1e3, 1e3), label="lo")
-        hi = lo + data.draw(st.floats(0.1, 1e3), label="width")
-        var = make_uniform_partition("stake", [f"L{i}" for i in range(n)], lo, hi)
-        edges = [x for interval in hmdf_win_intervals(var) for x in interval]
-        near_edges = [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)]
-        stake = st.one_of(
-            st.floats(lo, hi),
-            st.sampled_from(edges + [x for x in near_edges if x >= lo]),
-            st.floats(min_value=hi, allow_nan=False),  # above the top, +inf included
-        )
-        stakes = data.draw(st.lists(stake, max_size=40), label="stakes")
-        labels, degrees = classify_batch(var, stakes)
-        expect = [classify_stake(var, x) for x in stakes]
-        assert labels.tolist() == [e.label_index for e in expect]
-        assert degrees.tolist() == pytest.approx([e.degree for e in expect], abs=1e-12)
+    @given(uniform_partitions(), st.data())
+    def test_batch_labels_equal_classify_stake(self, var, data):
+        # both classifiers against hmdf at random stakes, above the top included
+        lo, hi = var.universe_lo, var.universe_hi
+        stake = st.one_of(st.floats(lo, hi), st.floats(min_value=hi, allow_nan=False))
+        assert_classifiers_follow_hmdf(var, data.draw(st.lists(stake, max_size=40), label="stakes"))
 
     def test_batch_ties_at_interval_edges_go_to_the_lower_label(self, var5):
         edges = [hi for _lo, hi in hmdf_win_intervals(var5)[:-1]]
         assert edges == [1.25, 3.75, 6.25, 8.75]
-        assert classify_batch(var5, edges)[0].tolist() == [1, 2, 3, 4]
-        assert classify_batch(var5, [10.0, 10.5, np.inf])[0].tolist() == [5, 5, 5]
+        assert classify_batch(var5, edges).tolist() == [1, 2, 3, 4]
+        assert classify_batch(var5, [10.0, 10.5, np.inf]).tolist() == [5, 5, 5]
+        assert_classifiers_follow_hmdf(var5, edges + [10.0, 10.5, np.inf])
 
     def test_batch_of_nothing(self, var5):
-        labels, degrees = classify_batch(var5, [])
-        assert labels.size == degrees.size == 0
+        labels = classify_batch(var5, [])
+        assert labels.size == 0 and labels.dtype == np.intp
         assert scale_stakes(var5, []) == []
 
     def test_batch_equals_classify_stake_bit_for_bit_on_a_non_uniform_partition(self):
@@ -218,11 +318,9 @@ class TestHmdf:
         stakes = [0.0, 10.0, 10.5, 1e300, np.inf]
         stakes += [y for x in crossovers for y in (np.nextafter(x, -np.inf), x,
                                                     np.nextafter(x, np.inf))]
-        labels, degrees = classify_batch(var, stakes)
-        expect = [classify_stake(var, x) for x in stakes]
-        assert labels.tolist() == [e.label_index for e in expect]
-        assert degrees.tolist() == [e.degree for e in expect]  # exact, not approx
-        assert labels[5:].tolist() == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5]  # ties go down
+        assert_classifiers_follow_hmdf(var, stakes)
+        assert classify_batch(var, stakes)[5:].tolist() == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5]
+        assert_classifiers_follow_hmdf(var, stakes_about_the_edges(var))
 
     def test_batch_memory_does_not_grow_with_the_label_count(self):
         stakes = np.random.default_rng(3).uniform(0.0, 10.0, 49_500)
@@ -238,8 +336,7 @@ class TestHmdf:
 
         assert peak(15) <= 1.1 * peak(3)
 
-    @pytest.mark.parametrize("size", [0, 1, CLASSIFY_BLOCK - 1, CLASSIFY_BLOCK,
-                                      CLASSIFY_BLOCK + 1, 2 * CLASSIFY_BLOCK + 3])
+    @pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193, 16387])
     @pytest.mark.parametrize("partition", ["uniform3", "uniform5", "uniform7", "non-uniform"])
     def test_blocks_equal_classify_stake_bit_for_bit(self, partition, size):
         if partition == "non-uniform":
@@ -248,25 +345,19 @@ class TestHmdf:
             n = int(partition[-1])
             var = make_uniform_partition("stake", [f"L{i}" for i in range(n)], -3.0, 7.3)
         lo, hi = var.universe_lo, var.universe_hi
-        edges = [x for interval in hmdf_win_intervals(var) for x in interval]
-        special = [lo, hi, np.nextafter(hi, np.inf), hi + 1.0, 1e300, np.inf]
-        special += [y for x in edges for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))
-                    if y >= lo]
+        special = stakes_about_the_edges(var)
         rng = np.random.default_rng(size)
         stakes = rng.uniform(lo, hi + 1.0, size)
-        if size >= len(special):  # spread over the blocks, the partial last one included
+        if size >= len(special):  # spread over the batch
             stakes[np.linspace(0, size - 1, len(special)).astype(int)] = special
         else:
             stakes[:] = special[:size]
-        labels, degrees = classify_batch(var, stakes)
-        expect = [classify_stake(var, x) for x in stakes]
-        assert labels.tolist() == [e.label_index for e in expect]
-        assert bits(degrees) == bits([e.degree for e in expect])
+        assert_classifiers_follow_hmdf(var, stakes.tolist())
 
-    @pytest.mark.parametrize("position", [0, CLASSIFY_BLOCK + 5, 3 * CLASSIFY_BLOCK])
+    @pytest.mark.parametrize("position", [0, 8197, 24576])
     @pytest.mark.parametrize("bad", [np.nan, -0.5])
     def test_a_stake_outside_any_block_raises_naming_the_first(self, var5, position, bad):
-        stakes = np.full(3 * CLASSIFY_BLOCK + 2, 5.0)
+        stakes = np.full(24578, 5.0)
         stakes[position] = bad
         stakes[-1] = -7.0  # a later stray is not the one named
         with pytest.raises(OutOfUniverseError, match=f"^stake {bad} outside universe"):
@@ -275,15 +366,15 @@ class TestHmdf:
     def test_batch_allocates_nothing_stake_sized_beyond_its_outputs(self, var5):
         n = 49_500
         stakes = np.random.default_rng(4).uniform(0.0, 12.0, n)
+        var5.edges  # derived once per partition, not part of the batch
         tracemalloc.start()
         try:
-            labels, degrees = classify_batch(var5, stakes)
+            labels = classify_batch(var5, stakes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = labels.nbytes + degrees.nbytes
-        # the two outputs and one clamped copy of the stakes, plus block-sized scratch
-        assert peak <= outputs + stakes.nbytes + 5 * 8 * CLASSIFY_BLOCK
+        # the labels and one clamped copy of the stakes, plus the few edges
+        assert peak <= labels.nbytes + stakes.nbytes + 1024
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     min_size=2, max_size=50))

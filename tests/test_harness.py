@@ -38,7 +38,7 @@ from fuzzychain.experiments import (
     sample_stakes_for_census,
     build_variable,
 )
-from fuzzychain.fuzzy import classify_batch, hmdf_win_intervals
+from fuzzychain.fuzzy import hmdf, hmdf_win_intervals
 from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import FrequencyTable
 from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
@@ -246,15 +246,25 @@ def force_next_draw_to_zero(rng) -> None:
 
 
 def census_label_by_label(var, census, rng):
-    """The census sampler as one label at a time: draw the label's batch and
-    redraw each stake that classifies elsewhere, then the next label."""
+    """The census sampler as one label at a time, through Generator.uniform:
+    draw the label's batch and redraw each stake that hmdf puts under
+    another label, then the next label."""
     chunks = []
     for i, (k, (lo, hi)) in enumerate(zip(census, hmdf_win_intervals(var))):
         vals = rng.uniform(lo, hi, size=k)
-        while (bad := np.flatnonzero(classify_batch(var, vals)[0] != i + 1)).size:
+        while bad := [j for j, x in enumerate(vals.tolist()) if hmdf(var, x).label_index != i + 1]:
             vals[bad] = rng.uniform(lo, hi, size=len(bad))
         chunks.append(vals)
     return np.concatenate(chunks) if chunks else np.array([])
+
+
+class BitsOnly:
+    """A substream that offers nothing but its bit generator."""
+
+    __slots__ = ("bit_generator",)
+
+    def __init__(self, generator):
+        self.bit_generator = generator.bit_generator
 
 
 class TestStakeSampling:
@@ -278,23 +288,30 @@ class TestStakeSampling:
             force_next_draw_to_zero(gen)
         first = next(i for i, k in enumerate(census) if k)
         edge = hmdf_win_intervals(var)[first][0]  # the first draw: ties go one label down
-        assert classify_batch(var, [edge])[0].tolist() == [first]
-        calls = []
+        assert hmdf(var, edge).label_index == first
+        replayed = []
+        redraw = experiments._redraw_until_labelled
 
-        def counted(variable, xs):
-            calls.append(len(xs))
-            return classify_batch(variable, xs)
+        def counted(label_edges, interval, k, gen):
+            replayed.append(k)
+            return redraw(label_edges, interval, k, gen)
 
-        monkeypatch.setattr(experiments, "classify_batch", counted)
+        monkeypatch.setattr(experiments, "_redraw_until_labelled", counted)
         stakes = sample_stakes_for_census(var, census, rng)
         monkeypatch.undo()
-        assert len(calls) > 1  # the one pass found the stray and the loop replayed
+        assert replayed == census  # the one pass found the stray and the census was replayed
         expect = census_label_by_label(var, census, ref)
         assert stakes.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
         assert edge not in stakes.tolist()
-        labels = classify_batch(var, stakes)[0].tolist()
+        labels = [hmdf(var, x).label_index for x in stakes.tolist()]
         assert labels == [i + 1 for i, k in enumerate(census) for _ in range(k)]
+
+    def test_a_census_with_no_stray_is_not_replayed(self, monkeypatch):
+        var = build_variable(tiny())
+        monkeypatch.setattr(experiments, "_redraw_until_labelled", None)  # a call would fail
+        stakes = sample_stakes_for_census(var, [12, 9, 7, 5, 4], np.random.default_rng(5))
+        assert len(stakes) == 37
 
     def test_equal_partitions_are_one_object(self):
         var = build_variable(tiny())
@@ -316,6 +333,17 @@ class TestStakeSampling:
         got = [a.label_index for a in scale_stakes(var, stakes)]
         for i, k in enumerate(census):
             assert got.count(i + 1) == k
+
+    def test_exp1_draws_through_its_substreams_bit_generators_only(self, monkeypatch):
+        # stakes, keys and the round loop replay numpy's draws from raw PCG64 words,
+        # so no Generator method is called and the run is the same
+        cfg = tiny(invalid_block_rate=0.3, repetitions=2)
+        expect = run_experiment1(cfg)
+        substream = experiments.substream
+        monkeypatch.setattr(experiments, "substream", lambda *path: BitsOnly(substream(*path)))
+        got = run_experiment1(cfg)
+        assert got.audit_rows() == expect.audit_rows()
+        assert got.summary_dict() == expect.summary_dict()
 
     def test_zero_population_groups_allowed(self):
         cfg = tiny(population_per_label={"VL": 2, "L": 0, "M": 0, "H": 0, "VH": 1})

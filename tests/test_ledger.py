@@ -38,6 +38,16 @@ def other_wallet():
     return new_keypair(substream(1234, "keys", 1))
 
 
+def live_state(generator) -> dict:
+    """A PCG64 generator's state as later draws read it: numpy leaves a spent
+    buffered half-word in "uinteger" after an even count of 32-bit draws,
+    and reads it only while "has_uint32" is set."""
+    state = generator.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = None
+    return state
+
+
 class TestKeys:
     def test_two_calls_give_distinct_keys(self):
         rng = substream(9, "keys")
@@ -74,7 +84,9 @@ class TestKeys:
                     raw = (raw << 32) | int(ref.integers(0, 2**32))
                 value = raw % (2**c.key_size - 3) + 1
                 assert priv.private_numbers().private_value == value
-                assert rng.bit_generator.state == ref.bit_generator.state
+                assert live_state(rng) == live_state(ref)
+            assert (rng.integers(0, 2**32, size=3).tolist()
+                    == ref.integers(0, 2**32, size=3).tolist())
 
     def test_unknown_curve_rejected(self):
         with pytest.raises(LedgerError, match="unknown curve"):

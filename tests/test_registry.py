@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzychain import experiments, fuzzy, registry
+from fuzzychain import fuzzy, registry
 from fuzzychain.config import config_from_dict
 from fuzzychain.consensus import FuzzychainEngine, NoPanelError
 from fuzzychain.experiments import build_registry, build_variable, sample_stakes_for_census
@@ -165,7 +165,7 @@ class TestEnrollment:
         assert sets[0].tolist() == [a, b]
         assert sets[4].tolist() == [d, e]
 
-    def test_a_built_registry_classifies_each_stake_once(self, monkeypatch):
+    def test_a_built_registry_classifies_no_stake(self, monkeypatch):
         cfg = config_from_dict({
             "experiment": "custom", "seed": 3, "rounds": [10], "repetitions": 1,
             "population_per_label": {"VL": 700, "L": 400, "M": 0, "H": 30, "VH": 9},
@@ -175,13 +175,13 @@ class TestEnrollment:
         classified = []
 
         def counted(variable, xs):
-            classified.append(len(xs))
-            return fuzzy.classify_batch(variable, xs)
+            classified.append(xs)
 
-        monkeypatch.setattr(experiments, "classify_batch", counted)
-        monkeypatch.setattr(registry, "classify_batch", counted)
+        for module, name in ((fuzzy, "classify_batch"), (registry, "classify_batch"),
+                             (registry, "classify_stake")):
+            monkeypatch.setattr(module, name, counted)
         built = build_registry(cfg, var, substream(3, "stakes"))
-        assert sum(classified) == len(stakes)  # the sampler's check, and no more
+        assert classified == []  # the sampler checks the census against the label edges
         monkeypatch.undo()
         enrolled = Registry(var, stakes, built.params)
         for got, want in zip(built.columns(), enrolled.columns()):

@@ -1,4 +1,5 @@
-"""rng.Stream against numpy: the same draws from the same PCG64 words."""
+"""rng.Stream and the array replays against numpy: the same draws from the
+same PCG64 words."""
 
 from itertools import cycle, islice
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzychain.rng import _WORDS_PER_FETCH, Stream, substream
+from fuzzychain.rng import _WORDS_PER_FETCH, Stream, substream, uint32_array, uniform_array
 
 RANGES = [1, 2, 3, 7, 60_000, 2**31 + 5, 2**32 - 1, 2**32]
 OPS = st.one_of(st.sampled_from(RANGES), st.sampled_from(["random", "uniform"]))
@@ -68,6 +69,51 @@ def test_integers_with_an_offset():
 def test_refuses_other_bit_generators(bits):
     with pytest.raises(TypeError, match="PCG64 only"):
         Stream(np.random.Generator(bits(1)))
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
+def test_array_replays_refuse_other_bit_generators(bits):
+    with pytest.raises(TypeError, match="PCG64 only"):
+        uniform_array(np.random.Generator(bits(1)), 0.0, 1.0, 4)
+    with pytest.raises(TypeError, match="PCG64 only"):
+        uint32_array(np.random.Generator(bits(1)), 4)
+
+
+@given(SEEDS, st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(0, 600))
+@example(0, 0.0, 1.0, 0)
+@example(3, -3.0, 10.3, 513)
+def test_uniform_array_is_generator_uniform(seed, lo, width, size):
+    ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref.integers(0, 7), gen.integers(0, 7)  # a held half-word stays held
+    want = ref.uniform(lo, lo + width, size)
+    out = np.full(size + 2, -1.0)
+    got = uniform_array(gen, lo, lo + width, size, out=out[1:-1])
+    assert got.base is out and out[0] == out[-1] == -1.0
+    assert bits(got) == bits(want)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert bits(uniform_array(gen, lo, lo + width, 5)) == bits(ref.uniform(lo, lo + width, 5))
+
+
+@given(SEEDS, st.integers(0, 40).map(lambda k: 2 * k))
+@example(0, 10)  # a secp256r1 key's words
+def test_uint32_array_is_generator_integers(seed, size):
+    ref, gen = substream(seed, "keys"), substream(seed, "keys")
+    for _ in range(3):
+        assert uint32_array(gen, size).tolist() == ref.integers(0, 2**32, size=size).tolist()
+    assert gen.integers(0, 2**32, size=3).tolist() == ref.integers(0, 2**32, size=3).tolist()
+
+
+def test_uint32_array_refuses_half_words():
+    with pytest.raises(ValueError, match="even size"):
+        uint32_array(np.random.default_rng(0), 3)
+    gen = np.random.default_rng(0)
+    gen.integers(0, 2**32)  # numpy now holds the word's high half
+    with pytest.raises(ValueError, match="buffered half-word"):
+        uint32_array(gen, 2)
+
+
+def bits(xs) -> list:
+    return np.asarray(xs, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 2**32 + 1), (0, 2**40), (-1, 2**32), (0, 0), (3, 2)])
