@@ -56,43 +56,32 @@ def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray
 
     A stake has label i exactly when e_i <= stake < e_{i+1}, with e_1 the
     universe's floor, e_{n+1} infinity and the rest the partition's label
-    edges. A draw in the gap between an interval's floor and its label edge
-    ties or leans to the label below; such strays are redrawn so the
-    per-label census is exact, not just approximate.
+    edges. A draw can leave its label in two ways: in the gap between an
+    interval's floor and its label edge it ties or leans to the label
+    below, and a draw that rounds up onto its interval's top has the
+    label above where that top is the next label edge. Such strays are
+    redrawn so the per-label census is exact, not just approximate.
 
-    Each label's batch is drawn in census order and checked with two
-    reductions against its edges. Only if a stake left its label (about
-    2**-53 per draw) does the stream rewind to replay the census label by
-    label, so the stakes and the stream position are those of that loop
-    either way.
+    Labels are drawn in census order. Each label's batch is checked with
+    two reductions against its edges, and its strays (about 2**-53 per
+    draw) are redrawn in place before the next label is drawn.
     """
     intervals, edges = hmdf_win_intervals(var), (var.universe_lo, *var.edges, np.inf)
-    state = rng.bit_generator.state
     stakes, end = np.empty(sum(int(k) for k in census)), 0
     for i, k in enumerate(census):
         start, end = end, end + int(k)
-        batch = uniform_array(rng, *intervals[i], end - start, out=stakes[start:end])
-        if k and not (edges[i] <= batch.min() and batch.max() < edges[i + 1]):
-            rng.bit_generator.state = state
-            return np.concatenate([_redraw_until_labelled(edges[j:j + 2], intervals[j], int(m), rng)
-                                   for j, m in enumerate(census)])
+        vals = uniform_array(rng, *intervals[i], end - start, out=stakes[start:end])
+        floor, top = edges[i], edges[i + 1]
+        while k and not (floor <= vals.min() and vals.max() < top):
+            bad = np.flatnonzero((vals < floor) | (vals >= top))
+            vals[bad] = uniform_array(rng, *intervals[i], bad.size)
     return stakes
-
-
-def _redraw_until_labelled(label_edges, interval, k: int, rng) -> np.ndarray:
-    """k stakes drawn in interval, each redrawn until it lies in
-    [label_edges[0], label_edges[1]), its label's stakes."""
-    vals = uniform_array(rng, *interval, k)
-    floor, top = label_edges
-    while (bad := np.flatnonzero((vals < floor) | (vals >= top))).size:
-        vals[bad] = uniform_array(rng, *interval, bad.size)
-    return vals
 
 
 def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng) -> Registry:
     census = [config.population_per_label[lab] for lab in config.labels]
     stakes = sample_stakes_for_census(var, census, stakes_rng)
-    # the sampler redraws until each stake lies between its census label's edges: no classification
+    # the sampler redraws stakes that stray below or above their label's edges: no classification
     return Registry(var, stakes, ReputationParams(config.eta, config.l_divisor, config.epsilon),
                     labels=np.repeat(np.arange(1, var.n + 1), census))
 

@@ -239,7 +239,9 @@ def hmdf_win_intervals(var: LinguisticVariable) -> list[tuple[float, float]]:
     """Per label, the interval the census sampler draws it from: bounded by
     the universe's ends and the midpoints of adjacent peaks, where the flanks
     cross. A label edge lies at its midpoint or a few ulps above it, so a draw
-    can stray to the label below only in that gap; the sampler redraws strays."""
+    in that gap strays to the label below, and a draw that rounds up onto its
+    interval's top strays to the label above where that top is the next label
+    edge; the sampler redraws strays."""
     peaks = [mf.b for mf in var.mfs]
     bounds = [var.universe_lo, *((p + q) / 2.0 for p, q in zip(peaks, peaks[1:])), var.universe_hi]
     return list(zip(bounds, bounds[1:]))

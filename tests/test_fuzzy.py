@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzychain.fuzzy import (
     INTERIOR,
@@ -27,6 +27,7 @@ from fuzzychain.fuzzy import (
     membership_array,
     scale_stakes,
 )
+from strategies import uniform_partitions
 
 LABELS5 = ("VL", "L", "M", "H", "VH")
 
@@ -48,23 +49,6 @@ def non_uniform_partition():
 def bits(xs) -> list:
     """The float64 bit patterns of xs, so -0.0 and 0.0 differ."""
     return np.asarray(xs, dtype=float).view(np.uint64).tolist()
-
-
-@st.composite
-def uniform_partitions(draw):
-    """Uniform partitions of 3 to 9 labels over moderate, tiny, huge and
-    negative universes."""
-    n = draw(st.sampled_from([3, 5, 7, 9]), label="labels")
-    lo, width = draw(st.one_of(
-        st.tuples(st.floats(-1e3, 1e3), st.floats(0.1, 1e3)),
-        st.tuples(st.floats(-1e-3, 1e-3), st.floats(1e-6, 1e-2)),  # tiny, about zero
-        st.tuples(st.floats(1e-300, 1e-3), st.floats(1e-3, 1e300)),  # huge
-        st.tuples(st.floats(-1e300, -1.0), st.floats(0.5, 3.0)).map(  # negative, huge
-            lambda t: (t[0], -t[0] * t[1])),
-    ), label="lo, width")
-    hi = lo + width
-    assume(lo < hi and math.isfinite(hi))
-    return make_uniform_partition("stake", [f"L{i}" for i in range(n)], lo, hi)
 
 
 def stakes_about_the_edges(var) -> list:

@@ -38,11 +38,12 @@ from fuzzychain.experiments import (
     sample_stakes_for_census,
     build_variable,
 )
-from fuzzychain.fuzzy import hmdf, hmdf_win_intervals
+from fuzzychain.fuzzy import hmdf, hmdf_win_intervals, make_uniform_partition
 from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import FrequencyTable
 from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
 from fuzzychain.rng import substream
+from strategies import uniform_partitions
 
 TINY_POP = {"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4}
 
@@ -230,15 +231,19 @@ class TestConfigValidation:
 
 
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+ALL_ONES = (1 << 64) - 1
 
 
-def force_next_draw_to_zero(rng) -> None:
-    """Set a PCG64 generator's state so that its next 64-bit output is 0, so its
-    next uniform(lo, hi) is lo exactly. The output is the xor of the stepped
-    state's two halves, rotated: equal halves give 0."""
+def force_next_raw_word(rng, word: int) -> None:
+    """Set a PCG64 generator's state so that its next 64-bit output is word:
+    0 makes its next uniform(lo, hi) lo exactly, ALL_ONES makes it
+    lo + (hi - lo) * (1 - 2**-53), which can round up to hi. The output is the
+    xor of the stepped state's two halves, rotated right by the high half's
+    top six bits, which are 0 here: equal halves give 0, complementary ones
+    give all ones."""
     state = rng.bit_generator.state
-    halves = 0x0123456789ABCDEF
-    stepped = (halves << 64) | halves
+    high = 0x0123456789ABCDEF
+    stepped = (high << 64) | (high ^ word)
     inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
     state["state"]["state"] = (stepped - state["state"]["inc"]) * inverse % (1 << 128)
     state["has_uint32"] = state["uinteger"] = 0
@@ -267,51 +272,50 @@ class BitsOnly:
         self.bit_generator = generator.bit_generator
 
 
+def partition_and_census(var):
+    """var with a census of 0 to 60 stakes per label."""
+    return st.tuples(st.just(var), st.lists(st.integers(0, 60), min_size=var.n, max_size=var.n))
+
+
 class TestStakeSampling:
-    @given(st.lists(st.integers(0, 60), min_size=5, max_size=5),
-           st.integers(0, 2**32 - 1))
-    @example([0, 0, 0, 0, 0], 0)
-    @settings(max_examples=300)
-    def test_one_pass_census_equals_the_label_by_label_loop(self, census, seed):
-        var = build_variable(tiny())
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    def assert_label_by_label(self, var, census, rng, ref):
+        """The sampler's stakes and end state equal census_label_by_label's
+        from an equal generator."""
         stakes = sample_stakes_for_census(var, census, rng)
         expect = census_label_by_label(var, census, ref)
         assert stakes.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+        return stakes
 
-    @pytest.mark.parametrize("census", [[0, 3, 2, 1, 1], [0, 0, 0, 0, 4]])
-    def test_a_draw_on_a_label_edge_replays_label_by_label(self, census, monkeypatch):
-        var = build_variable(tiny())
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        for gen in (rng, ref):
-            force_next_draw_to_zero(gen)
+    @given(uniform_partitions().flatmap(partition_and_census), st.integers(0, 2**32 - 1))
+    @example((build_variable(tiny()), [0, 0, 0, 0, 0]), 0)
+    @example((build_variable(tiny()), list(TINY_POP.values())), 0)
+    # at least 300 examples; the exact profile's 2,000 in CI
+    @settings(max_examples=max(300, settings.default.max_examples))
+    def test_census_equals_the_label_by_label_loop(self, drawn, seed):
+        var, census = drawn
+        self.assert_label_by_label(var, census, np.random.default_rng(seed),
+                                   np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("var, census, word", [
+        # the first draw is its interval's floor, where ties go one label down
+        pytest.param(build_variable(tiny()), [0, 3, 2, 1, 1], 0, id="zero-word-label-2"),
+        pytest.param(build_variable(tiny()), [0, 0, 0, 0, 4], 0, id="zero-word-label-5"),
+        # the first draw rounds up onto 7.525, its interval's top and label 3's edge
+        pytest.param(make_uniform_partition("stake", ("A", "B", "C"), 0.1, 10.0), [0, 4, 2],
+                     ALL_ONES, id="all-ones-word-label-2"),
+    ])
+    def test_a_forced_stray_is_redrawn(self, var, census, word):
+        rng, ref, probe = (np.random.default_rng(9) for _ in range(3))
+        for gen in (rng, ref, probe):
+            force_next_raw_word(gen, word)
         first = next(i for i, k in enumerate(census) if k)
-        edge = hmdf_win_intervals(var)[first][0]  # the first draw: ties go one label down
-        assert hmdf(var, edge).label_index == first
-        replayed = []
-        redraw = experiments._redraw_until_labelled
-
-        def counted(label_edges, interval, k, gen):
-            replayed.append(k)
-            return redraw(label_edges, interval, k, gen)
-
-        monkeypatch.setattr(experiments, "_redraw_until_labelled", counted)
-        stakes = sample_stakes_for_census(var, census, rng)
-        monkeypatch.undo()
-        assert replayed == census  # the one pass found the stray and the census was replayed
-        expect = census_label_by_label(var, census, ref)
-        assert stakes.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert edge not in stakes.tolist()
+        stray = probe.uniform(*hmdf_win_intervals(var)[first])
+        assert hmdf(var, stray).label_index != first + 1
+        stakes = self.assert_label_by_label(var, census, rng, ref)
+        assert stray not in stakes.tolist()
         labels = [hmdf(var, x).label_index for x in stakes.tolist()]
         assert labels == [i + 1 for i, k in enumerate(census) for _ in range(k)]
-
-    def test_a_census_with_no_stray_is_not_replayed(self, monkeypatch):
-        var = build_variable(tiny())
-        monkeypatch.setattr(experiments, "_redraw_until_labelled", None)  # a call would fail
-        stakes = sample_stakes_for_census(var, [12, 9, 7, 5, 4], np.random.default_rng(5))
-        assert len(stakes) == 37
 
     def test_equal_partitions_are_one_object(self):
         var = build_variable(tiny())
