@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fuzzy import make_uniform_partition
 from .ledger import CURVES, DEFAULT_CURVE
 
 EXPERIMENTS = ("exp1", "exp2", "custom")
@@ -150,24 +151,20 @@ class ExperimentConfig:
         labels_ok = isinstance(self.labels, (list, tuple)) and all(
             isinstance(lab, str) for lab in self.labels
         )
+        n_ok = labels_ok and len(self.labels) >= 3 and len(self.labels) % 2 == 1
         if lo_ok and hi_ok:
-            lo, hi = self.universe_lo, self.universe_hi
-            # the partition puts peak i at lo + i * (hi - lo) / (n - 1), and a label's
-            # interval ends halfway between two peaks: each step must stay finite
-            steps = max(len(self.labels) - 1, 1) if labels_ok else 1
-            if not lo < hi:
+            if not self.universe_lo < self.universe_hi:
                 errors.append("universe_lo: must be strictly below universe_hi")
-            elif not math.isfinite((hi - lo) * steps):
-                errors.append(f"universe_hi - universe_lo: must be finite times {steps} (the label"
-                              f" count less one), got {hi - lo!r}")
-            elif not math.isfinite(2.0 * max(-lo, hi)):
-                errors.append(f"universe_lo, universe_hi: twice each must be finite, got {lo!r},"
-                              f" {hi!r}")
+            elif n_ok:
+                try:
+                    make_uniform_partition("stake", self.labels, self.universe_lo, self.universe_hi)
+                except ValueError as e:
+                    errors.append(f"universe_lo, universe_hi: {e}")
         if not labels_ok:
             errors.append(f"labels: expected a list of names, got {self.labels!r}")
         else:
             n = len(self.labels)
-            if n < 3 or n % 2 == 0:
+            if not n_ok:
                 errors.append(f"labels: odd count >= 3 required, got {n}")
             if len(set(self.labels)) != n:
                 errors.append("labels: duplicates not allowed")

@@ -2,10 +2,11 @@
 
 A stake is classified into one of n ordered linguistic labels (e.g. VL,
 L, M, H, VH): the label of highest membership degree (HMDF). A partition
-is a Ruspini partition of triangular interior sets between shouldered end
-sets, each foot on the neighbouring peak, so the label is a step function
-of the stake. Its n - 1 steps, the label edges, are found once per
-partition with hmdf's own arithmetic, and classifying searches them.
+is its peaks: a left shoulder, triangular interior sets and a right
+shoulder, each foot on the neighbouring peak (a Ruspini partition, and
+the one shape built), so the label is a step function of the stake.
+Its n - 1 steps, the label edges, are found once per partition
+with hmdf's own arithmetic, and classifying searches them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,20 +68,6 @@ def membership(mf: MembershipFunction, x: float) -> float:
     return (mf.c - x) / (mf.c - mf.b) if mf.c > mf.b else 1.0
 
 
-def membership_array(mf: MembershipFunction, xs) -> np.ndarray:
-    """Vectorized membership; elementwise identical to membership()."""
-    xs = np.asarray(xs, dtype=float)
-    # a vertical flank is a step, so the degree is 0 outside [a, c] either way
-    rise = (xs - mf.a) / (mf.b - mf.a) if mf.b > mf.a else (xs >= mf.a).astype(float)
-    fall = (mf.c - xs) / (mf.c - mf.b) if mf.c > mf.b else (xs <= mf.c).astype(float)
-    out = np.clip(np.minimum(rise, fall), 0.0, 1.0)
-    if mf.shape == SHOULDER_LEFT:
-        out[xs <= mf.b] = 1.0
-    elif mf.shape == SHOULDER_RIGHT:
-        out[xs >= mf.b] = 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class LabelAssignment:
     """Outcome of classifying one stake: 1-based label index and its degree."""
@@ -119,36 +106,40 @@ def _float(ordinal: int) -> float:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """Named, ordered family of labeled membership functions on [lo, hi].
+    """Named, ordered labels on [lo, hi], partitioned by their peaks.
 
-    Requires an odd label count (>= 3) and a Ruspini partition of one
-    shape: finite, strictly increasing peaks; a left shoulder, interior
-    triangles, a right shoulder; each foot on the neighbouring peak.
+    Label i's membership function peaks at peaks[i]: a left shoulder,
+    interior triangles and a right shoulder, each foot on the neighbouring
+    peak. Requires an odd label count (>= 3), one finite peak per label,
+    strictly increasing, and a finite sum of each adjacent pair, whose
+    half is where their labels' draw intervals meet.
     """
 
     name: str
     labels: tuple[str, ...]
     universe_lo: float
     universe_hi: float
-    mfs: tuple[MembershipFunction, ...] = field(repr=False)
+    peaks: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "mfs", tuple(self.mfs))
-        n = len(self.labels)
-        if n != len(self.mfs):
-            raise ValueError(f"{n} labels but {len(self.mfs)} membership functions")
+        object.__setattr__(self, "peaks", tuple(map(float, self.peaks)))
+        n, peaks = len(self.labels), self.peaks
+        if n != len(peaks):
+            raise ValueError(f"{n} labels but {len(peaks)} peaks")
         if n < 3 or n % 2 == 0:
             raise ValueError("odd label count required")
         if not self.universe_lo < self.universe_hi:
             raise ValueError("universe_lo must be strictly below universe_hi")
-        peaks = [mf.b for mf in self.mfs]
-        feet = [self.mfs[0].a, *peaks, self.mfs[-1].c]  # any outer feet will do
-        if not (all(map(math.isfinite, peaks)) and all(p < q for p, q in zip(peaks, peaks[1:]))
-                and self.mfs == _triangles(feet)):
-            raise ValueError("not a Ruspini partition: need finite, strictly increasing peaks,"
-                             " a left shoulder, interior triangles, a right shoulder,"
-                             " each foot on the neighbouring peak")
+        if not (all(map(math.isfinite, peaks)) and all(p < q for p, q in zip(peaks, peaks[1:]))):
+            raise ValueError(f"peaks must be finite and strictly increasing, got {list(peaks)}")
+        if not all(math.isfinite(p + q) for p, q in zip(peaks, peaks[1:])):
+            raise ValueError(f"adjacent peaks must have a finite sum, got {list(peaks)}")
+
+    @cached_property
+    def mfs(self) -> tuple[MembershipFunction, ...]:
+        """The labels' membership functions, derived once per partition."""
+        return _triangles([self.peaks[0], *self.peaks, self.peaks[-1]])
 
     @property
     def n(self) -> int:
@@ -162,7 +153,7 @@ class LinguisticVariable:
         it is k - 1 at peak k - 1 and k at peak k, and bisecting the floats
         between them finds e_k exactly, galloping up from just below their
         midpoint, where it usually is. Computed once per partition."""
-        peaks, edges = [mf.b for mf in self.mfs], []
+        peaks, edges = self.peaks, []
         for k in range(2, self.n + 1):
             lo, hi = _ordinal(peaks[k - 2]), _ordinal(peaks[k - 1])  # labels k - 1 and k
             x, step = max(lo + 1, _ordinal((peaks[k - 2] + peaks[k - 1]) / 2) - 1), 1
@@ -183,11 +174,8 @@ def make_uniform_partition(name: str, labels, lo: float, hi: float) -> Linguisti
     n = len(labels)
     if n < 3 or n % 2 == 0:
         raise ValueError("odd label count required")
-    if not lo < hi:
-        raise ValueError("lo must be strictly below hi")
     peaks = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    return LinguisticVariable(name, labels, float(lo), float(hi),
-                              _triangles([peaks[0], *peaks, peaks[-1]]))
+    return LinguisticVariable(name, labels, float(lo), float(hi), peaks)
 
 
 def _outside(var: LinguisticVariable, x) -> OutOfUniverseError:
@@ -242,6 +230,6 @@ def hmdf_win_intervals(var: LinguisticVariable) -> list[tuple[float, float]]:
     in that gap strays to the label below, and a draw that rounds up onto its
     interval's top strays to the label above where that top is the next label
     edge; the sampler redraws strays."""
-    peaks = [mf.b for mf in var.mfs]
+    peaks = var.peaks
     bounds = [var.universe_lo, *((p + q) / 2.0 for p, q in zip(peaks, peaks[1:])), var.universe_hi]
     return list(zip(bounds, bounds[1:]))

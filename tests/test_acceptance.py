@@ -27,7 +27,7 @@ from fuzzychain.experiments import (
     run_experiment2,
     sample_stakes_for_census,
 )
-from fuzzychain.fuzzy import hmdf, make_uniform_partition, membership_array, scale_stakes
+from fuzzychain.fuzzy import hmdf, make_uniform_partition, membership, scale_stakes
 from fuzzychain.ledger import (
     Chain,
     LedgerError,
@@ -68,8 +68,8 @@ def test_c03_partition_properties():
     t0 = time.perf_counter()
     var = make_uniform_partition("stake", LABELS, 0.0, 10.0)
 
-    xs = np.linspace(0.0, 10.0, 10_000)
-    total = sum(membership_array(mf, xs) for mf in var.mfs)
+    xs = np.linspace(0.0, 10.0, 10_000).tolist()
+    total = np.array([sum(membership(mf, x) for mf in var.mfs) for x in xs])
     assert np.abs(total - 1.0).max() <= 1e-9
 
     a = hmdf(var, 6.0)

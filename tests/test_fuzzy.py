@@ -24,10 +24,9 @@ from fuzzychain.fuzzy import (
     hmdf_win_intervals,
     make_uniform_partition,
     membership,
-    membership_array,
     scale_stakes,
 )
-from strategies import uniform_partitions
+from strategies import partitions, uniform_partitions
 
 LABELS5 = ("VL", "L", "M", "H", "VH")
 
@@ -39,11 +38,7 @@ def var5():
 
 def non_uniform_partition():
     """Five labels with unevenly spaced peaks: crossovers at 0.5, 1.75, 4.25, 8."""
-    peaks = (0.0, 1.0, 2.5, 6.0, 10.0)
-    mfs = [MembershipFunction(0.0, 0.0, 1.0, SHOULDER_LEFT)]
-    mfs += [MembershipFunction(a, b, c) for a, b, c in zip(peaks, peaks[1:], peaks[2:])]
-    mfs.append(MembershipFunction(6.0, 10.0, 10.0, SHOULDER_RIGHT))
-    return LinguisticVariable("stake", LABELS5, 0.0, 10.0, tuple(mfs))
+    return LinguisticVariable("stake", LABELS5, 0.0, 10.0, (0.0, 1.0, 2.5, 6.0, 10.0))
 
 
 def bits(xs) -> list:
@@ -54,7 +49,7 @@ def bits(xs) -> list:
 def stakes_about_the_edges(var) -> list:
     """Every edge and peak, the floats either side of them, the universe's
     ends and stakes above the top."""
-    marks = [*var.edges, *(mf.b for mf in var.mfs)]
+    marks = [*var.edges, *var.peaks]
     near = [y for x in marks for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
     hi = var.universe_hi
     return [x for x in near if x >= var.universe_lo] + [
@@ -69,6 +64,16 @@ def assert_classifiers_follow_hmdf(var, stakes) -> None:
     got = [classify_stake(var, x) for x in stakes]
     assert [g.label_index for g in got] == [e.label_index for e in expect]
     assert bits([g.degree for g in got]) == bits([e.degree for e in expect])
+
+
+def clipped_triangle(mf, x) -> float:
+    """The degree as the lesser flank clipped to [0, 1], a vertical flank a
+    step and a shoulder's flat side 1."""
+    if mf.shape == SHOULDER_LEFT and x <= mf.b or mf.shape == SHOULDER_RIGHT and x >= mf.b:
+        return 1.0
+    rise = (x - mf.a) / (mf.b - mf.a) if mf.b > mf.a else float(x >= mf.a)
+    fall = (mf.c - x) / (mf.c - mf.b) if mf.c > mf.b else float(x <= mf.c)
+    return min(max(min(rise, fall), 0.0), 1.0)
 
 
 class TestMembershipFunction:
@@ -106,7 +111,7 @@ class TestMembershipFunction:
 
     @given(st.floats(min_value=-5, max_value=15, allow_nan=False))
     @example(0.0)
-    def test_vectorized_matches_scalar(self, x):
+    def test_membership_matches_the_clipped_triangle(self, x):
         for mf in (
             MembershipFunction(2.5, 5.0, 7.5),
             MembershipFunction(0.0, 0.0, 2.5, SHOULDER_LEFT),
@@ -116,9 +121,7 @@ class TestMembershipFunction:
             MembershipFunction(3.0, 3.0, 3.0),
             MembershipFunction(10.0, 10.0, 10.0, SHOULDER_RIGHT),
         ):
-            assert membership_array(mf, np.array([x]))[0] == pytest.approx(
-                membership(mf, x), abs=1e-12
-            )
+            assert membership(mf, x) == pytest.approx(clipped_triangle(mf, x), abs=1e-12)
 
 
 class TestUniformPartition:
@@ -141,76 +144,79 @@ class TestUniformPartition:
             make_uniform_partition("stake", LABELS5, 10, 0)
 
     def test_degrees_sum_to_one_everywhere(self, var5):
-        xs = np.linspace(0, 10, 10_000)
-        total = sum(membership_array(mf, xs) for mf in var5.mfs)
+        xs = np.linspace(0, 10, 10_000).tolist()
+        total = np.array([sum(membership(mf, x) for mf in var5.mfs) for x in xs])
         assert np.max(np.abs(total - 1.0)) < 1e-9
 
-    def test_non_ruspini_family_rejected(self):
-        # gap between the sets: degrees sum to 0 in (4, 6)
-        with pytest.raises(ValueError, match="Ruspini"):
-            LinguisticVariable("bad", ("A", "B", "C"), 0.0, 10.0, (
-                MembershipFunction(0, 0, 4, SHOULDER_LEFT),
-                MembershipFunction(0, 4, 4, INTERIOR),
-                MembershipFunction(6, 10, 10, SHOULDER_RIGHT),
-            ))
+    @pytest.mark.parametrize("peaks, match", [
+        ((0.0, math.nan, 10.0), "finite and strictly increasing"),
+        ((0.0, 5.0, math.inf), "finite and strictly increasing"),
+        ((0.0, 5.0, 5.0), "finite and strictly increasing"),
+        ((0.0, 6.0, 5.0), "finite and strictly increasing"),
+        # each pair is finite, but the midpoint between the last two is not
+        ((0.0, 0.9e308, 1.7e308), "adjacent peaks must have a finite sum"),
+        ((0.0, 2.5, 5.0, 10.0), "3 labels but 4 peaks"),
+    ], ids=["nan", "inf", "equal", "decreasing", "overflowing-sum", "count"])
+    def test_peaks_that_make_no_partition_are_refused(self, peaks, match):
+        with pytest.raises(ValueError, match=match):
+            LinguisticVariable("bad", ("A", "B", "C"), 0.0, 10.0, peaks)
 
-    @pytest.mark.parametrize("mfs", [
-        # an interior foot short of the next peak: degrees sum to about 0.91 at 9
-        ((0, 0, 5, SHOULDER_LEFT), (0, 5, 9.5, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
-        # a shoulder's foot past the next peak: degrees sum above 1 in (5, 6)
-        ((0, 0, 6, SHOULDER_LEFT), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
-        # a rising foot off the peak before
-        ((0, 0, 5, SHOULDER_LEFT), (1, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
-        # coinciding peaks
-        ((0, 0, 5, SHOULDER_LEFT), (0, 5, 5, INTERIOR), (5, 5, 5, SHOULDER_RIGHT)),
-        # shoulders swapped, and an interior set at an end
-        ((0, 0, 5, SHOULDER_RIGHT), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_LEFT)),
-        ((0, 0, 5, INTERIOR), (0, 5, 10, INTERIOR), (5, 10, 10, SHOULDER_RIGHT)),
-    ])
-    def test_partitions_of_another_shape_are_refused(self, mfs):
-        with pytest.raises(ValueError, match="not a Ruspini partition"):
-            LinguisticVariable("bad", ("A", "B", "C"), 0.0, 10.0,
-                               tuple(MembershipFunction(*mf) for mf in mfs))
-
-    def test_outer_feet_of_the_shoulders_do_not_count(self):
-        var = LinguisticVariable("wide", ("A", "B", "C"), 0.0, 10.0, (
-            MembershipFunction(-50, 0, 5, SHOULDER_LEFT),
-            MembershipFunction(0, 5, 10, INTERIOR),
-            MembershipFunction(5, 10, 60, SHOULDER_RIGHT),
-        ))
-        assert var.edges == make_uniform_partition("stake", "ABC", 0.0, 10.0).edges
+    def test_an_overflowing_uniform_partition_is_refused(self):
+        # its peaks 0.9e308, 1.3e308 and 1.7e308 are finite, their midpoints not
+        with pytest.raises(ValueError, match="adjacent peaks must have a finite sum"):
+            make_uniform_partition("s", "ABC", 0.9e308, 1.7e308)
 
     def test_unbalanced_triples_accepted(self):
-        var = LinguisticVariable("skewed", ("A", "B", "C"), 0.0, 8.0, (
-            MembershipFunction(0, 0, 2, SHOULDER_LEFT),
-            MembershipFunction(0, 2, 8, INTERIOR),
-            MembershipFunction(2, 8, 8, SHOULDER_RIGHT),
-        ))
+        var = LinguisticVariable("skewed", ("A", "B", "C"), 0.0, 8.0, (0, 2, 8))
         assert hmdf(var, 1.5).label_index == 2
         assert hmdf(var, 0.5).label_index == 1
         assert_classifiers_follow_hmdf(var, stakes_about_the_edges(var))
 
 
+def assert_each_edge_is_where_hmdf_first_gives_its_label(var) -> None:
+    assert len(var.edges) == var.n - 1
+    for k, edge in enumerate(var.edges, start=2):
+        assert hmdf(var, np.nextafter(edge, -np.inf)).label_index < k
+        assert hmdf(var, edge).label_index == k
+
+
+def assert_edges_sit_at_or_just_above_the_peaks_midpoints(var) -> None:
+    width = var.universe_hi - var.universe_lo
+    for edge, (_lo, mid) in zip(var.edges, hmdf_win_intervals(var)):
+        assert mid <= edge <= mid + 2 * (math.ulp(mid) + math.ulp(width))
+
+
+def assert_classifiers_equal_hmdf_about_the_edges(var, data) -> None:
+    near = stakes_about_the_edges(var)
+    stake = st.one_of(st.floats(var.universe_lo, var.universe_hi), st.sampled_from(near),
+                      st.floats(min_value=var.universe_hi, allow_nan=False))
+    assert_classifiers_follow_hmdf(var, data.draw(st.lists(stake, max_size=40), label="stakes"))
+
+
 class TestLabelEdges:
     @given(uniform_partitions())
     def test_each_edge_is_where_hmdf_first_gives_its_label(self, var):
-        assert len(var.edges) == var.n - 1
-        for k, edge in enumerate(var.edges, start=2):
-            assert hmdf(var, np.nextafter(edge, -np.inf)).label_index < k
-            assert hmdf(var, edge).label_index == k
+        assert_each_edge_is_where_hmdf_first_gives_its_label(var)
+
+    @given(partitions())
+    def test_each_non_uniform_edge_is_where_hmdf_first_gives_its_label(self, var):
+        assert_each_edge_is_where_hmdf_first_gives_its_label(var)
 
     @given(uniform_partitions())
     def test_edges_sit_at_or_just_above_the_peaks_midpoints(self, var):
-        width = var.universe_hi - var.universe_lo
-        for edge, (_lo, mid) in zip(var.edges, hmdf_win_intervals(var)):
-            assert mid <= edge <= mid + 2 * (math.ulp(mid) + math.ulp(width))
+        assert_edges_sit_at_or_just_above_the_peaks_midpoints(var)
+
+    @given(partitions())
+    def test_non_uniform_edges_sit_at_or_just_above_the_peaks_midpoints(self, var):
+        assert_edges_sit_at_or_just_above_the_peaks_midpoints(var)
 
     @given(uniform_partitions(), st.data())
     def test_classifiers_equal_hmdf_about_the_edges(self, var, data):
-        near = stakes_about_the_edges(var)
-        stake = st.one_of(st.floats(var.universe_lo, var.universe_hi), st.sampled_from(near),
-                          st.floats(min_value=var.universe_hi, allow_nan=False))
-        assert_classifiers_follow_hmdf(var, data.draw(st.lists(stake, max_size=40), label="stakes"))
+        assert_classifiers_equal_hmdf_about_the_edges(var, data)
+
+    @given(partitions(), st.data())
+    def test_classifiers_equal_hmdf_about_non_uniform_edges(self, var, data):
+        assert_classifiers_equal_hmdf_about_the_edges(var, data)
 
     @given(uniform_partitions(), st.sampled_from(["nan", "-inf", "below"]))
     def test_stakes_off_the_universe_floor_are_refused(self, var, kind):

@@ -43,7 +43,7 @@ from fuzzychain.ids import EnrollmentIds
 from fuzzychain.metrics import FrequencyTable
 from fuzzychain.outputs import FILES, emit_outputs, format_report, write_frequencies
 from fuzzychain.rng import substream
-from strategies import uniform_partitions
+from strategies import partitions, uniform_partitions
 
 TINY_POP = {"VL": 12, "L": 9, "M": 7, "H": 5, "VH": 4}
 
@@ -90,10 +90,14 @@ WRONG_TYPED = [
     ("l_divisor", {"l_divisor": float("nan")}),
     ("baselines.pos_stake_dist.sigma",
      {"baselines": {"pos_stake_dist": {"type": "lognormal", "mu": 0, "sigma": float("inf")}}}),
-    # finite bounds whose span overflows, or whose peaks' midpoints do
-    ("universe_hi - universe_lo", {"universe_lo": -1e308, "universe_hi": 1e308}),
-    ("universe_hi - universe_lo", {"universe_lo": 0.0, "universe_hi": 1e308}),
-    ("universe_lo, universe_hi", {"universe_lo": 0.85e308, "universe_hi": 0.9e308}),
+    # finite bounds whose peaks overflow, whose peaks' midpoints do (three labels, peaks
+    # 0.9e308, 1.3e308 and 1.7e308), or two ulps apart, too close for five distinct peaks
+    ("universe_lo, universe_hi", {"universe_lo": -1e308, "universe_hi": 1e308}),
+    ("universe_lo, universe_hi", {"universe_lo": 0.0, "universe_hi": 1e308}),
+    ("universe_lo, universe_hi", {"universe_lo": 0.9e308, "universe_hi": 1.7e308,
+                                  "labels": ["VL", "M", "VH"],
+                                  "population_per_label": {"VL": 1, "M": 1, "VH": 1}}),
+    ("universe_lo, universe_hi", {"universe_lo": 1.0, "universe_hi": 1.0000000000000004}),
 ]
 
 
@@ -102,6 +106,16 @@ class TestConfigValidation:
         cfg = ExperimentConfig()
         assert cfg.experiment == "exp1"
         assert sum(cfg.population_per_label.values()) == 990
+
+    def test_a_universe_near_the_float_top_with_finite_midpoints_is_valid(self):
+        cfg = config_from_dict({"universe_lo": 0.85e308, "universe_hi": 0.9e308})
+        assert build_variable(cfg).edges[-1] < cfg.universe_hi
+
+    def test_the_universe_is_judged_by_its_partition_only_under_valid_labels(self):
+        two_ulps = {"universe_lo": 1.0, "universe_hi": 1.0000000000000004}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(labels=("A", "B"), population_per_label={"A": 1, "B": 1}, **two_ulps)
+        assert exc.value.errors == ["labels: odd count >= 3 required, got 2"]
 
     def test_field_level_messages(self):
         with pytest.raises(ConfigError) as exc:
@@ -293,6 +307,13 @@ class TestStakeSampling:
     # at least 300 examples; the exact profile's 2,000 in CI
     @settings(max_examples=max(300, settings.default.max_examples))
     def test_census_equals_the_label_by_label_loop(self, drawn, seed):
+        var, census = drawn
+        self.assert_label_by_label(var, census, np.random.default_rng(seed),
+                                   np.random.default_rng(seed))
+
+    @given(partitions().flatmap(partition_and_census), st.integers(0, 2**32 - 1))
+    @settings(max_examples=max(300, settings.default.max_examples))
+    def test_non_uniform_census_equals_the_label_by_label_loop(self, drawn, seed):
         var, census = drawn
         self.assert_label_by_label(var, census, np.random.default_rng(seed),
                                    np.random.default_rng(seed))
@@ -1024,8 +1045,19 @@ class TestCli:
         out = tmp_path / "never"
         assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == ("config error: universe_hi - universe_lo: must be finite times 4"
-                       " (the label count less one), got inf\n")
+        assert err == ("config error: universe_lo, universe_hi: peaks must be finite and"
+                       " strictly increasing, got [nan, inf, inf, inf, inf]\n")
+        assert not out.exists()
+
+    def test_a_universe_two_ulps_wide_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "custom", "universe_lo": 1.0,
+                                 "universe_hi": 1.0000000000000004}))
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: universe_lo, universe_hi: peaks must be finite and"
+                              " strictly increasing")
         assert not out.exists()
 
     def test_overflowing_hash_powers_exit_two(self, tmp_path, capsys):
