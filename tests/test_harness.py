@@ -90,10 +90,13 @@ WRONG_TYPED = [
     ("l_divisor", {"l_divisor": float("nan")}),
     ("baselines.pos_stake_dist.sigma",
      {"baselines": {"pos_stake_dist": {"type": "lognormal", "mu": 0, "sigma": float("inf")}}}),
-    # finite bounds whose peaks overflow, whose peaks' midpoints do (three labels, peaks
-    # 0.9e308, 1.3e308 and 1.7e308), or two ulps apart, too close for five distinct peaks
-    ("universe_lo, universe_hi", {"universe_lo": -1e308, "universe_hi": 1e308}),
-    ("universe_lo, universe_hi", {"universe_lo": 0.0, "universe_hi": 1e308}),
+    # finite bounds whose span overflows (named for it, though the partition the config
+    # builds reports them), whose peaks' midpoints overflow (three labels, peaks 0.9e308,
+    # 1.3e308 and 1.7e308), or two ulps apart, too close for five distinct peaks
+    pytest.param("universe_lo, universe_hi", {"universe_lo": -1e308, "universe_hi": 1e308},
+                 id="universe_hi - universe_lo"),
+    pytest.param("universe_lo, universe_hi", {"universe_lo": 0.0, "universe_hi": 1e308},
+                 id="universe_hi - universe_lo"),
     ("universe_lo, universe_hi", {"universe_lo": 0.9e308, "universe_hi": 1.7e308,
                                   "labels": ["VL", "M", "VH"],
                                   "population_per_label": {"VL": 1, "M": 1, "VH": 1}}),
@@ -194,7 +197,7 @@ class TestConfigValidation:
             config_from_dict({"baselines": {dist_name: spec}})
         assert len(exc.value.errors) == 1
 
-    @pytest.mark.parametrize("field, doc", WRONG_TYPED, ids=[f for f, _ in WRONG_TYPED])
+    @pytest.mark.parametrize("field, doc", WRONG_TYPED, ids=[getattr(c, "id", None) or c[0] for c in WRONG_TYPED])
     def test_wrong_typed_value_is_config_error(self, field, doc):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(dict(doc, epsilon=3))
