@@ -58,8 +58,14 @@ def sample_dist(spec: dict, n: int, rng) -> np.ndarray:
 
 def _number(errors: list[str], name: str, value) -> bool:
     """True if value is a finite real number; otherwise record why not."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return True
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return True
+        except OverflowError:  # an integer beyond the float range, as JSON can hold
+            errors.append(f"{name}: expected a finite number, got an integer too large"
+                          " for a float")
+            return False
     errors.append(f"{name}: expected a finite number, got {value!r}")
     return False
 

@@ -10,10 +10,17 @@ through named substreams of the config seed, and repetitions run one
 after another in a single serial loop. A registry's census is drawn
 inside each label's interval and checked against the partition's label
 edges, so set-up classifies no stake.
+
+A round's transaction depends on no consensus state, so a repetition
+draws its blocks stream first and signs and verifies every round's
+transaction before round 1, on the main thread and one helper thread
+(ECDSA releases the GIL). The rounds read the verdicts the transactions
+keep; the outputs do not depend on how the threads interleave.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -108,7 +115,9 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
 
     Block contents are synthetic wallet-to-wallet transfers; a block is
     corrupted (bad signature or broken linkage, 50/50) with probability
-    invalid_block_rate so the reject path gets exercised.
+    invalid_block_rate so the reject path gets exercised. Every round's
+    transaction is signed and checked before round 1
+    (sign_round_transactions).
     """
     var = build_variable(config)
     path = (config.experiment, rounds_value, rep)
@@ -118,35 +127,31 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     wallets = [new_keypair(keys_rng, config.curve) for _ in range(N_WALLETS)]
     selection_rng, votes_rng, blocks_rng = (
         Stream(substream(config.seed, *path, name)) for name in ("selection", "votes", "blocks"))
+    invalid_block_rate = config.invalid_block_rate
+    plan = []  # per round: amount, tamper the amount, break the linkage
+    for _ in range(rounds_value):
+        amount = round(blocks_rng.uniform(0.0, 100.0), 6)
+        u_corrupt, u_mode = blocks_rng.random(), blocks_rng.random()
+        corrupt = u_corrupt < invalid_block_rate
+        plan.append((amount, corrupt and u_mode < 0.5, corrupt and u_mode >= 0.5))
+    txs = sign_round_transactions(wallets, plan, config.curve)
 
     chain = Chain(config.curve)
     engine = FuzzychainEngine(
         registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
     id_of = registry.ids().speller()  # positions become ids only in the audit rows
-    labels, invalid_block_rate = config.labels, config.invalid_block_rate
+    labels = config.labels
     winner_labels, winners = [], []  # label and enrollment positions
     audit_rows = []
     rejected = expelled = 0
 
-    for r in range(1, rounds_value + 1):
-        priv, _pub = wallets[(r - 1) % N_WALLETS]
-        _, recipient = wallets[r % N_WALLETS]
-        amount = round(blocks_rng.uniform(0.0, 100.0), 6)
-        tx = sign_transaction(priv, recipient, amount, nonce=r)
-        u_corrupt = blocks_rng.random()
-        u_mode = blocks_rng.random()
+    for r, tx, (*_, unlink) in zip(range(1, rounds_value + 1), txs, plan):
         tip = chain.tip()
-        if u_corrupt < invalid_block_rate:
-            if u_mode < 0.5:
-                # tamper the amount after signing: signature check must fail
-                tx = Transaction(tx.sender, tx.recipient,
-                                 round(tx.amount + 1e-6, 6), tx.nonce, tx.signature)
-                block = build_block(tip, [tx], clock=r)
-            else:
-                # break linkage: hash is self-consistent but points past the tip
-                bad_prev = bytes([tip.hash[0] ^ 0x01]) + tip.hash[1:]
-                block = make_block(tip.index + 1, r, bad_prev, (tx,))
+        if unlink:
+            # break linkage: hash is self-consistent but points past the tip
+            bad_prev = bytes([tip.hash[0] ^ 0x01]) + tip.hash[1:]
+            block = make_block(tip.index + 1, r, bad_prev, (tx,))
         else:
             block = build_block(tip, [tx], clock=r)
 
@@ -187,6 +192,53 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
         rejected_rounds=rejected,
         expelled=expelled,
     )
+
+
+def sign_round_transactions(wallets, plan, curve: str) -> list:
+    """The rounds' transactions, round r's sent by wallet r - 1 to wallet r
+    (mod N_WALLETS) with nonce r, each signed once and checked under curve.
+
+    plan holds (amount, tamper, unlink) per round. A tampered transaction
+    gains 1e-6 in amount after signing, so its signature must fail. An
+    unlinked round's block is refused at its linkage, before any signature
+    is read, so its transaction is not verified.
+
+    The main thread takes the odd rounds and one helper thread the even
+    ones: ECDSA signing and verifying release the GIL, so the two overlap
+    on two cores. The helper's exception is raised here after the join, and
+    the join runs whatever happens, so no thread outlives the call.
+    """
+    txs = [None] * len(plan)
+
+    def sign_rounds(start: int) -> None:
+        for i in range(start, len(plan), 2):
+            amount, tamper, unlink = plan[i]
+            tx = sign_transaction(wallets[i % N_WALLETS][0], wallets[(i + 1) % N_WALLETS][1],
+                                  amount, nonce=i + 1)
+            if tamper:
+                tx = Transaction(tx.sender, tx.recipient,
+                                 round(tx.amount + 1e-6, 6), tx.nonce, tx.signature)
+            if not unlink:
+                tx.verified(curve)
+            txs[i] = tx
+
+    helper_error = []
+
+    def helper() -> None:
+        try:
+            sign_rounds(1)
+        except BaseException as e:  # re-raised in the caller after the join
+            helper_error.append(e)
+
+    thread = threading.Thread(target=helper, name="sign-rounds")
+    thread.start()
+    try:
+        sign_rounds(0)
+    finally:
+        thread.join()
+    if helper_error:
+        raise helper_error[0]
+    return txs
 
 
 def _aggregate_counts(categories, counts: np.ndarray) -> dict:

@@ -139,6 +139,16 @@ class Transaction:
         as signing_bytes is: the block hash and its recomputation both read them."""
         return self.signing_bytes + _bytes_field(self.signature)
 
+    def verified(self, curve: str) -> bool:
+        """verify_transaction(self, curve), called once per curve and kept in
+        the instance, as signing_bytes is: the fields are frozen, so the
+        verdict cannot change. A copy made by dataclasses.replace starts with
+        no verdict. Equality and hashing read the fields only."""
+        verdicts = self.__dict__.setdefault("_verdicts", {})
+        if curve not in verdicts:
+            verdicts[curve] = verify_transaction(self, curve)
+        return verdicts[curve]
+
 
 def transaction_signing_bytes(sender: bytes, recipient: bytes, amount: float, nonce: int) -> bytes:
     """Canonical unsigned serialization — exactly what the sender signs."""
@@ -241,7 +251,9 @@ def block_rejection_reason(chain: "Chain", block: Block):
     """Why this block cannot extend the chain, or None if it can.
 
     Checks, in order: hash recomputation, index linkage, parent-hash
-    linkage, and every transaction signature under the chain's curve.
+    linkage, and every transaction signature under the chain's curve
+    (each transaction's verdict is computed once per curve, see
+    Transaction.verified).
     """
     try:
         recomputed = block_hash(block.index, block.timestamp, block.prev_hash, block.transactions)
@@ -255,7 +267,7 @@ def block_rejection_reason(chain: "Chain", block: Block):
     if block.prev_hash != tip.hash:
         return "linkage: prev_hash does not match the chain tip"
     for i, tx in enumerate(block.transactions):
-        if not verify_transaction(tx, chain.curve):
+        if not tx.verified(chain.curve):
             return f"invalid tx at position {i}: signature does not verify"
     return None
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzychain import experiments, outputs
+from fuzzychain import experiments, ledger, outputs
 from fuzzychain.cli import main
 from fuzzychain.config import (
     ConfigError,
@@ -203,6 +204,15 @@ class TestConfigValidation:
             config_from_dict(dict(doc, epsilon=3))
         assert any(e.startswith(field + ":") for e in exc.value.errors)
         assert any(e.startswith("epsilon:") for e in exc.value.errors)
+
+    def test_an_integer_beyond_the_float_range_is_a_field_error(self):
+        huge = 10**400  # JSON holds it, a float cannot
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"universe_hi": huge, "commission": -huge, "baselines": {
+                "dpos_stake_dist": {"type": "constant", "value": huge}}})
+        assert exc.value.errors == [
+            f"{field}: expected a finite number, got an integer too large for a float"
+            for field in ("universe_hi", "commission", "baselines.dpos_stake_dist.value")]
 
     @pytest.mark.parametrize("field, value", [
         ("rounds", 5), ("rounds", "100"), ("rounds", None), ("baselines", {}),
@@ -464,6 +474,65 @@ class TestExperiment1:
         )
         assert (emitted_frequencies(serial, tmp_path / "serial")
                 == emitted_frequencies(with_workers, tmp_path / "workers"))
+
+
+class TestSigningThreads:
+    """A repetition signs and checks its transactions before round 1, on the
+    main thread (odd nonces) and one helper thread (even nonces)."""
+
+    @pytest.mark.parametrize("bad_nonce", [8, 7], ids=["helper", "main"])
+    def test_a_signing_error_reaches_the_caller_and_no_thread_is_left(self, bad_nonce,
+                                                                     monkeypatch):
+        original = experiments.sign_transaction
+
+        def sign(priv, recipient, amount, nonce):
+            if nonce == bad_nonce:
+                raise RuntimeError(f"refused nonce {nonce}")
+            return original(priv, recipient, amount, nonce=nonce)
+
+        monkeypatch.setattr(experiments, "sign_transaction", sign)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"refused nonce {bad_nonce}$"):
+            run_configured(tiny(repetitions=1))
+        assert threading.active_count() == before
+
+    def test_each_transaction_is_signed_once_and_verified_at_most_once(self, monkeypatch):
+        signers, verified = [], []
+        sign, verify = experiments.sign_transaction, ledger.verify_transaction
+
+        def counting_sign(priv, recipient, amount, nonce):
+            signers.append((nonce, threading.get_ident()))
+            return sign(priv, recipient, amount, nonce=nonce)
+
+        def counting_verify(tx, curve):
+            verified.append((tx, curve))
+            return verify(tx, curve)
+
+        monkeypatch.setattr(experiments, "sign_transaction", counting_sign)
+        monkeypatch.setattr(ledger, "verify_transaction", counting_verify)
+        before = threading.active_count()
+        cfg = tiny(byzantine_rate=0.15, invalid_block_rate=0.3, rounds=(200,), repetitions=2)
+        report = run_configured(cfg)
+        assert threading.active_count() == before
+        assert sorted(n for n, _ in signers) == sorted([*range(1, 201)] * 2)
+        main = threading.get_ident()
+        assert {ident for n, ident in signers if n % 2} == {main}
+        assert main not in {ident for n, ident in signers if n % 2 == 0}
+        assert max(Counter(verified).values()) == 1
+        # a block whose linkage breaks is refused before its signature is read
+        assert sum(r.rejected_rounds for r in report.runs) > 400 - len(verified) > 0
+
+    def test_outputs_do_not_depend_on_thread_switching(self):
+        cfg = tiny(byzantine_rate=0.15, invalid_block_rate=0.3, rounds=(60,), repetitions=2)
+        expect = run_configured(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            got = run_configured(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.audit_rows() == expect.audit_rows()
+        assert got.summary_dict() == expect.summary_dict()
 
 
 def small_exp2_config(repetitions=2):
@@ -1050,6 +1119,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("config error: universe_lo, universe_hi: peaks must be finite and"
                        " strictly increasing, got [nan, inf, inf, inf, inf]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["universe_hi", "commission"])
+    def test_an_integer_beyond_the_float_range_exits_one(self, tmp_path, capsys, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"experiment": "custom", field: 10**400}))
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"config error: {field}: expected a finite number,"
+                                           " got an integer too large for a float\n")
         assert not out.exists()
 
     def test_a_universe_two_ulps_wide_exits_one(self, tmp_path, capsys):

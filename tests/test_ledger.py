@@ -280,6 +280,54 @@ class TestSigningBytesCache:
         assert len(calls) == 1
 
 
+class TestVerdictMemo:
+    """Transaction.verified calls verify_transaction once per curve and keeps the verdict."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        original = ledger.verify_transaction
+        monkeypatch.setattr(ledger, "verify_transaction",
+                            lambda tx, curve: calls.append((tx, curve)) or original(tx, curve))
+        return calls
+
+    def test_one_call_per_curve(self, wallet, verify_calls):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 3.5, 9)
+        assert tx.verified("secp256r1") and tx.verified("secp256r1")
+        assert verify_calls == [(tx, "secp256r1")]
+        assert tx.verified("secp256k1") is False and tx.verified("secp256k1") is False
+        assert tx.verified("secp256r1")
+        assert verify_calls == [(tx, "secp256r1"), (tx, "secp256k1")]
+
+    def test_a_replaced_copy_gets_its_own_verdict(self, wallet, verify_calls):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 3.5, 9)
+        assert tx.verified("secp256r1")
+        tampered = dataclasses.replace(tx, amount=3.500001)
+        assert tampered.verified("secp256r1") is False
+        assert len(verify_calls) == 2 and verify_calls[1][0] is tampered
+        assert tx.verified("secp256r1")
+        assert len(verify_calls) == 2
+
+    def test_equality_and_hash_ignore_the_verdicts(self, wallet):
+        priv, pub = wallet
+        tx, twin = sign_transaction(priv, pub, 3.5, 9), sign_transaction(priv, pub, 3.5, 9)
+        tx.verified("secp256r1")
+        assert "_verdicts" in vars(tx) and "_verdicts" not in vars(twin)
+        assert tx == twin and hash(tx) == hash(twin)
+        assert "_verdicts" not in repr(tx)
+
+    def test_the_block_check_reads_the_kept_verdict(self, wallet, verify_calls):
+        priv, pub = wallet
+        tx = sign_transaction(priv, pub, 3.5, 9)
+        tx.verified("secp256r1")
+        chain = Chain()
+        chain.append(build_block(chain.tip(), [tx], clock=1))
+        assert chain.validate_all()
+        assert verify_calls == [(tx, "secp256r1")]
+
+
 class TestBlocksAndChain:
     def test_genesis_convention(self):
         g = genesis_block()
