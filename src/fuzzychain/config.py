@@ -300,8 +300,8 @@ def load_config(path):
         raise ConfigError([f"config file not found: {p}"])
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"config file is not valid JSON: {e}"])
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"config file cannot be read: {p}: {e}"])
+    except ValueError as e:  # not JSON, or an integer literal too long to convert
+        raise ConfigError([f"config file cannot be parsed as JSON: {p}: {e}"])
     return data

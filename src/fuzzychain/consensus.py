@@ -197,12 +197,10 @@ def pick_winner(successful: Sequence, rng):
 
 @dataclass(slots=True)
 class RoundResult:
-    """Everything the audit log wants to know about one round.
-
-    Participants are registry positions; the audit log turns them into ids
-    through Registry.ids(). panel_labels are the labels the panel held when
-    it was drawn, so the winner keeps its label even when the commission
-    moves its stake across a label edge.
+    """One round's record: a run keeps one per round (SingleRun.results) and
+    reads its audit rows, win tables and counters from them. panel_labels
+    are the labels the panel held when it was drawn, so the winner keeps
+    its label even when the commission moves its stake across a label edge.
     """
 
     round_index: int

@@ -9,7 +9,9 @@ Every run is a pure function of the config: all randomness flows
 through named substreams of the config seed, and repetitions run one
 after another in a single serial loop. A registry's census is drawn
 inside each label's interval and checked against the partition's label
-edges, so set-up classifies no stake.
+edges, so set-up classifies no stake. A repetition keeps each round's
+RoundResult (SingleRun.results), and reads its win tables, counters and
+audit rows from them, the rows only as audit.jsonl is written.
 
 A round's transaction depends on no consensus state, so a repetition
 draws its blocks stream first and signs and verifies every round's
@@ -95,19 +97,51 @@ def build_registry(config: ExperimentConfig, var: LinguisticVariable, stakes_rng
 
 @dataclass
 class SingleRun:
-    """One seeded consensus simulation at one round count."""
+    """One seeded consensus simulation at one round count, kept as its RoundResults."""
 
     rounds: int
     repetition: int
     label_table: FrequencyTable
     participant_table: FrequencyTable
-    audit_rows: list
+    results: list  # RoundResult per round
     chain_height: int
-    rejected_rounds: int
-    expelled: int
+
+    @property
+    def rejected_rounds(self) -> int:
+        return sum(not result.appended for result in self.results)
+
+    @property
+    def expelled(self) -> int:
+        return sum(len(result.expulsions) for result in self.results)
 
     def table(self, granularity: str) -> FrequencyTable:
         return self.label_table if granularity == "per-label" else self.participant_table
+
+    def audit_rows(self):
+        """audit.jsonl's row of each round, in round order, made as it is read."""
+        id_of = self.participant_table.categories.speller()
+        labels = self.label_table.categories
+        for result in self.results:
+            yield {
+                "rounds": self.rounds,
+                "repetition": self.repetition,
+                "round": result.round_index,
+                "panel": list(map(id_of, result.panel)),
+                "panel_labels": [labels[i - 1] for i in result.panel_labels],
+                "votes": "".join(["A" if v else "R" for v in result.votes]),
+                "decision": "accepted" if result.accepted else "rejected",
+                "block_valid": result.block_valid,
+                "winner": id_of(result.winner),
+                "winner_label": labels[_winner_label(result)],
+                "reputation_deltas": {id_of(i): [round(b, 9), round(a, 9)]
+                                      for i, (b, a) in result.reputation_deltas.items()},
+                "expulsions": list(map(id_of, result.expulsions)),
+                "appended": result.appended,
+            }
+
+
+def _winner_label(result) -> int:
+    return result.panel_labels[result.panel.index(result.winner)] - 1
 
 
 def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -> SingleRun:
@@ -140,12 +174,7 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
     engine = FuzzychainEngine(
         registry, chain, commission=config.commission, byzantine_rate=config.byzantine_rate
     )
-    id_of = registry.ids().speller()  # positions become ids only in the audit rows
-    labels = config.labels
-    winner_labels, winners = [], []  # label and enrollment positions
-    audit_rows = []
-    rejected = expelled = 0
-
+    results = []
     for r, tx, (*_, unlink) in zip(range(1, rounds_value + 1), txs, plan):
         tip = chain.tip()
         if unlink:
@@ -154,43 +183,15 @@ def run_fuzzychain_once(config: ExperimentConfig, rounds_value: int, rep: int) -
             block = make_block(tip.index + 1, r, bad_prev, (tx,))
         else:
             block = build_block(tip, [tx], clock=r)
-
-        result = engine.run_round(block, selection_rng, votes_rng)
-        panel, panel_labels, winner = result.panel, result.panel_labels, result.winner
-        winner_label = panel_labels[panel.index(winner)] - 1
-        winner_labels.append(winner_label)
-        winners.append(winner)
-        if not result.appended:
-            rejected += 1
-        deltas, expulsions = result.reputation_deltas, result.expulsions
-        expelled += len(expulsions)
-        audit_rows.append({
-            "rounds": rounds_value,
-            "repetition": rep,
-            "round": result.round_index,
-            "panel": list(map(id_of, panel)),
-            "panel_labels": [labels[i - 1] for i in panel_labels],
-            "votes": "".join(["A" if v else "R" for v in result.votes]),
-            "decision": "accepted" if result.accepted else "rejected",
-            "block_valid": result.block_valid,
-            "winner": id_of(winner),
-            "winner_label": labels[winner_label],
-            "reputation_deltas": {
-                id_of(i): [round(b, 9), round(a, 9)] for i, (b, a) in deltas.items()
-            } if deltas else {},
-            "expulsions": list(map(id_of, expulsions)) if expulsions else [],
-            "appended": result.appended,
-        })
+        results.append(engine.run_round(block, selection_rng, votes_rng))
 
     return SingleRun(
         rounds=rounds_value,
         repetition=rep,
-        label_table=FrequencyTable.tally(config.labels, winner_labels),
-        participant_table=FrequencyTable.tally(registry.ids(), winners),
-        audit_rows=audit_rows,
+        label_table=FrequencyTable.tally(config.labels, list(map(_winner_label, results))),
+        participant_table=FrequencyTable.tally(registry.ids(), [r.winner for r in results]),
+        results=results,
         chain_height=chain.height(),
-        rejected_rounds=rejected,
-        expelled=expelled,
     )
 
 
@@ -305,7 +306,7 @@ class Exp1Report:
         return lead_cols + (key_col, "count"), tables
 
     def audit_rows(self) -> list[dict]:
-        return [row for run in self.runs for row in run.audit_rows]
+        return [row for run in self.runs for row in run.audit_rows()]
 
 
 def run_experiment1(config: ExperimentConfig) -> Exp1Report:
@@ -409,7 +410,7 @@ class Exp2Report:
         return ("algorithm", "repetition", "key", "count"), tables
 
     def audit_rows(self) -> list[dict]:
-        return [row for run in self.fuzzy_runs for row in run.audit_rows]
+        return [row for run in self.fuzzy_runs for row in run.audit_rows()]
 
 
 def run_experiment2(config: ExperimentConfig) -> Exp2Report:

@@ -63,8 +63,9 @@ def emit_outputs(report, out_dir) -> dict:
         )
 
         with open(paths["audit.jsonl"], "w") as fh:
-            encode = _AUDIT_ENCODER.encode
-            fh.writelines(encode(row) + "\n" for row in report.audit_rows())
+            encode = _AUDIT_ENCODER.encode  # run by run: no list of every row is built
+            for run in report.fuzzy_runs if isinstance(report, Exp2Report) else report.runs:
+                fh.writelines(encode(row) + "\n" for row in run.audit_rows())
 
         render = render_exp2_plots if isinstance(report, Exp2Report) else render_exp1_plots
         paths["plots.svg"].write_text(render(report))

@@ -446,7 +446,7 @@ class TestExperiment1:
         cfg = tiny(byzantine_rate=0.3, invalid_block_rate=0.3, rounds=(60,), repetitions=2)
         report = run_experiment1(cfg)
         for run in report.runs:
-            assert run.expelled == sum(len(row["expulsions"]) for row in run.audit_rows)
+            assert run.expelled == sum(len(row["expulsions"]) for row in run.audit_rows())
             assert run.expelled > 0
 
     def test_tables_count_the_audited_winners(self):
@@ -454,10 +454,10 @@ class TestExperiment1:
                    invalid_block_rate=0.3, rounds=(60,), repetitions=2)
         for run in run_experiment1(cfg).runs:
             assert run.participant_table.as_dict() == {
-                pid: Counter(row["winner"] for row in run.audit_rows)[pid]
+                pid: Counter(row["winner"] for row in run.audit_rows())[pid]
                 for pid in run.participant_table.categories}
             assert run.label_table.as_dict() == {
-                lab: Counter(row["winner_label"] for row in run.audit_rows)[lab]
+                lab: Counter(row["winner_label"] for row in run.audit_rows())[lab]
                 for lab in cfg.labels}
 
     def test_custom_experiment_uses_frequency_driver(self):
@@ -656,6 +656,23 @@ class TestOutputs:
         text = format_report(tmp_path / "out2")
         assert "mean gini" in text and "fuzzychain" in text
 
+    def test_audit_file_is_written_run_by_run(self, tiny_config, monkeypatch, tmp_path):
+        # emission reads each run's rows as they are made, never the report's list of them all
+        reports = [run_experiment1(dataclasses.replace(tiny_config, invalid_block_rate=0.3,
+                                                        byzantine_rate=0.3)),
+                   run_experiment2(small_exp2_config())]
+        want = ["".join(json.dumps(row, sort_keys=True) + "\n" for row in report.audit_rows())
+                for report in reports]
+
+        def whole_list(self):
+            raise AssertionError("emission built the list of every audit row")
+
+        monkeypatch.setattr(Exp1Report, "audit_rows", whole_list)
+        monkeypatch.setattr(Exp2Report, "audit_rows", whole_list)
+        for i, (report, text) in enumerate(zip(reports, want)):
+            paths = emit_outputs(report, tmp_path / str(i))
+            assert Path(paths["audit.jsonl"]).read_text() == text
+
 
 def reference_csv(header, tables) -> str:
     """frequencies.csv as csv.writer writes it from one tuple per row."""
@@ -690,8 +707,7 @@ def report_config(labels, rounds=(100,)):
 
 def fake_run(rounds, rep, table) -> SingleRun:
     return SingleRun(rounds=rounds, repetition=rep, label_table=table,
-                     participant_table=table, audit_rows=[], chain_height=0,
-                     rejected_rounds=0, expelled=0)
+                     participant_table=table, results=[], chain_height=0)
 
 
 class TestFrequencyWriter:
@@ -879,6 +895,17 @@ class TestCli:
         assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'a\\rb'" in err
+        assert not out.exists()
+
+    def test_integer_literal_too_long_to_parse_exits_one_and_writes_nothing(self, tmp_path,
+                                                                           capsys):
+        # json.loads refuses an integer of over 4,300 digits with a plain ValueError
+        p = tmp_path / "cfg.json"
+        p.write_text('{"commission": 1' + "0" * 5000 + "}")
+        out = tmp_path / "never"
+        assert main(["run", "custom", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file ") and str(p) in err
         assert not out.exists()
 
     def test_duplicate_rounds_exit_one_and_write_nothing(self, tmp_path, capsys):
