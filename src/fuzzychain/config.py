@@ -12,11 +12,12 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .fuzzy import make_uniform_partition
+from .fuzzy import LinguisticVariable, make_uniform_partition
 from .ledger import CURVES, DEFAULT_CURVE
 
 EXPERIMENTS = ("exp1", "exp2", "custom")
@@ -163,7 +164,7 @@ class ExperimentConfig:
                 errors.append("universe_lo: must be strictly below universe_hi")
             elif n_ok:
                 try:
-                    make_uniform_partition("stake", self.labels, self.universe_lo, self.universe_hi)
+                    self.partition  # built and kept here, or refused with its reason
                 except ValueError as e:
                     errors.append(f"universe_lo, universe_hi: {e}")
         if not labels_ok:
@@ -245,6 +246,12 @@ class ExperimentConfig:
                 _check_dist(f"baselines.{dist_name}", getattr(b, dist_name), errors)
         if errors:
             raise ConfigError(errors)
+
+    @cached_property
+    def partition(self) -> LinguisticVariable:
+        """The stake partition the check built, shared by every repetition; not
+        a field, so to_dict, equality and summary.json leave it out."""
+        return make_uniform_partition("stake", self.labels, self.universe_lo, self.universe_hi)
 
     def to_dict(self) -> dict:
         d = asdict(self)

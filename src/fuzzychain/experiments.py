@@ -24,19 +24,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .baselines import run_dpos, run_pos, run_pow
 from .config import ExperimentConfig, sample_dist
 from .consensus import FuzzychainEngine
-from .fuzzy import (  # noqa: F401  (scale_stakes: bench/tracer.py times it under this name)
-    LinguisticVariable,
-    hmdf_win_intervals,
-    make_uniform_partition,
-    scale_stakes,
-)
+# scale_stakes: bench/tracer.py times it under this name
+from .fuzzy import LinguisticVariable, hmdf_win_intervals, scale_stakes  # noqa: F401
 from .ids import EnrollmentIds
 from .ledger import Chain, Transaction, build_block, make_block, new_keypair, sign_transaction
 from .metrics import FrequencyTable, summarize_counts
@@ -49,14 +45,9 @@ EXPECTED_GINI_ORDER = ("fuzzychain", "dpos", "pos", "pow")
 
 
 def build_variable(config: ExperimentConfig) -> LinguisticVariable:
-    """The config's stake partition; one frozen instance serves every
-    repetition and registry of equal labels and universe."""
-    return _uniform_partition(tuple(config.labels), config.universe_lo, config.universe_hi)
-
-
-@lru_cache(maxsize=16)
-def _uniform_partition(labels: tuple, lo: float, hi: float) -> LinguisticVariable:
-    return make_uniform_partition("stake", labels, lo, hi)
+    """The config's stake partition (ExperimentConfig.partition): the config
+    builds it once, and every repetition and registry of the run shares it."""
+    return config.partition
 
 
 def sample_stakes_for_census(var: LinguisticVariable, census, rng) -> np.ndarray:

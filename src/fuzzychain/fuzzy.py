@@ -5,8 +5,8 @@ L, M, H, VH): the label of highest membership degree (HMDF). A partition
 is its peaks: a left shoulder, triangular interior sets and a right
 shoulder, each foot on the neighbouring peak (a Ruspini partition, and
 the one shape built), so the label is a step function of the stake.
-Its n - 1 steps, the label edges, are found once per partition
-with hmdf's own arithmetic, and classifying searches them.
+Its n - 1 steps, the label edges, are found once per partition with
+hmdf's own arithmetic; classifying searches them, and only hmdf gives degrees.
 """
 
 from __future__ import annotations
@@ -191,15 +191,14 @@ def hmdf(var: LinguisticVariable, x: float) -> LabelAssignment:
     return LabelAssignment(*_argmax(var.mfs, x))
 
 
-def classify_stake(var: LinguisticVariable, stake: float) -> LabelAssignment:
-    """hmdf after clamping stakes that outgrew the universe back to its top:
-    the label from the partition's edges, and one membership call for its
-    degree."""
+def classify_stake(var: LinguisticVariable, stake: float) -> int:
+    """hmdf's label after clamping stakes that outgrew the universe back to its
+    top, by one search among the partition's edges; no membership function is
+    evaluated. A NaN or below-floor stake raises OutOfUniverseError."""
     x = min(stake, var.universe_hi)
     if not var.universe_lo <= x:
         raise _outside(var, x)
-    label = bisect_right(var.edges, x) + 1
-    return LabelAssignment(label, membership(var.mfs[label - 1], x))
+    return bisect_right(var.edges, x) + 1
 
 
 def classify_batch(var: LinguisticVariable, stakes) -> np.ndarray:
@@ -217,10 +216,10 @@ def classify_batch(var: LinguisticVariable, stakes) -> np.ndarray:
 
 
 def scale_stakes(var: LinguisticVariable, stakes) -> list[LabelAssignment]:
-    """classify_stake over a batch, preserving order; a NaN or below-floor
-    stake raises OutOfUniverseError before anything is returned."""
+    """hmdf over a batch clamped to the universe top, preserving order; a NaN
+    or below-floor stake raises OutOfUniverseError before anything is returned."""
     xs = np.asarray(stakes if isinstance(stakes, np.ndarray) else list(stakes), dtype=float)
-    return [classify_stake(var, x) for x in xs.tolist()]
+    return [hmdf(var, min(x, var.universe_hi)) for x in xs.tolist()]
 
 
 def hmdf_win_intervals(var: LinguisticVariable) -> list[tuple[float, float]]:

@@ -222,10 +222,10 @@ class Registry:
 
     def set_stake(self, seq: int, stake: float) -> None:
         """Change the stake at position seq (e.g. after a commission payout) and
-        reclassify; a rejected stake (NaN, below the floor) leaves the participant
-        as it was."""
+        relabel it by classify_stake's label, no degree; a rejected stake (NaN,
+        below the floor) leaves the participant as it was."""
         i = self._row(seq)
-        label = classify_stake(self.variable, stake).label_index
+        label = classify_stake(self.variable, stake)
         self._stake[i] = stake
         if label != self._label[i]:
             if not self._excluded[i]:

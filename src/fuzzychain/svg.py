@@ -13,6 +13,7 @@ first call in a process imports numpy.ma, about 15 ms.
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -29,14 +30,16 @@ PALETTE = ["#4472c4", "#ed7d31", "#70ad47", "#ffc000", "#9e480e",
 
 
 def _nice_max(value: float) -> float:
+    """The y axis top, 1, 2, 2.5, 5 or 10 times value's power of ten, in
+    math's and Python's float arithmetic, not numpy's dispatched kernels."""
     if value <= 0:
         return 1.0
-    exp = np.floor(np.log10(value))
-    frac = value / 10**exp
+    exp = float(math.floor(math.log10(value)))
+    frac = value / 10.0**exp
     for step in (1.0, 2.0, 2.5, 5.0, 10.0):
         if frac <= step:
-            return float(step * 10**exp)
-    return float(10 ** (exp + 1))
+            return step * 10.0**exp
+    return 10.0 ** (exp + 1)
 
 
 def _panel(y_offset, peak, title):

@@ -40,3 +40,42 @@ def partitions(draw):
     peaks = [lo + (hi - lo) * f for f in ends]
     assume(all(p < q for p, q in zip(peaks, peaks[1:])))
     return LinguisticVariable("stake", [f"L{i}" for i in range(n)], lo, hi, peaks)
+
+
+@st.composite
+def config_documents(draw):
+    """Config documents for config_from_dict: 3, 5 or 7 labels of 0 to 40
+    validators each (at least one in all), fault rates, commission and the
+    reputation walk across their ranges, and exp1, custom or a small exp2 of
+    at most 300 rounds x 2 repetitions."""
+    n = draw(st.sampled_from([3, 5, 7]), label="labels")
+    labels = [f"L{i}" for i in range(n)]
+    census = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)
+                  .map(lambda c: c if any(c) else [1, *c[1:]]), label="census")
+    experiment = draw(st.sampled_from(["exp1", "custom", "exp2"]), label="experiment")
+    doc = {
+        "experiment": experiment,
+        "seed": draw(st.integers(0, 2**32), label="seed"),
+        "labels": labels,
+        "population_per_label": dict(zip(labels, census)),
+        "repetitions": draw(st.integers(1, 2), label="repetitions"),
+        "byzantine_rate": draw(st.floats(0.0, 0.49), label="byzantine_rate"),
+        "invalid_block_rate": draw(st.floats(0.0, 1.0), label="invalid_block_rate"),
+        "commission": draw(st.floats(0.0, 5.0), label="commission"),
+        "eta": draw(st.floats(0.0, 1.0, exclude_min=True), label="eta"),
+        "l_divisor": draw(st.floats(0.01, 1000.0), label="l_divisor"),
+        "epsilon": draw(st.floats(0.0, 1.0, exclude_max=True), label="epsilon"),
+        "granularity": draw(st.sampled_from(["per-label", "per-participant"]),
+                            label="granularity"),
+    }
+    if experiment == "exp2":
+        doc["fuzzychain_rounds"] = draw(st.integers(1, 300), label="fuzzychain_rounds")
+        doc["baselines"] = {"participants": draw(st.integers(1, 20), label="participants"),
+                            "rounds": draw(st.integers(1, 50), label="baseline rounds")}
+    else:  # one round count or a sweep of two, 300 rounds in all at most
+        rounds = [draw(st.integers(1, 300), label="rounds")]
+        if rounds[0] < 300 and draw(st.booleans(), label="sweep"):
+            rounds.append(draw(st.integers(1, 300 - rounds[0]).filter(
+                lambda r: r != rounds[0]), label="second rounds"))
+        doc["rounds"] = rounds
+    return doc

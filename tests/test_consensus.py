@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzychain import consensus, ledger
-from fuzzychain.config import ExperimentConfig
+from fuzzychain import consensus, fuzzy, ledger
+from fuzzychain.config import ExperimentConfig, config_from_dict
 from fuzzychain.consensus import (
     FuzzychainEngine,
     NoPanelError,
@@ -21,8 +21,8 @@ from fuzzychain.consensus import (
     select_round_j,
     tally,
 )
-from fuzzychain.experiments import run_configured
-from fuzzychain.fuzzy import make_uniform_partition
+from fuzzychain.experiments import build_variable, run_configured
+from fuzzychain.fuzzy import hmdf, make_uniform_partition
 from fuzzychain.ledger import (
     CURVES,
     Chain,
@@ -560,6 +560,43 @@ def run_faulty_rounds(wrap, rounds=200, seed=31):
             block = make_block(block.index, r, b"\x01" * 32, block.transactions)
         results.append(engine.run_round(block, sel, votes))
     return results
+
+
+class TestLabelsFollowStakes:
+    def test_a_run_evaluates_no_membership_function(self, monkeypatch):
+        cfg = config_from_dict({
+            "experiment": "custom", "seed": 9, "rounds": [300], "repetitions": 2,
+            "population_per_label": dict(zip(LABELS, (6, 5, 4, 3, 2))),
+            "commission": 0.7, "byzantine_rate": 0.1,
+        })
+        build_variable(cfg).edges  # found with hmdf's arithmetic, once per partition
+
+        def refused(mf, x):
+            raise AssertionError("a membership function was evaluated")
+
+        monkeypatch.setattr(fuzzy, "membership", refused)
+        report = run_configured(cfg)
+        # the commission moved winners across label edges: set_stake relabelled them
+        won_at = {}
+        for run in report.runs:
+            for r in run.results:
+                won_at.setdefault((run.repetition, r.winner), set()).add(
+                    r.panel_labels[r.panel.index(r.winner)])
+        assert any(len(labels) > 1 for labels in won_at.values())
+
+    def test_every_label_is_hmdfs_at_its_clamped_stake(self):
+        reg = small_registry(census=(6, 5, 4, 3, 2), seed=9)
+        var, hi = reg.variable, reg.variable.universe_hi
+        engine = FuzzychainEngine(reg, Chain(), commission=0.7, byzantine_rate=0.1)
+        # linkage fails before any signature is read, so every round rejects cheaply
+        block = make_block(1, 1, b"\x01" * 32, signed_block(Chain(), 1).transactions)
+        sel, vot = substream(9, "selection"), substream(9, "votes")
+        stake, label, _, _ = reg.columns()
+        first = label.tolist()
+        for _ in range(300):
+            engine.run_round(block, sel, vot)
+            assert label.tolist() == [hmdf(var, min(x, hi)).label_index for x in stake]
+        assert label.tolist() != first and max(stake) > hi
 
 
 class TestStreamRounds:

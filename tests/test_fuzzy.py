@@ -57,13 +57,12 @@ def stakes_about_the_edges(var) -> list:
 
 
 def assert_classifiers_follow_hmdf(var, stakes) -> None:
-    """classify_batch's labels and classify_stake's labels and degree bits are
-    hmdf's at each stake, clamped to the universe top."""
-    expect = [hmdf(var, min(x, var.universe_hi)) for x in stakes]
-    assert classify_batch(var, stakes).tolist() == [e.label_index for e in expect]
+    """classify_batch's labels and classify_stake's int labels are hmdf's at
+    each stake, clamped to the universe top."""
+    expect = [hmdf(var, min(x, var.universe_hi)).label_index for x in stakes]
+    assert classify_batch(var, stakes).tolist() == expect
     got = [classify_stake(var, x) for x in stakes]
-    assert [g.label_index for g in got] == [e.label_index for e in expect]
-    assert bits([g.degree for g in got]) == bits([e.degree for e in expect])
+    assert got == expect and all(type(g) is int for g in got)
 
 
 def clipped_triangle(mf, x) -> float:
@@ -266,7 +265,8 @@ class TestHmdf:
                 scale_stakes(var5, [5.0, x])
 
     def test_classify_clamps_grown_stakes(self, var5):
-        assert classify_stake(var5, 13.7) == LabelAssignment(5, 1.0)
+        assert classify_stake(var5, 13.7) == 5
+        assert scale_stakes(var5, [13.7, 10.0]) == [LabelAssignment(5, 1.0)] * 2
 
     def test_win_intervals(self, var5):
         assert hmdf_win_intervals(var5) == [
@@ -288,6 +288,18 @@ class TestHmdf:
         lo, hi = var.universe_lo, var.universe_hi
         stake = st.one_of(st.floats(lo, hi), st.floats(min_value=hi, allow_nan=False))
         assert_classifiers_follow_hmdf(var, data.draw(st.lists(stake, max_size=40), label="stakes"))
+
+    @given(partitions(), st.data())
+    def test_scale_stakes_degree_is_its_labels_membership(self, var, data):
+        # hmdf over the clamped stakes: classify_stake's label, and that label's own
+        # membership degree at the clamped stake, bit for bit
+        lo, hi = var.universe_lo, var.universe_hi
+        stake = st.one_of(st.floats(lo, hi), st.floats(min_value=hi, allow_nan=False))
+        stakes = data.draw(st.lists(stake, max_size=40), label="stakes")
+        got = scale_stakes(var, stakes)
+        assert [g.label_index for g in got] == [classify_stake(var, x) for x in stakes]
+        assert bits([g.degree for g in got]) == bits(
+            [membership(var.mfs[g.label_index - 1], min(x, hi)) for g, x in zip(got, stakes)])
 
     def test_batch_ties_at_interval_edges_go_to_the_lower_label(self, var5):
         edges = [hi for _lo, hi in hmdf_win_intervals(var5)[:-1]]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzychain import experiments, ledger, outputs
+from fuzzychain import config as config_module, experiments, ledger, outputs
 from fuzzychain.cli import main
 from fuzzychain.config import (
     ConfigError,
@@ -351,14 +351,26 @@ class TestStakeSampling:
         labels = [hmdf(var, x).label_index for x in stakes.tolist()]
         assert labels == [i + 1 for i, k in enumerate(census) for _ in range(k)]
 
-    def test_equal_partitions_are_one_object(self):
-        var = build_variable(tiny())
-        assert build_variable(tiny(seed=3, rounds=(5,))) is var
-        assert build_variable(dataclasses.replace(tiny(), labels=list(tiny().labels))) is var
-        assert build_variable(tiny(universe_hi=200.0)) is not var
-        relabelled = dict(zip(("A", "B", "C", "D", "E"), TINY_POP.values()))
-        other = build_variable(tiny(labels=tuple(relabelled), population_per_label=relabelled))
-        assert other is not var and other.labels == ("A", "B", "C", "D", "E")
+    def test_the_config_builds_its_partition_once(self, monkeypatch):
+        cfg = tiny(repetitions=2)
+        var = cfg.partition
+        assert build_variable(cfg) is var
+        assert var == make_uniform_partition("stake", cfg.labels, 0.0, 10.0)
+        # every repetition's registry holds the config's one partition; none is rebuilt
+        monkeypatch.setattr(config_module, "make_uniform_partition", None)
+        registries = []
+        build_registry = experiments.build_registry
+        monkeypatch.setattr(experiments, "build_registry",
+                            lambda *a: registries.append(build_registry(*a)) or registries[-1])
+        run_experiment1(cfg)
+        assert len(registries) == 2 and all(r.variable is var for r in registries)
+        monkeypatch.undo()
+        # not a field: to_dict, equality and config files know no partition
+        assert "partition" not in cfg.to_dict()
+        copy = dataclasses.replace(cfg)
+        assert copy == cfg and copy.partition is not var and copy.partition == var
+        with pytest.raises(ConfigError, match="unknown keys: \\['partition'\\]"):
+            config_from_dict({**cfg.to_dict(), "partition": None})
 
     def test_census_is_exact(self):
         cfg = tiny()
